@@ -37,7 +37,14 @@ from .limits import (
     limit_subtree_prob,
     simple_pole_residue,
 )
-from .series import EgfSeries, SeriesOrderError, base_series, solve_linear_ode, solve_plane_linear_ode
+from .series import (
+    EgfSeries,
+    InvariantError,
+    SeriesOrderError,
+    base_series,
+    solve_linear_ode,
+    solve_plane_linear_ode,
+)
 from .variety import TreeVariety
 
 __version__ = "0.1.0"
@@ -50,6 +57,7 @@ __all__ = [
     "EgfSeries",
     "Enclosure",
     "ExactConst",
+    "InvariantError",
     "LabeledTree",
     "PoleData",
     "RootRankTable",

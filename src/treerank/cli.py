@@ -109,6 +109,8 @@ def _resolve_threads(args: argparse.Namespace) -> int:
 def cmd_counts(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     variety = parse_variety(args.variety)
     order = args.order
+    if order < 0:
+        parser.error("--order must be >= 0")
     n_max = args.n_max if args.n_max is not None else order
     if n_max < 0 or n_max > order:
         parser.error(f"--n-max must be in 0..{order}")

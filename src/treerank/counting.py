@@ -13,6 +13,16 @@ subtrees (that is the m*y convolution term) or the marked vertex's whole
 subtree was the tree itself (that is a polynomial correction read off
 the t table).  The two cases are disjoint, so no inclusion-exclusion
 adjustment is ever needed.
+
+Everything runs on integers.  With counts Y_n = n! [z^n] y, the equation
+y' = m*y + p is the recurrence Y_{n+1} = sum_i C(n,i) M_i Y_{n-i} + P_n
+(`series.solve_linear_counts`), where M_n is the tree count T_n for
+non-plane trees and 2 T_n - [n = 0] for plane trees, and the correction
+P is read straight off the t table:
+
+    rank k            P_n = t[k][n+1]
+    subtree size r    P_{r-1} = T_r, all else 0
+    rank k, size i    P_{i-1} = t[k][i], all else 0
 """
 
 from __future__ import annotations
@@ -22,10 +32,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from operator import mul
 from typing import IO, Sequence
 
 from .constants import decimal_string
-from .series import EgfSeries, base_series, solve_linear_ode, solve_plane_linear_ode, tree_counts
+from .series import EgfSeries, InvariantError, solve_linear_counts, tree_counts
 from .variety import TreeVariety
 
 DEFAULT_MAX_SIZE = 80
@@ -81,9 +92,14 @@ def root_rank_counts(variety: TreeVariety, max_size: int = DEFAULT_MAX_SIZE) -> 
 
     A root of rank k has either one child whose subtree root has rank
     k-1, or two children whose subtree roots have minimum rank k-1.  The
-    two-child sum runs over ordered label splits of the i-1 non-root
-    labels (binomial factor), counting ordered rank pairs through suffix
-    sums; non-plane trees take half of it, which is exact because sibling
+    two-child sum runs over ordered label splits j + m = i-1 of the
+    non-root labels (binomial factor C(i-1, j)).  An ordered pair has
+    minimum rank k-1 when the first has rank k-1 and the second >= k-1,
+    or the first >= k and the second k-1; swapping j and m folds the two
+    into t[k-1][j] * (S[k-1][m] + S[k][m]) with suffix sums
+    S[k][m] = sum_{r >= k} t[r][m].  A tree of rank k-1 or more has at
+    least k vertices, so only k <= j <= i-1-k contributes.  Non-plane
+    trees take half of the ordered sum, which is exact because sibling
     label sets always differ.
     """
     if max_size < 1:
@@ -92,35 +108,28 @@ def root_rank_counts(variety: TreeVariety, max_size: int = DEFAULT_MAX_SIZE) -> 
     ranks = max_size  # rank k needs a leaf path of length k below the root
     t = [[0] * (max_size + 1) for _ in range(ranks)]
     t[0][1] = 1
-    # suffix[k][i] = sum over r >= k of t[r][i]
-    suffix = [[0] * (max_size + 1) for _ in range(ranks + 1)]
-    suffix[0][1] = 1
-    for i in range(2, max_size + 1):
+    # both[k][m] = S[k-1][m] + S[k][m] for k >= 1
+    both = [[0] * (max_size + 1) for _ in range(ranks + 1)]
+    for i in range(1, max_size + 1):
+        row = [comb(i - 1, j) for j in range(i)]
         for k in range(1, i):
-            total = t[k - 1][i - 1]
-            pairs = 0
-            for j in range(1, i - 1):
-                m = i - 1 - j
-                # ordered (first, second) with min rank k-1:
-                # first has rank k-1 and second >= k-1, or first >= k and second k-1
-                ways = t[k - 1][j] * suffix[k - 1][m] + suffix[k][j] * t[k - 1][m]
-                pairs += comb(i - 1, j) * ways
-            if plane:
-                total += pairs
-            else:
-                half, rem = divmod(pairs, 2)
-                assert rem == 0, "ordered two-child count must be even"
-                total += half
-            t[k][i] = total
-        acc = 0
-        for k in range(ranks - 1, -1, -1):
-            acc += t[k][i]
-            suffix[k][i] = acc
-        suffix[ranks][i] = 0
+            lo, hi = k, i - 1 - k  # j runs over lo..hi, m = i-1-j over hi..lo
+            weights = map(mul, row[lo:hi + 1], t[k - 1][lo:hi + 1])
+            pairs = sum(map(mul, weights, both[k][hi:lo - 1:-1]))
+            if not plane:
+                pairs, rem = divmod(pairs, 2)
+                if rem:
+                    raise InvariantError(f"ordered two-child count for t[{k}][{i}] is odd")
+            t[k][i] = t[k - 1][i - 1] + pairs
+        s = 0  # S[k][i], from the top rank down; no size-i tree has rank >= i
+        for k in range(i, 0, -1):
+            both[k][i] = t[k - 1][i] + 2 * s
+            s += t[k - 1][i]
     table = RootRankTable(variety, t)
     counts = tree_counts(variety, max_size)
     for i in range(1, max_size + 1):
-        assert table.row_sum(i) == counts[i], f"row {i} does not sum to the tree count"
+        if table.row_sum(i) != counts[i]:
+            raise InvariantError(f"root-rank row {i} does not sum to the tree count")
     return table
 
 
@@ -170,19 +179,30 @@ class CountSequences:
         writer.writerows(self.csv_rows(digits))
 
 
-def _count_sequence(variety: TreeVariety, correction: EgfSeries, order: int,
-                    selector: str) -> CountSequences:
+def _multiplier(variety: TreeVariety, order: int) -> list[int]:
+    """n!-scaled m of y' = m*y + p through index order-1: T, or 2T - 1 for plane."""
+    counts = tree_counts(variety, max(order - 1, 0))
     if variety is TreeVariety.NONPLANE:
-        m = base_series(TreeVariety.NONPLANE, max(order - 1, 0))
-        solution = solve_linear_ode(m, correction, 0, order)
-    else:
-        solution = solve_plane_linear_ode(correction, 0, order)
+        return list(counts)
+    return [1] + [2 * c for c in counts[1:]]
+
+
+def _count_sequence(variety: TreeVariety, correction: list[int], order: int,
+                    selector: str) -> CountSequences:
     return CountSequences(
         variety=variety,
         selector=selector,
-        counts=tuple(solution.counts()),
+        counts=tuple(solve_linear_counts(_multiplier(variety, order), correction, order)),
         tree_totals=tree_counts(variety, order),
     )
+
+
+def _monomial(degree: int, value: int, order: int) -> list[int]:
+    """n!-scaled correction P_0..P_{order-1}, value at `degree`, 0 elsewhere."""
+    correction = [0] * order
+    if degree < order:
+        correction[degree] = value
+    return correction
 
 
 def rank_vertex_counts(
@@ -196,10 +216,9 @@ def rank_vertex_counts(
         raise ValueError("rank must be nonnegative")
     if table is None:
         table = root_rank_counts(variety, max(order, 1))
-    if order == 0:
-        correction = EgfSeries.zero(0)
-    else:
-        correction = table.correction_series(k, order).derivative()
+    if order > table.max_size:
+        raise ValueError(f"order {order} exceeds table size {table.max_size}")
+    correction = [table.count(k, i) for i in range(1, order + 1)]
     return _count_sequence(variety, correction, order, f"rank k={k}")
 
 
@@ -210,13 +229,8 @@ def size_vertex_counts(
     if r < 1:
         raise ValueError("subtree size must be at least 1")
     count_r = tree_counts(variety, r)[r]
-    degree = r - 1
-    if degree > max(order - 1, 0):
-        correction = EgfSeries.zero(max(order - 1, 0))
-    else:
-        correction = EgfSeries.monomial(degree, max(order - 1, 0),
-                                        Fraction(count_r, factorial(degree)))
-    return _count_sequence(variety, correction, order, f"subtree size r={r}")
+    return _count_sequence(variety, _monomial(r - 1, count_r, order), order,
+                           f"subtree size r={r}")
 
 
 def joint_vertex_counts(
@@ -234,10 +248,5 @@ def joint_vertex_counts(
     if table is None:
         table = root_rank_counts(variety, max(order, i, 1))
     t_ki = table.count(k, i) if i <= table.max_size else 0
-    degree = i - 1
-    if degree > max(order - 1, 0) or t_ki == 0:
-        correction = EgfSeries.zero(max(order - 1, 0))
-    else:
-        correction = EgfSeries.monomial(degree, max(order - 1, 0),
-                                        Fraction(t_ki, factorial(degree)))
-    return _count_sequence(variety, correction, order, f"rank k={k}, size i={i}")
+    return _count_sequence(variety, _monomial(i - 1, t_ki, order), order,
+                           f"rank k={k}, size i={i}")

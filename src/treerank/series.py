@@ -1,16 +1,29 @@
-"""Exact truncated power series over the rationals.
+"""Exact count sequences and truncated power series.
 
-A series is stored by its ordinary coefficients c_0..c_N, so a counting
-sequence t_0, t_1, ... lives here as c_n = t_n / n!.  Everything is a
-`fractions.Fraction`; no floating point enters this module.
+Every generating function in this package is exponential with integer
+coefficients: y = sum_n Y_n z^n / n!.  A first-order linear equation
+y' = m*y + p with y(0) = 0 is therefore solved on plain integers by the
+n!-scaled recurrence
+
+    Y_{n+1} = sum_{i <= n} C(n, i) M_i Y_{n-i} + P_n,
+
+and the quadratic equations of the two base series become recurrences of
+the same shape on the tree counts T_n.  That integer kernel is what every
+count sequence is computed with.
+
+`EgfSeries` stores ordinary coefficients c_n = Y_n / n! as
+`fractions.Fraction`s.  It is the reference the integer kernel is tested
+against, not a path any count takes.  No floating point enters this
+module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
-from typing import Iterable, Union
+from math import comb, factorial
+from operator import mul
+from typing import Iterable, Sequence, Union
 
 from .variety import TreeVariety
 
@@ -21,6 +34,10 @@ DEFAULT_ORDER = 80
 
 class SeriesOrderError(ValueError):
     """Raised when an operation would silently mix truncation orders."""
+
+
+class InvariantError(RuntimeError):
+    """An internal consistency check failed, so a result would be wrong."""
 
 
 class EgfSeries:
@@ -144,35 +161,77 @@ class EgfSeries:
         return f"EgfSeries([{head}{tail}], order={self.order})"
 
 
-@lru_cache(maxsize=None)
-def base_series(variety: TreeVariety, order: int) -> EgfSeries:
-    """Tree-count series of the given variety through the given order.
+# Tree counts T_0..T_N per variety; extended in place, never rebuilt.
+_TREE_COUNTS: dict[TreeVariety, list[int]] = {v: [1] for v in TreeVariety}
 
-    Both varieties are generated by their quadratic first-order equations,
-    y' = (1 + y^2)/2 for non-plane and y' = 1 - y + y^2 for plane trees,
-    with y(0) = 1; this needs one convolution per coefficient and no
-    series division.
+
+def _extend_tree_counts(variety: TreeVariety, order: int) -> list[int]:
+    """The variety's tree counts through `order`, extending the shared prefix.
+
+    n!-scaled forms of y' = (1 + y^2)/2 (non-plane) and y' = 1 - y + y^2
+    (plane), y(0) = 1:
+        non-plane  T_{n+1} = (d_n + sum_i C(n,i) T_i T_{n-i}) / 2
+        plane      T_{n+1} = d_n - T_n + sum_i C(n,i) T_i T_{n-i}
+    with d_n = 1 for n = 0 and 0 otherwise.  The square's terms pair up
+    as i <-> n-i, so half of them are summed and doubled.
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    cs = [Fraction(1)]
-    if variety is TreeVariety.NONPLANE:
-        for n in range(order):
-            square = sum(cs[i] * cs[n - i] for i in range(n + 1))
-            rhs = ((1 if n == 0 else 0) + square) / 2
-            cs.append(rhs / (n + 1))
-    else:
-        for n in range(order):
-            square = sum(cs[i] * cs[n - i] for i in range(n + 1))
-            rhs = (1 if n == 0 else 0) - cs[n] + square
-            cs.append(rhs / (n + 1))
-    return EgfSeries(cs)
+    t = _TREE_COUNTS[variety]
+    plane = variety is TreeVariety.PLANE
+    for n in range(len(t) - 1, order):
+        lo = (n + 1) // 2  # terms i < lo pair with n-i > n-lo
+        row = [comb(n, i) for i in range(lo + 1)]
+        square = 2 * sum(map(mul, map(mul, row, t[:lo]), t[n:n - lo:-1]))
+        if n % 2 == 0:
+            square += row[lo] * t[lo] ** 2
+        rhs = (1 if n == 0 else 0) + square
+        if plane:
+            t.append(rhs - t[n])
+        else:
+            half, rem = divmod(rhs, 2)
+            if rem:
+                raise InvariantError(f"non-plane tree count {n + 1} is not an integer")
+            t.append(half)
+    return t
 
 
 @lru_cache(maxsize=None)
 def tree_counts(variety: TreeVariety, order: int) -> tuple[int, ...]:
-    """n!-normalized tree counts of `base_series`, as plain integers."""
-    return tuple(base_series(variety, order).counts())
+    """Trees of each size 0..order of the given variety (T_0 = 1)."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    return tuple(_extend_tree_counts(variety, order)[: order + 1])
+
+
+@lru_cache(maxsize=None)
+def base_series(variety: TreeVariety, order: int) -> EgfSeries:
+    """Tree-count series of the given variety through the given order.
+
+    The ordinary coefficients T_n / n! of `tree_counts`: the solution of
+    y' = (1 + y^2)/2 for non-plane and y' = 1 - y + y^2 for plane trees,
+    with y(0) = 1.
+    """
+    counts = tree_counts(variety, order)
+    return EgfSeries(Fraction(c, factorial(n)) for n, c in enumerate(counts))
+
+
+def solve_linear_counts(m: Sequence[int], p: Sequence[int], order: int) -> list[int]:
+    """n!-scaled solution Y_0..Y_order of y' = m*y + p with y(0) = 0.
+
+    m and p are n!-scaled too (M_n = n! [z^n] m) and must reach index
+    order-1.  Y_{n+1} = sum_i C(n,i) M_i Y_{n-i} + P_n, in integers.
+    """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    if order > 0 and (len(m) < order or len(p) < order):
+        raise SeriesOrderError(
+            f"m and p must reach index {order - 1}; got {len(m) - 1} and {len(p) - 1}"
+        )
+    ys = [0]
+    for n in range(order):
+        # Y_0 = 0, so i runs over 0..n-1, pairing M_i with Y_n..Y_1
+        weights = map(mul, [comb(n, i) for i in range(n)], m)
+        ys.append(sum(map(mul, weights, ys[:0:-1])) + p[n])
+    return ys
 
 
 def solve_linear_ode(m: EgfSeries, p: EgfSeries, y0: Rational, order: int) -> EgfSeries:

@@ -55,6 +55,19 @@ class TestCounts:
             main(["counts", "--kind", "rank", "--k", "-1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("extra, flag", [
+        (["--order", "-1"], "--order"),
+        (["--n-max", "-1"], "--n-max"),
+        (["--order", "5", "--n-max", "6"], "--n-max"),
+    ])
+    def test_bad_range_names_the_flag(self, capsys, extra, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["counts", "--kind", "rank", "--k", "0", *extra])
+        assert exc.value.code == 2
+        message = capsys.readouterr().err.strip().splitlines()[-1]
+        assert flag in message
+        assert "0..-1" not in message
+
     def test_missing_selector_rejected(self):
         with pytest.raises(SystemExit) as exc:
             main(["counts", "--kind", "size"])

@@ -1,7 +1,13 @@
 """Root-rank dynamic program and the recurrence-driven count sequences."""
 
 import io
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +23,43 @@ from treerank.variety import TreeVariety
 
 NP = TreeVariety.NONPLANE
 PL = TreeVariety.PLANE
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def reference_root_rank_table(variety, max_size):
+    """The first root-rank dynamic program, kept verbatim as a reference:
+    every ordered split j in 1..i-2, both ordered rank cases, comb inline."""
+    plane = variety is TreeVariety.PLANE
+    ranks = max_size  # rank k needs a leaf path of length k below the root
+    t = [[0] * (max_size + 1) for _ in range(ranks)]
+    t[0][1] = 1
+    # suffix[k][i] = sum over r >= k of t[r][i]
+    suffix = [[0] * (max_size + 1) for _ in range(ranks + 1)]
+    suffix[0][1] = 1
+    for i in range(2, max_size + 1):
+        for k in range(1, i):
+            total = t[k - 1][i - 1]
+            pairs = 0
+            for j in range(1, i - 1):
+                m = i - 1 - j
+                # ordered (first, second) with min rank k-1:
+                # first has rank k-1 and second >= k-1, or first >= k and second k-1
+                ways = t[k - 1][j] * suffix[k - 1][m] + suffix[k][j] * t[k - 1][m]
+                pairs += comb(i - 1, j) * ways
+            if plane:
+                total += pairs
+            else:
+                half, rem = divmod(pairs, 2)
+                assert rem == 0, "ordered two-child count must be even"
+                total += half
+            t[k][i] = total
+        acc = 0
+        for k in range(ranks - 1, -1, -1):
+            acc += t[k][i]
+            suffix[k][i] = acc
+        suffix[ranks][i] = 0
+    return t
 
 
 class TestRootRankTable:
@@ -53,6 +96,37 @@ class TestRootRankTable:
         z_e = EgfSeries([Fraction(0)] + list(e.coeffs[:-1]))
         expected = (z_e - EgfSeries.monomial(2, order, Fraction(1, 2))).truncate(order - 1)
         assert got == expected
+
+    @pytest.mark.parametrize("variety", [NP, PL])
+    def test_matches_reference_dynamic_program(self, variety):
+        for size in (1, 2, 3, 40):
+            reference = reference_root_rank_table(variety, size)
+            table = root_rank_counts(variety, size)
+            assert table._t == tuple(tuple(row) for row in reference)
+
+    def test_row_sum_check_survives_python_O(self):
+        # A wrong tree count must still be caught when asserts are stripped.
+        script = textwrap.dedent("""
+            import treerank.counting as counting
+            from treerank.series import InvariantError, tree_counts
+            from treerank.variety import TreeVariety
+
+            def wrong_counts(variety, order):
+                counts = list(tree_counts(variety, order))
+                counts[5] += 1
+                return tuple(counts)
+
+            counting.tree_counts = wrong_counts
+            try:
+                counting.root_rank_counts(TreeVariety.NONPLANE, 8)
+            except InvariantError as exc:
+                print("raised:", exc)
+        """)
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("raised: root-rank row 5 ")
 
     def test_with_entry_breaks_row_sum(self):
         table = root_rank_counts(NP, 6)

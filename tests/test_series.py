@@ -1,15 +1,18 @@
 """Exact series arithmetic and the term-by-term recurrence solvers."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treerank import series
 from treerank.series import (
     EgfSeries,
     SeriesOrderError,
     base_series,
+    solve_linear_counts,
     solve_linear_ode,
     solve_plane_linear_ode,
     tree_counts,
@@ -155,6 +158,70 @@ class TestBaseSeries:
     def test_counts_rejects_non_integers(self):
         with pytest.raises(ValueError):
             EgfSeries([Fraction(1, 3), 1]).counts()
+
+
+def fraction_tree_counts(variety, order):
+    """T_0..T_order from the base equations in Fraction arithmetic."""
+    cs = [Fraction(1)]
+    for n in range(order):
+        square = sum(cs[i] * cs[n - i] for i in range(n + 1))
+        if variety is TreeVariety.NONPLANE:
+            rhs = ((1 if n == 0 else 0) + square) / 2
+        else:
+            rhs = (1 if n == 0 else 0) - cs[n] + square
+        cs.append(rhs / (n + 1))
+    return tuple(int(c * factorial(n)) for n, c in enumerate(cs))
+
+
+class TestTreeCountPrefix:
+    @pytest.fixture
+    def cold(self, monkeypatch):
+        """Start from empty prefixes and an empty cache, and leave them so."""
+        monkeypatch.setattr(series, "_TREE_COUNTS", {v: [1] for v in TreeVariety})
+        tree_counts.cache_clear()
+        yield
+        tree_counts.cache_clear()
+
+    @pytest.mark.parametrize("variety", list(TreeVariety))
+    def test_call_order_does_not_matter(self, cold, variety):
+        expected = fraction_tree_counts(variety, 80)
+        for order in (50, 10, 80, 0, 79):
+            assert tree_counts(variety, order) == expected[: order + 1]
+
+    def test_base_series_is_a_view_of_the_counts(self, cold):
+        for variety in TreeVariety:
+            assert base_series(variety, 12).counts() == list(tree_counts(variety, 12))
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError):
+            tree_counts(TreeVariety.PLANE, -1)
+
+
+counts_strategy = st.lists(st.integers(min_value=0, max_value=10**6), min_size=12, max_size=12)
+
+
+class TestIntegerKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(counts_strategy, counts_strategy, st.integers(min_value=0, max_value=12))
+    def test_matches_fraction_solver(self, m, p, order):
+        got = solve_linear_counts(m, p, order)
+        m_series = EgfSeries(Fraction(c, factorial(n)) for n, c in enumerate(m))
+        p_series = EgfSeries(Fraction(c, factorial(n)) for n, c in enumerate(p))
+        reference = solve_linear_ode(m_series, p_series, 0, order)
+        assert got == reference.counts()
+
+    def test_leaf_counts(self):
+        m = tree_counts(TreeVariety.NONPLANE, 5)
+        assert solve_linear_counts(m, [1, 0, 0, 0, 0, 0], 6) == [0, 1, 1, 3, 9, 35, 155]
+
+    def test_order_zero(self):
+        assert solve_linear_counts([], [], 0) == [0]
+
+    def test_short_inputs_raise(self):
+        with pytest.raises(SeriesOrderError):
+            solve_linear_counts([1, 1, 1], [0, 0, 0, 0], 4)
+        with pytest.raises(ValueError):
+            solve_linear_counts([], [], -1)
 
 
 class TestLinearSolver:
