@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -33,22 +32,36 @@ from .limits import (
     limit_rank_fraction,
     limit_subtree_prob,
 )
-from .series import DEFAULT_ORDER, EgfSeries, base_series, tree_counts
+from .series import DEFAULT_ORDER, EgfSeries, InvariantError, base_series, tree_counts
 from .variety import TreeVariety, parse_variety
 
-THREADS_ENV_VAR = "TREERANK_THREADS"
+
+def _at_least(low: int) -> Callable[[str], int]:
+    """argparse type: an integer no smaller than `low`, else a usage error."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--variety", default="nonplane", choices=["nonplane", "plane"])
-    parser.add_argument("--order", type=int, default=DEFAULT_ORDER,
-                        help="series truncation order (default 80)")
-    parser.add_argument("--digits", type=int, default=12,
-                        help="decimal digits for printed enclosures")
-    parser.add_argument("--enum-limit", type=int, default=DEFAULT_ENUM_LIMIT,
-                        help="largest size enumerated exhaustively")
-    parser.add_argument("--threads", type=int, default=None,
-                        help=f"worker cap (or ${THREADS_ENV_VAR}); results do not depend on it")
+_SHARED_FLAGS = {
+    "--variety": dict(default="nonplane", choices=["nonplane", "plane"]),
+    "--order": dict(type=_at_least(0), default=DEFAULT_ORDER,
+                    help="series truncation order (default 80)"),
+    "--digits": dict(type=_at_least(1), default=12, help="decimal digits for printed enclosures"),
+    "--enum-limit": dict(type=_at_least(1), default=DEFAULT_ENUM_LIMIT,
+                         help="largest size enumerated exhaustively"),
+}
+
+
+def _add_shared(parser: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        parser.add_argument(flag, **_SHARED_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,60 +72,46 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_counts = sub.add_parser("counts", help="count sequences and root-rank tables")
-    _add_common(p_counts)
+    _add_shared(p_counts, "--variety", "--order", "--digits")
     p_counts.add_argument("--kind", required=True, choices=["rank", "size", "joint", "root"])
-    p_counts.add_argument("--k", type=int, default=None, help="vertex rank")
-    p_counts.add_argument("--r", type=int, default=None, help="subtree size")
-    p_counts.add_argument("--i", type=int, default=None, help="subtree size (joint)")
-    p_counts.add_argument("--n-max", type=int, default=None, help="last row to print")
+    p_counts.add_argument("--k", type=_at_least(0), default=None, help="vertex rank")
+    p_counts.add_argument("--r", type=_at_least(1), default=None, help="subtree size")
+    p_counts.add_argument("--i", type=_at_least(1), default=None, help="subtree size (joint)")
+    p_counts.add_argument("--n-max", type=_at_least(0), default=None, help="last row to print")
     p_counts.add_argument("--format", default="table", choices=["table", "json", "csv"])
 
     p_bounds = sub.add_parser("bounds", help="rigorous bracket for a rank limit")
-    _add_common(p_bounds)
-    p_bounds.add_argument("--k", type=int, required=True)
-    p_bounds.add_argument("--r", type=int, default=12, help="truncation (default 12)")
+    _add_shared(p_bounds, "--variety", "--digits")
+    p_bounds.add_argument("--k", type=_at_least(0), required=True)
+    p_bounds.add_argument("--r", type=_at_least(1), default=12, help="truncation (default 12)")
     p_bounds.add_argument("--format", default="table", choices=["table", "json"])
 
     p_limits = sub.add_parser("limits", help="exact limiting probabilities")
-    _add_common(p_limits)
+    _add_shared(p_limits, "--variety", "--digits")
     p_limits.add_argument("--kind", default="rank", choices=["rank", "v", "w"])
-    p_limits.add_argument("--k", type=int, default=None)
-    p_limits.add_argument("--r", type=int, default=None)
-    p_limits.add_argument("--i", type=int, default=None)
+    p_limits.add_argument("--k", type=_at_least(0), default=None)
+    p_limits.add_argument("--r", type=_at_least(1), default=None)
+    p_limits.add_argument("--i", type=_at_least(1), default=None)
     p_limits.add_argument("--format", default="table", choices=["table", "json"])
 
     p_enum = sub.add_parser("enumerate", help="dump every tree of one size")
-    _add_common(p_enum)
-    p_enum.add_argument("--n", type=int, required=True)
+    _add_shared(p_enum, "--variety", "--enum-limit")
+    p_enum.add_argument("--n", type=_at_least(1), required=True)
 
     p_verify = sub.add_parser("verify", help="run the cross-module oracle suite")
-    _add_common(p_verify)
-    p_verify.add_argument("--r", type=int, default=12, help="bracket truncation to check")
+    _add_shared(p_verify, "--order", "--digits", "--enum-limit")
+    p_verify.add_argument("--r", type=_at_least(1), default=12, help="bracket truncation to check")
     p_verify.add_argument("--corrupt-root-table", action="store_true",
                           help=argparse.SUPPRESS)
 
     return parser
 
 
-def _resolve_threads(args: argparse.Namespace) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
 def cmd_counts(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     variety = parse_variety(args.variety)
     order = args.order
-    if order < 0:
-        parser.error("--order must be >= 0")
     n_max = args.n_max if args.n_max is not None else order
-    if n_max < 0 or n_max > order:
+    if n_max > order:
         parser.error(f"--n-max must be in 0..{order}")
 
     if args.kind == "root":
@@ -138,15 +137,15 @@ def cmd_counts(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         return 0
 
     if args.kind == "rank":
-        if args.k is None or args.k < 0:
+        if args.k is None:
             parser.error("--kind rank needs --k >= 0")
         seq = rank_vertex_counts(variety, args.k, order)
     elif args.kind == "size":
-        if args.r is None or args.r < 1:
+        if args.r is None:
             parser.error("--kind size needs --r >= 1")
         seq = size_vertex_counts(variety, args.r, order)
     else:
-        if args.k is None or args.k < 0 or args.i is None or args.i < 1:
+        if args.k is None or args.i is None:
             parser.error("--kind joint needs --k >= 0 and --i >= 1")
         seq = joint_vertex_counts(variety, args.k, args.i, order)
 
@@ -176,10 +175,6 @@ def cmd_counts(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def cmd_bounds(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.k < 0:
-        parser.error("--k must be >= 0")
-    if args.r < 1:
-        parser.error("--r must be >= 1")
     variety = parse_variety(args.variety)
     report = bound_interval(variety, args.k, args.r, digits=args.digits)
     if args.format == "json":
@@ -206,12 +201,12 @@ def cmd_limits(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         value = limit_rank_fraction(variety, args.k)
         label = f"rank k={args.k}"
     elif args.kind == "v":
-        if args.r is None or args.r < 1:
+        if args.r is None:
             parser.error("--kind v needs --r >= 1")
         value = limit_subtree_prob(variety, args.r)
         label = f"subtree size r={args.r}"
     else:
-        if args.k is None or args.k < 0 or args.i is None or args.i < 1:
+        if args.k is None or args.i is None:
             parser.error("--kind w needs --k >= 0 and --i >= 1")
         value = limit_joint_prob(variety, args.k, args.i)
         label = f"rank k={args.k}, size i={args.i}"
@@ -231,8 +226,6 @@ def cmd_limits(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 def cmd_enumerate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     variety = parse_variety(args.variety)
-    if args.n < 1:
-        parser.error("--n must be >= 1")
     try:
         for tree in enumerate_trees(variety, args.n, args.enum_limit):
             print(tree.to_text())
@@ -251,7 +244,7 @@ def _verify_checks(args: argparse.Namespace):
     for variety in TreeVariety:
         counts = tree_counts(variety, limit)
         for n in range(1, limit + 1):
-            got = sum(1 for _ in enumerate_trees(variety, n, limit))
+            got = census(variety, n, limit).tree_count
             yield (
                 f"enumeration-count {variety} n={n}",
                 got == counts[n],
@@ -363,8 +356,6 @@ def _verify_checks(args: argparse.Namespace):
 
 
 def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.enum_limit < 1:
-        parser.error("--enum-limit must be >= 1")
     if args.order < 2 or args.order < args.enum_limit:
         parser.error("--order must be >= 2 and at least --enum-limit")
     failures = 0
@@ -382,7 +373,6 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.threads = _resolve_threads(args)
     handlers: dict[str, Callable] = {
         "counts": cmd_counts,
         "bounds": cmd_bounds,
@@ -390,7 +380,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         "enumerate": cmd_enumerate,
         "verify": cmd_verify,
     }
-    return handlers[args.command](args, parser)
+    try:
+        return handlers[args.command](args, parser)
+    except InvariantError as exc:
+        print(f"treerank: internal invariant failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

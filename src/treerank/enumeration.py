@@ -22,7 +22,7 @@ from itertools import combinations
 from typing import Iterator, Mapping
 
 from .constants import Enclosure, iv_enclosure, sqrt_weighted_sum
-from .series import tree_counts
+from .series import InvariantError, tree_counts
 from .variety import TreeVariety
 
 DEFAULT_ENUM_LIMIT = 10
@@ -189,8 +189,9 @@ class Census:
     rank_totals[k] counts vertices of rank k; size_totals[r] counts
     vertices whose subtree has exactly r vertices; joint_totals[(k, r)]
     requires both at once.  root_rank_counts[k] counts whole trees by the
-    rank of their root.  The sqrt-subtree-size data is size_totals itself,
-    kept exact and evaluated only through enclosures.
+    rank of their root, and one_child_trees[s] counts whole trees with
+    exactly s one-child vertices.  The sqrt-subtree-size data is
+    size_totals itself, kept exact and evaluated only through enclosures.
     """
 
     variety: TreeVariety
@@ -203,6 +204,7 @@ class Census:
     leaf_total: int
     one_child_total: int
     two_child_total: int
+    one_child_trees: tuple[int, ...]  # index s in 0..n-1
 
     @property
     def vertex_pairs(self) -> int:
@@ -240,20 +242,33 @@ class Census:
         return Fraction(tail, self.vertex_pairs)
 
     def _validate(self) -> None:
-        pairs = self.vertex_pairs
-        assert sum(self.rank_totals) == pairs
-        assert sum(self.size_totals) == pairs
-        assert self.rank_totals[0] == self.leaf_total
-        assert self.size_totals[1] == self.leaf_total
-        assert self.leaf_total - self.two_child_total == self.tree_count
-        assert self.leaf_total + self.one_child_total + self.two_child_total == pairs
-        assert sum(self.root_rank_counts) == self.tree_count
-        for k in range(len(self.rank_totals)):
-            assert sum(v for (kk, _), v in self.joint_totals.items() if kk == k) == \
-                self.rank_totals[k]
-        for r in range(1, self.n + 1):
-            assert sum(v for (_, rr), v in self.joint_totals.items() if rr == r) == \
-                self.size_totals[r]
+        """Raise InvariantError unless the aggregates agree with each other."""
+        n, pairs, trees = self.n, self.vertex_pairs, self.tree_count
+        leaf, one, two = self.leaf_total, self.one_child_total, self.two_child_total
+        hist = self.one_child_trees
+        rank_marginal, size_marginal = [0] * n, [0] * (n + 1)
+        for (k, r), v in self.joint_totals.items():
+            rank_marginal[k] += v
+            size_marginal[r] += v
+        checks = {
+            "rank totals sum to the vertex pairs": sum(self.rank_totals) == pairs,
+            "size totals sum to the vertex pairs": sum(self.size_totals) == pairs,
+            "rank-0 vertices are the leaves": self.rank_totals[0] == leaf,
+            "size-1 subtrees are the leaves": self.size_totals[1] == leaf,
+            "each tree has one more leaf than two-child vertices": leaf - two == trees,
+            "each vertex has zero, one or two children": leaf + one + two == pairs,
+            "root ranks count every tree": sum(self.root_rank_counts) == trees,
+            "joint totals sum to the rank totals": tuple(rank_marginal) == self.rank_totals,
+            "joint totals sum to the size totals": tuple(size_marginal) == self.size_totals,
+            "one-child histogram counts every tree": sum(hist) == trees,
+            "one-child histogram sums to the one-child total":
+                sum(s * c for s, c in enumerate(hist)) == one,
+            "n-1-s is even for a tree with s one-child vertices":
+                not any(c for s, c in enumerate(hist) if (n - 1 - s) % 2),
+        }
+        failed = [name for name, ok in checks.items() if not ok]
+        if failed:
+            raise InvariantError(f"{self.variety} census n={n}: " + "; ".join(failed))
 
 
 @lru_cache(maxsize=None)
@@ -267,6 +282,7 @@ def census(variety: TreeVariety, n: int, limit: int = DEFAULT_ENUM_LIMIT) -> Cen
     size_totals = [0] * (n + 1)
     joint: dict[tuple[int, int], int] = {}
     root_ranks = [0] * n
+    one_child_trees = [0] * n
     leaf = one = two = 0
     count = 0
 
@@ -285,8 +301,8 @@ def census(variety: TreeVariety, n: int, limit: int = DEFAULT_ENUM_LIMIT) -> Cen
             s2, r2 = walk(children[1])
             size, rank = s1 + s2 + 1, 1 + min(r1, r2)
             two += 1
-        # Rank/size sanity: rank 0 exactly for one-vertex subtrees.
-        assert (rank == 0) == (size == 1)
+        if (rank == 0) != (size == 1):
+            raise InvariantError(f"rank {rank} for a subtree of size {size}")
         rank_totals[rank] += 1
         size_totals[size] += 1
         key = (rank, size)
@@ -295,8 +311,10 @@ def census(variety: TreeVariety, n: int, limit: int = DEFAULT_ENUM_LIMIT) -> Cen
 
     for node in _generate(variety, tuple(range(1, n + 1))):
         count += 1
+        before = one
         _, root_rank = walk(node)
         root_ranks[root_rank] += 1
+        one_child_trees[one - before] += 1
 
     result = Census(
         variety=variety,
@@ -309,39 +327,26 @@ def census(variety: TreeVariety, n: int, limit: int = DEFAULT_ENUM_LIMIT) -> Cen
         leaf_total=leaf,
         one_child_total=one,
         two_child_total=two,
+        one_child_trees=tuple(one_child_trees),
     )
     result._validate()
     return result
 
 
 # ---------------------------------------------------------------------------
-# Plane statistics from the non-plane enumeration
+# Plane statistics from the non-plane census
 #
 # A non-plane tree with s one-child vertices has (n-1-s)/2 two-child
 # vertices and corresponds to exactly 2^((n-1-s)/2) plane trees, so plane
-# averages are weighted non-plane averages.
+# averages are weighted non-plane averages.  The weights come from
+# Census.one_child_trees, so they cost no walk beyond the census itself.
 
 
 def _onechild_weight_data(n: int, limit: int) -> tuple[Fraction, int]:
-    if n < 1:
-        raise ValueError("tree size must be at least 1")
-    if n > limit:
-        raise SizeLimitError(TreeVariety.NONPLANE, n, limit)
-    num = 0
-    den = 0
-
-    def onechild_count(node: Node) -> int:
-        children = node[1]
-        return (1 if len(children) == 1 else 0) + sum(onechild_count(c) for c in children)
-
-    for node in _generate(TreeVariety.NONPLANE, tuple(range(1, n + 1))):
-        s = onechild_count(node)
-        exponent, parity = divmod(n - 1 - s, 2)
-        assert parity == 0
-        weight = 1 << exponent
-        num += s * weight
-        den += weight
-    return (Fraction(num, den) if den else Fraction(0)), den
+    hist = census(TreeVariety.NONPLANE, n, limit).one_child_trees
+    weights = [c << ((n - 1 - s) // 2) for s, c in enumerate(hist)]
+    den = sum(weights)
+    return Fraction(sum(s * w for s, w in enumerate(weights)), den), den
 
 
 def weighted_onechild_mean(n: int, limit: int = DEFAULT_ENUM_LIMIT) -> Fraction:

@@ -27,7 +27,7 @@ from typing import Union
 
 from .constants import Enclosure, ExactConst, UnsupportedDivisorError, halfpi_moment, plane_moment
 from .counting import RootRankTable, root_rank_counts
-from .series import tree_counts
+from .series import InvariantError, tree_counts
 from .variety import TreeVariety
 
 Rational = Union[int, Fraction]
@@ -281,7 +281,8 @@ def bound_interval(
         partial_w_sum=w_sum,
         terms=tuple(terms),
     )
-    assert report.lower_enc.lo <= report.upper_enc.hi
+    if report.lower_enc.lo > report.upper_enc.hi:
+        raise InvariantError(f"bracket for k={k}, r={r} has lower above upper")
     return report
 
 

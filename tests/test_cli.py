@@ -1,10 +1,19 @@
 """Command-line contract: flags, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from treerank.cli import THREADS_ENV_VAR, build_parser, main
+from treerank import cli
+from treerank.cli import main
+from treerank.enumeration import census
+from treerank.series import InvariantError
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -148,19 +157,73 @@ class TestVerify:
         assert "FAIL" in out
         assert "root-rank-table" in out
 
+    def test_corrupted_table_detected_under_python_O(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        argv = ["verify", "--enum-limit", "4", "--order", "6", "--r", "3",
+                "--corrupt-root-table"]
+        proc = subprocess.run([sys.executable, "-O", "-m", "treerank.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        assert any(line.startswith("FAIL") for line in proc.stdout.splitlines())
+
+    def test_one_census_pass_per_variety_and_size(self, capsys, monkeypatch):
+        def no_second_walk(*args, **kwargs):
+            raise AssertionError("verify counts trees through census, not enumerate_trees")
+
+        monkeypatch.setattr(cli, "enumerate_trees", no_second_walk)
+        census.cache_clear()
+        code, out, _ = run(capsys, "verify", "--enum-limit", "6", "--order", "8", "--r", "3")
+        assert code == 0
+        assert "FAIL" not in out
+        assert census.cache_info().misses == 2 * 6
+
 
 class TestConfig:
-    def test_threads_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV_VAR, "3")
-        parser = build_parser()
-        args = parser.parse_args(["verify"])
-        from treerank.cli import _resolve_threads
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--k", "1", "--order", "5"],
+        ["verify", "--variety", "plane"],
+        ["verify", "--threads", "2"],
+        ["limits", "--k", "1", "--enum-limit", "3"],
+        ["enumerate", "--n", "3", "--digits", "5"],
+        ["counts", "--kind", "root", "--enum-limit", "3"],
+    ])
+    def test_flag_the_subcommand_does_not_read_is_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
-        assert _resolve_threads(args) == 3
-        monkeypatch.setenv(THREADS_ENV_VAR, "junk")
-        assert _resolve_threads(args) >= 1
-        args.threads = 7
-        assert _resolve_threads(args) == 7
+    @pytest.mark.parametrize("argv, flag", [
+        (["counts", "--kind", "rank", "--k", "0", "--order", "3", "--digits", "-1"], "--digits"),
+        (["counts", "--kind", "rank", "--k", "x"], "--k"),
+        (["counts", "--kind", "size", "--r", "0"], "--r"),
+        (["counts", "--kind", "joint", "--k", "0", "--i", "0"], "--i"),
+        (["bounds", "--k", "1", "--digits", "-3"], "--digits"),
+        (["limits", "--k", "1", "--digits", "0"], "--digits"),
+        (["limits", "--k", "-1"], "--k"),
+        (["limits", "--kind", "v", "--r", "0"], "--r"),
+        (["limits", "--kind", "w", "--k", "0", "--i", "0"], "--i"),
+        (["enumerate", "--n", "0"], "--n"),
+        (["enumerate", "--n", "1", "--enum-limit", "0"], "--enum-limit"),
+        (["verify", "--enum-limit", "3", "--order", "3", "--digits", "0"], "--digits"),
+        (["verify", "--enum-limit", "3", "--order", "3", "--r", "0"], "--r"),
+        (["verify", "--enum-limit", "0"], "--enum-limit"),
+        (["verify", "--enum-limit", "3", "--order", "1"], "--order"),
+    ])
+    def test_out_of_range_value_names_the_flag(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_invariant_failure_exits_1_without_traceback(self, capsys, monkeypatch):
+        def broken(args, parser):
+            raise InvariantError("planted inconsistency")
+
+        monkeypatch.setattr(cli, "cmd_limits", broken)
+        code, _, err = run(capsys, "limits", "--k", "1")
+        assert code == 1
+        assert err == "treerank: internal invariant failed: planted inconsistency\n"
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,6 @@
 """Brute-force enumeration, censuses, and the probabilistic inequalities."""
 
+import dataclasses
 from fractions import Fraction
 
 import mpmath
@@ -14,7 +15,7 @@ from treerank.enumeration import (
     plane_multiplicity_total,
     weighted_onechild_mean,
 )
-from treerank.series import tree_counts
+from treerank.series import InvariantError, tree_counts
 from treerank.variety import TreeVariety
 
 NP = TreeVariety.NONPLANE
@@ -100,6 +101,26 @@ class TestCensus:
             for r in range(1, n + 1):
                 assert sum(v for (_, rr), v in cen.joint_totals.items() if rr == r) \
                     == cen.size_totals[r]
+
+    @pytest.mark.parametrize("variety", [NP, PL])
+    def test_one_child_histogram_matches_enumeration(self, variety):
+        def one_child(node):
+            children = node[1]
+            return (len(children) == 1) + sum(one_child(c) for c in children)
+
+        for n in range(1, 8):
+            hist = [0] * n
+            for tree in enumerate_trees(variety, n):
+                hist[one_child(tree.as_tuple())] += 1
+            assert census(variety, n).one_child_trees == tuple(hist)
+
+    def test_validate_catches_a_parity_violation(self):
+        cen = census(NP, 4)
+        assert cen.one_child_trees == (0, 4, 0, 1)
+        # Same tree count and one-child total, but s = 2 is impossible at n = 4.
+        broken = dataclasses.replace(cen, one_child_trees=(0, 3, 2, 0))
+        with pytest.raises(InvariantError, match="is even"):
+            broken._validate()
 
     def test_mean_one_child_n3(self):
         assert census(NP, 3).mean_one_child == Fraction(1)
