@@ -11,12 +11,13 @@ interval context with outward rounding and escalating precision.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping, Union
 
-import mpmath
+from mpmath.ctx_iv import MPIntervalContext
 from mpmath.libmp import to_rational
 
 Rational = Union[int, Fraction]
@@ -96,9 +97,6 @@ class ExactConst:
 
     def is_rational(self) -> bool:
         return self.is_sqrt3_free() and all(j == 0 for j in self._terms)
-
-    def min_pi_exponent(self) -> int:
-        return min(self._terms) if self._terms else 0
 
     def is_monomial(self) -> bool:
         return len(self._terms) == 1
@@ -388,21 +386,39 @@ def _iv_endpoints(x) -> tuple[Fraction, Fraction]:
     return Fraction(*to_rational(lo_t)), Fraction(*to_rational(hi_t))
 
 
+_IV_CONTEXTS = threading.local()
+
+
+def _iv_context() -> MPIntervalContext:
+    """This thread's private interval context, created on first use.
+
+    mpmath's shared `mpmath.iv` keeps its precision as global state, so
+    setting it from two threads, or from a library caller's own code,
+    would race.  A context costs about half a millisecond to build, so
+    each thread keeps one rather than building one per enclosure.
+    """
+    ctx = getattr(_IV_CONTEXTS, "ctx", None)
+    if ctx is None:
+        ctx = _IV_CONTEXTS.ctx = MPIntervalContext()
+    return ctx
+
+
 def iv_enclosure(builder: Callable, digits: int) -> Enclosure:
     """Evaluate `builder(iv_context)` to an enclosure of width <= 10^-digits.
 
     Precision starts low and doubles until the interval is narrow enough;
     successive intervals are intersected, so an enclosure requested at
-    more digits is always nested inside one requested at fewer.
+    more digits is always nested inside one requested at fewer.  The
+    builder gets a private interval context; `mpmath.iv` is not touched.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
     target = Fraction(1, 10**digits)
-    ctx = mpmath.iv
+    ctx = _iv_context()
     prec = _START_PREC
     best: Enclosure | None = None
     while prec <= _MAX_PREC:
-        old_prec = ctx.prec
+        old_prec = ctx.prec  # restored for an enclosing call on this thread
         try:
             ctx.prec = prec
             value = builder(ctx)

@@ -5,10 +5,15 @@ every tree of a given size explicitly, walks each vertex, and aggregates
 exact integer statistics.  Sizes are capped (default 10) because the
 counts grow factorially; the refusal message quotes the exact count.
 
-Internal representation: a tree on a label set is a nested tuple
-(label, children) with children a tuple of subtrees.  Labels increase
-toward the root, so the root of a tree on labels L is max(L).  Non-plane
-trees are kept canonical by ordering a sibling pair so that the subtree
+Internal representation: labels are data, not rebuilt structure.  A
+tree on 1..n is (n, children), and each child is a pair (subtree, labels):
+the subtree is one of the shared canonical trees on 1..j, and the label
+tuple of length j says that its local label l stands for labels[l-1].
+Labels increase toward the root, so the root of a tree on labels L is
+max(L).  Nothing is relabelled while the census walks the trees, because
+ranks, sizes and child counts do not depend on labels; only `LabeledTree`
+materializes the plain nested (label, children) tuple.  Non-plane trees
+are kept canonical by ordering a sibling pair so that the subtree
 containing the smaller minimum label comes first; the generator produces
 exactly one representative per unordered pair this way.
 """
@@ -19,7 +24,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterator, Mapping
+from types import MappingProxyType
+from typing import Iterator, Mapping, Sequence
 
 from .constants import Enclosure, iv_enclosure, sqrt_weighted_sum
 from .series import InvariantError, tree_counts
@@ -27,7 +33,8 @@ from .variety import TreeVariety
 
 DEFAULT_ENUM_LIMIT = 10
 
-Node = tuple  # (label, tuple of Node)
+Node = tuple  # lazy: (label, tuple of (Node on 1..j, label tuple of length j))
+PlainNode = tuple  # (label, tuple of PlainNode)
 
 
 class SizeLimitError(ValueError):
@@ -43,64 +50,60 @@ class SizeLimitError(ValueError):
         self.limit = limit
 
 
-def _relabel(node: Node, labels: tuple[int, ...]) -> Node:
-    lab, children = node
-    return (labels[lab - 1], tuple(_relabel(c, labels) for c in children))
-
-
 @lru_cache(maxsize=None)
 def _canonical_trees(variety: TreeVariety, size: int) -> tuple[Node, ...]:
-    """All trees on labels 1..size, materialized once per size."""
-    return tuple(_generate(variety, tuple(range(1, size + 1))))
+    """All trees on labels 1..size in the lazy form, materialized once per size."""
+    return tuple(_generate(variety, size))
 
 
-def _generate(variety: TreeVariety, labels: tuple[int, ...]) -> Iterator[Node]:
-    """Stream every tree on the given sorted label tuple."""
-    root = labels[-1]
-    rest = labels[:-1]
-    m = len(rest)
+def _generate(variety: TreeVariety, n: int) -> Iterator[Node]:
+    """Stream every tree on labels 1..n in the lazy form."""
+    m = n - 1
     if m == 0:
-        yield (root, ())
+        yield (n, ())
         return
-    identity = rest == tuple(range(1, m + 1))
+    rest = tuple(range(1, n))
     for sub in _canonical_trees(variety, m):
-        yield (root, ((sub if identity else _relabel(sub, rest)),))
+        yield (n, ((sub, rest),))
     if m < 2:
         return
     if variety is TreeVariety.PLANE:
         # Ordered sibling pairs: the first child takes any nonempty proper
         # label subset, the second takes the complement.
-        for j in range(1, m):
-            for a_set in combinations(rest, j):
-                chosen = set(a_set)
-                b_set = tuple(x for x in rest if x not in chosen)
-                for ta in _canonical_trees(variety, j):
-                    ra = _relabel(ta, a_set)
-                    for tb in _canonical_trees(variety, m - j):
-                        yield (root, (ra, _relabel(tb, b_set)))
+        subsets = ((j, a_set) for j in range(1, m) for a_set in combinations(rest, j))
     else:
-        # Unordered pairs, one representative each: the subtree holding the
-        # smallest remaining label is generated as the first child.
-        head, pool = rest[0], rest[1:]
-        for j in range(1, m):
-            for a_tail in combinations(pool, j - 1):
-                a_set = (head,) + a_tail
-                chosen = set(a_set)
-                b_set = tuple(x for x in rest if x not in chosen)
-                for ta in _canonical_trees(variety, j):
-                    ra = _relabel(ta, a_set)
-                    for tb in _canonical_trees(variety, m - j):
-                        yield (root, (ra, _relabel(tb, b_set)))
+        # Unordered pairs, one representative each: the subtree holding
+        # label 1 is generated as the first child.
+        subsets = ((j, (1,) + a_tail)
+                   for j in range(1, m) for a_tail in combinations(rest[1:], j - 1))
+    for j, a_set in subsets:
+        chosen = set(a_set)
+        b_set = tuple(x for x in rest if x not in chosen)
+        b_trees = _canonical_trees(variety, m - j)
+        for ta in _canonical_trees(variety, j):
+            a_child = (ta, a_set)
+            for tb in b_trees:
+                yield (n, (a_child, (tb, b_set)))
+
+
+def _materialize(node: Node, labels: Sequence[int]) -> PlainNode:
+    """The plain form of a lazy tree whose local label l stands for labels[l-1]."""
+    root, children = node
+    return (labels[root - 1], tuple(
+        _materialize(sub, tuple(labels[local - 1] for local in sub_labels))
+        for sub, sub_labels in children
+    ))
 
 
 class LabeledTree:
-    """A single labeled 1-2 tree, wrapping the canonical nested-tuple form."""
+    """A single labeled 1-2 tree on 1..n, held in the plain nested-tuple form."""
 
     __slots__ = ("_node", "_n")
 
-    def __init__(self, node: Node, size: int | None = None):
-        self._node = node
-        self._n = size if size is not None else _node_size(node)
+    def __init__(self, node: Node, n: int):
+        """Materialize a lazy tree on labels 1..n, as `_generate` yields it."""
+        self._node = _materialize(node, range(1, n + 1))
+        self._n = n
 
     @property
     def n(self) -> int:
@@ -110,45 +113,13 @@ class LabeledTree:
     def root_label(self) -> int:
         return self._node[0]
 
-    def parent_array(self) -> tuple[int, ...]:
-        """parent_array()[v] is the parent label of v; the root maps to 0.
-
-        Index 0 is unused padding so labels index directly.
-        """
-        parents = [0] * (self._n + 1)
-
-        def walk(node: Node) -> None:
-            lab, children = node
-            for child in children:
-                parents[child[0]] = lab
-                walk(child)
-
-        walk(self._node)
-        return tuple(parents)
-
-    def children(self, label: int) -> tuple[int, ...]:
-        node = self._find(self._node, label)
-        if node is None:
-            raise KeyError(f"no vertex labeled {label}")
-        return tuple(c[0] for c in node[1])
-
-    def _find(self, node: Node, label: int) -> Node | None:
-        if node[0] == label:
-            return node
-        for child in node[1]:
-            if label <= child[0]:  # labels in a subtree never exceed its root
-                found = self._find(child, label)
-                if found is not None:
-                    return found
-        return None
-
-    def as_tuple(self) -> Node:
+    def as_tuple(self) -> PlainNode:
         return self._node
 
     def to_text(self) -> str:
         """Nested-parentheses dump, plane order preserved: 4(3(1)(2))."""
 
-        def fmt(node: Node) -> str:
+        def fmt(node: PlainNode) -> str:
             lab, children = node
             return str(lab) + "".join(f"({fmt(c)})" for c in children)
 
@@ -166,10 +137,6 @@ class LabeledTree:
         return f"LabeledTree({self.to_text()})"
 
 
-def _node_size(node: Node) -> int:
-    return 1 + sum(_node_size(c) for c in node[1])
-
-
 def enumerate_trees(
     variety: TreeVariety, n: int, limit: int = DEFAULT_ENUM_LIMIT
 ) -> Iterator[LabeledTree]:
@@ -178,7 +145,7 @@ def enumerate_trees(
         raise ValueError("tree size must be at least 1")
     if n > limit:
         raise SizeLimitError(variety, n, limit)
-    for node in _generate(variety, tuple(range(1, n + 1))):
+    for node in _generate(variety, n):
         yield LabeledTree(node, n)
 
 
@@ -188,7 +155,8 @@ class Census:
 
     rank_totals[k] counts vertices of rank k; size_totals[r] counts
     vertices whose subtree has exactly r vertices; joint_totals[(k, r)]
-    requires both at once.  root_rank_counts[k] counts whole trees by the
+    requires both at once and is read-only, because the result is cached
+    and shared.  root_rank_counts[k] counts whole trees by the
     rank of their root, and one_child_trees[s] counts whole trees with
     exactly s one-child vertices.  The sqrt-subtree-size data is
     size_totals itself, kept exact and evaluated only through enclosures.
@@ -278,51 +246,53 @@ def census(variety: TreeVariety, n: int, limit: int = DEFAULT_ENUM_LIMIT) -> Cen
         raise ValueError("tree size must be at least 1")
     if n > limit:
         raise SizeLimitError(variety, n, limit)
+    stride = n + 1
     rank_totals = [0] * n
-    size_totals = [0] * (n + 1)
-    joint: dict[tuple[int, int], int] = {}
+    size_totals = [0] * stride
+    joint = [0] * (n * stride)  # joint[rank * stride + size]
     root_ranks = [0] * n
     one_child_trees = [0] * n
-    leaf = one = two = 0
+    by_degree = [0, 0, 0]  # vertices with zero, one and two children
     count = 0
 
     def walk(node: Node) -> tuple[int, int]:
-        nonlocal leaf, one, two
         children = node[1]
         if not children:
+            by_degree[0] += 1
             size, rank = 1, 0
-            leaf += 1
         elif len(children) == 1:
-            s, r = walk(children[0])
-            size, rank = s + 1, r + 1
-            one += 1
+            by_degree[1] += 1
+            size, rank = walk(children[0][0])
+            size += 1
+            rank += 1
         else:
-            s1, r1 = walk(children[0])
-            s2, r2 = walk(children[1])
-            size, rank = s1 + s2 + 1, 1 + min(r1, r2)
-            two += 1
+            by_degree[2] += 1
+            s1, r1 = walk(children[0][0])
+            s2, r2 = walk(children[1][0])
+            size, rank = s1 + s2 + 1, 1 + (r1 if r1 < r2 else r2)
         if (rank == 0) != (size == 1):
             raise InvariantError(f"rank {rank} for a subtree of size {size}")
         rank_totals[rank] += 1
         size_totals[size] += 1
-        key = (rank, size)
-        joint[key] = joint.get(key, 0) + 1
+        joint[rank * stride + size] += 1
         return size, rank
 
-    for node in _generate(variety, tuple(range(1, n + 1))):
+    for node in _generate(variety, n):
         count += 1
-        before = one
-        _, root_rank = walk(node)
-        root_ranks[root_rank] += 1
-        one_child_trees[one - before] += 1
+        before = by_degree[1]
+        root_ranks[walk(node)[1]] += 1
+        one_child_trees[by_degree[1] - before] += 1
 
+    leaf, one, two = by_degree
     result = Census(
         variety=variety,
         n=n,
         tree_count=count,
         rank_totals=tuple(rank_totals),
         size_totals=tuple(size_totals),
-        joint_totals=joint,
+        joint_totals=MappingProxyType({
+            divmod(key, stride): v for key, v in enumerate(joint) if v
+        }),
         root_rank_counts=tuple(root_ranks),
         leaf_total=leaf,
         one_child_total=one,

@@ -232,7 +232,6 @@ class BoundReport:
     lower_enc: Enclosure
     upper_enc: Enclosure
     partial_v_sum: ExactConst
-    partial_w_sum: ExactConst
     terms: tuple[BoundTerm, ...]
 
     @property
@@ -278,7 +277,6 @@ def bound_interval(
         lower_enc=w_sum.enclosure(digits),
         upper_enc=upper.enclosure(digits),
         partial_v_sum=v_sum,
-        partial_w_sum=w_sum,
         terms=tuple(terms),
     )
     if report.lower_enc.lo > report.upper_enc.hi:

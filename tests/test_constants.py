@@ -1,5 +1,7 @@
 """Exact constants, enclosures, and the trigonometric moment integrals."""
 
+import sys
+import threading
 from fractions import Fraction
 from math import factorial
 
@@ -14,6 +16,7 @@ from treerank.constants import (
     ExactConst,
     UnsupportedDivisorError,
     halfpi_moment,
+    iv_enclosure,
     plane_moment,
     sqrt3_power,
     sqrt_weighted_sum,
@@ -178,6 +181,50 @@ class TestEnclosures:
     def test_digits_validation(self):
         with pytest.raises(ValueError):
             PI.enclosure(0)
+
+    def test_global_interval_precision_untouched(self):
+        seen = []
+
+        def failing(ctx):
+            seen.append(ctx)
+            raise ZeroDivisionError("builder failed")
+
+        saved = mpmath.iv.prec
+        mpmath.iv.prec = 77
+        try:
+            PI.enclosure(40)
+            assert mpmath.iv.prec == 77
+            with pytest.raises(ZeroDivisionError):
+                iv_enclosure(failing, 10)
+            assert mpmath.iv.prec == 77
+            assert seen and seen[0] is not mpmath.iv
+        finally:
+            mpmath.iv.prec = saved
+
+    def test_threads_at_different_digits_match_sequential(self):
+        value = PI * PI - ExactConst.sqrt3(Fraction(22, 7))
+        digits = (15, 60, 150)
+        expected = {d: value.enclosure(d) for d in digits}
+        results = {d: set() for d in digits}
+        barrier = threading.Barrier(len(digits))
+
+        def run(d):
+            barrier.wait(timeout=10)
+            for _ in range(40):
+                results[d].add(value.enclosure(d))
+
+        threads = [threading.Thread(target=run, args=(d,)) for d in digits]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == {d: {expected[d]} for d in digits}
 
     def test_sqrt_weighted_sum(self):
         enc = sqrt_weighted_sum({1: 1, 2: 1}, 20)

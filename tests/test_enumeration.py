@@ -2,6 +2,9 @@
 
 import dataclasses
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
+from typing import Iterator
 
 import mpmath
 import pytest
@@ -20,6 +23,92 @@ from treerank.variety import TreeVariety
 
 NP = TreeVariety.NONPLANE
 PL = TreeVariety.PLANE
+
+# ---------------------------------------------------------------------------
+# Reference generator: the earlier relabelling implementation, kept verbatim
+# (with its cache) as the slow path the label-free one is checked against.
+
+Node = tuple  # (label, tuple of Node)
+
+
+def _relabel(node: Node, labels: tuple[int, ...]) -> Node:
+    lab, children = node
+    return (labels[lab - 1], tuple(_relabel(c, labels) for c in children))
+
+
+@lru_cache(maxsize=None)
+def _canonical_trees(variety: TreeVariety, size: int) -> tuple[Node, ...]:
+    """All trees on labels 1..size, materialized once per size."""
+    return tuple(_generate(variety, tuple(range(1, size + 1))))
+
+
+def _generate(variety: TreeVariety, labels: tuple[int, ...]) -> Iterator[Node]:
+    """Stream every tree on the given sorted label tuple."""
+    root = labels[-1]
+    rest = labels[:-1]
+    m = len(rest)
+    if m == 0:
+        yield (root, ())
+        return
+    identity = rest == tuple(range(1, m + 1))
+    for sub in _canonical_trees(variety, m):
+        yield (root, ((sub if identity else _relabel(sub, rest)),))
+    if m < 2:
+        return
+    if variety is TreeVariety.PLANE:
+        # Ordered sibling pairs: the first child takes any nonempty proper
+        # label subset, the second takes the complement.
+        for j in range(1, m):
+            for a_set in combinations(rest, j):
+                chosen = set(a_set)
+                b_set = tuple(x for x in rest if x not in chosen)
+                for ta in _canonical_trees(variety, j):
+                    ra = _relabel(ta, a_set)
+                    for tb in _canonical_trees(variety, m - j):
+                        yield (root, (ra, _relabel(tb, b_set)))
+    else:
+        # Unordered pairs, one representative each: the subtree holding the
+        # smallest remaining label is generated as the first child.
+        head, pool = rest[0], rest[1:]
+        for j in range(1, m):
+            for a_tail in combinations(pool, j - 1):
+                a_set = (head,) + a_tail
+                chosen = set(a_set)
+                b_set = tuple(x for x in rest if x not in chosen)
+                for ta in _canonical_trees(variety, j):
+                    ra = _relabel(ta, a_set)
+                    for tb in _canonical_trees(variety, m - j):
+                        yield (root, (ra, _relabel(tb, b_set)))
+
+
+def reference_census_fields(variety: TreeVariety, n: int) -> dict:
+    """Every Census field, tallied by walking the reference trees."""
+    rank_totals, size_totals, root_ranks = [0] * n, [0] * (n + 1), [0] * n
+    one_child_trees, degrees, joint = [0] * n, [0, 0, 0], {}
+
+    def walk(node):
+        children = node[1]
+        degrees[len(children)] += 1
+        stats = [walk(c) for c in children]
+        size = 1 + sum(s for s, _ in stats)
+        rank = 1 + min(r for _, r in stats) if stats else 0
+        rank_totals[rank] += 1
+        size_totals[size] += 1
+        joint[(rank, size)] = joint.get((rank, size), 0) + 1
+        return size, rank
+
+    trees = list(_generate(variety, tuple(range(1, n + 1))))
+    for tree in trees:
+        before = degrees[1]
+        root_ranks[walk(tree)[1]] += 1
+        one_child_trees[degrees[1] - before] += 1
+    return dict(
+        variety=variety, n=n, tree_count=len(trees),
+        rank_totals=tuple(rank_totals), size_totals=tuple(size_totals),
+        joint_totals=joint, root_rank_counts=tuple(root_ranks),
+        leaf_total=degrees[0], one_child_total=degrees[1], two_child_total=degrees[2],
+        one_child_trees=tuple(one_child_trees),
+    )
 
 
 class TestEnumeration:
@@ -49,15 +138,28 @@ class TestEnumeration:
         assert texts == {"3(2(1))", "3(1)(2)"}
 
     def test_structure_invariants(self):
+        def vertices(node, parent):
+            """(label, parent label, child count) per vertex; the root's parent is 0."""
+            label, children = node
+            yield label, parent, len(children)
+            for child in children:
+                yield from vertices(child, label)
+
         for variety in (NP, PL):
             for tree in enumerate_trees(variety, 6):
-                parents = tree.parent_array()
                 assert tree.root_label == 6
-                assert parents[6] == 0
-                for label in range(1, 6):
-                    assert parents[label] > label
-                for label in range(1, 7):
-                    assert len(tree.children(label)) <= 2
+                found = sorted(vertices(tree.as_tuple(), 0))
+                assert [label for label, _, _ in found] == list(range(1, 7))
+                assert found[-1][1] == 0
+                for label, parent, degree in found:
+                    assert label == 6 or parent > label
+                    assert degree <= 2
+
+    @pytest.mark.parametrize("variety", [NP, PL])
+    def test_matches_the_relabelling_generator(self, variety):
+        for n in range(1, 8):
+            reference = list(_generate(variety, tuple(range(1, n + 1))))
+            assert [t.as_tuple() for t in enumerate_trees(variety, n)] == reference
 
     def test_size_limit_refusal_quotes_count(self):
         with pytest.raises(SizeLimitError) as err:
@@ -113,6 +215,20 @@ class TestCensus:
             for tree in enumerate_trees(variety, n):
                 hist[one_child(tree.as_tuple())] += 1
             assert census(variety, n).one_child_trees == tuple(hist)
+
+    @pytest.mark.parametrize("variety", [NP, PL])
+    def test_matches_a_census_of_the_relabelling_generator(self, variety):
+        for n in range(1, 9):
+            cen = census(variety, n)
+            fields = {f.name: getattr(cen, f.name) for f in dataclasses.fields(cen)}
+            fields["joint_totals"] = dict(fields["joint_totals"])
+            assert fields == reference_census_fields(variety, n)
+
+    def test_joint_totals_are_read_only(self):
+        cen = census(NP, 3)
+        with pytest.raises(TypeError):
+            cen.joint_totals[(0, 1)] = 99
+        assert census(NP, 3).joint_totals[(0, 1)] == 3
 
     def test_validate_catches_a_parity_violation(self):
         cen = census(NP, 4)
