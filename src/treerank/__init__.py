@@ -27,15 +27,11 @@ from .enumeration import (
 from .limits import (
     BoundReport,
     ClosedFormUnavailableError,
-    PoleData,
     bound_interval,
     bound_report_json,
-    double_pole_coefficient,
-    growth_normalization,
     limit_joint_prob,
     limit_rank_fraction,
     limit_subtree_prob,
-    simple_pole_residue,
 )
 from .series import (
     EgfSeries,
@@ -59,7 +55,6 @@ __all__ = [
     "ExactConst",
     "InvariantError",
     "LabeledTree",
-    "PoleData",
     "RootRankTable",
     "SeriesOrderError",
     "SizeLimitError",
@@ -69,9 +64,7 @@ __all__ = [
     "bound_report_json",
     "census",
     "check_inequalities",
-    "double_pole_coefficient",
     "enumerate_trees",
-    "growth_normalization",
     "halfpi_moment",
     "joint_vertex_counts",
     "limit_joint_prob",
@@ -81,7 +74,6 @@ __all__ = [
     "plane_multiplicity_total",
     "rank_vertex_counts",
     "root_rank_counts",
-    "simple_pole_residue",
     "size_vertex_counts",
     "solve_linear_ode",
     "solve_plane_linear_ode",

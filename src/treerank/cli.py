@@ -27,7 +27,7 @@ from .enumeration import (
 )
 from .limits import (
     bound_interval,
-    bound_report_dict,
+    bound_report_json,
     limit_joint_prob,
     limit_rank_fraction,
     limit_subtree_prob,
@@ -178,7 +178,7 @@ def cmd_bounds(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     variety = parse_variety(args.variety)
     report = bound_interval(variety, args.k, args.r, digits=args.digits)
     if args.format == "json":
-        print(json.dumps(bound_report_dict(report, args.digits), indent=2))
+        print(bound_report_json(report))
         return 0
     print(f"variety: {report.variety}")
     print(f"k = {report.k}, truncation r = {report.r}")

@@ -26,10 +26,6 @@ _START_PREC = 64
 _MAX_PREC = 1 << 22
 
 
-class UnsupportedDivisorError(ZeroDivisionError):
-    """Division is only defined by nonzero rationals and single monomials."""
-
-
 def _coeff_sign(a: Fraction, b: Fraction) -> int:
     """Exact sign of a + b*sqrt(3)."""
     if b == 0:
@@ -89,17 +85,11 @@ class ExactConst:
     def terms(self) -> dict[int, tuple[Fraction, Fraction]]:
         return dict(self._terms)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def is_sqrt3_free(self) -> bool:
         return all(b == 0 for _, b in self._terms.values())
 
     def is_rational(self) -> bool:
         return self.is_sqrt3_free() and all(j == 0 for j in self._terms)
-
-    def is_monomial(self) -> bool:
-        return len(self._terms) == 1
 
     def __add__(self, other: Union["ExactConst", Rational]) -> "ExactConst":
         other = _coerce(other)
@@ -134,25 +124,6 @@ class ExactConst:
         return ExactConst(out)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other: Union["ExactConst", Rational]) -> "ExactConst":
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise UnsupportedDivisorError("division by zero")
-            return self * (Fraction(1) / Fraction(other))
-        if not isinstance(other, ExactConst):
-            return NotImplemented
-        if other.is_zero():
-            raise UnsupportedDivisorError("division by zero")
-        if not other.is_monomial():
-            raise UnsupportedDivisorError(
-                "division is only supported by rationals and monomials c*pi^j"
-            )
-        ((j, (a, b)),) = other._terms.items()
-        # 1/(a + b sqrt3) = (a - b sqrt3)/(a^2 - 3 b^2); the norm cannot vanish.
-        norm = a * a - 3 * b * b
-        inv = ExactConst({-j: (a / norm, -b / norm)})
-        return self * inv
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -273,10 +244,6 @@ def sqrt3_power(exponent: int) -> ExactConst:
     return ExactConst.rational(scale)
 
 
-PI = ExactConst.pi_power(1)
-SQRT3 = ExactConst.sqrt3()
-
-
 # ---------------------------------------------------------------------------
 # Enclosures
 
@@ -342,9 +309,6 @@ class Enclosure:
             return self.lo <= value.lo and value.hi <= self.hi
         return self.lo <= value <= self.hi
 
-    def subset_of(self, other: "Enclosure") -> bool:
-        return other.contains(self)
-
     def certainly_le(self, other: Union[Rational, "Enclosure"]) -> bool:
         bound = other.lo if isinstance(other, Enclosure) else Fraction(other)
         return self.hi <= bound
@@ -353,17 +317,9 @@ class Enclosure:
         bound = other.lo if isinstance(other, Enclosure) else Fraction(other)
         return self.hi < bound
 
-    def certainly_ge(self, other: Union[Rational, "Enclosure"]) -> bool:
-        bound = other.hi if isinstance(other, Enclosure) else Fraction(other)
-        return self.lo >= bound
-
     def intersect(self, other: "Enclosure") -> "Enclosure":
         return Enclosure(max(self.lo, other.lo), min(self.hi, other.hi),
                          max(self.digits, other.digits))
-
-    def __add__(self, other: "Enclosure") -> "Enclosure":
-        return Enclosure(self.lo + other.lo, self.hi + other.hi,
-                         min(self.digits, other.digits))
 
     def decimal(self, places: int | None = None) -> str:
         """Round-to-nearest within the enclosure; annotate when too wide."""
@@ -500,9 +456,6 @@ def _plane_cos_moment(m: int) -> ExactConst:
     if m == 0:
         return _PLANE_SIN_U
     return _plane_u_power(m) * _PLANE_SIN_U - _plane_sin_moment(m - 1) * m
-
-
-PLANE_SINGULARITY = ExactConst.pi_power(1, 0, Fraction(2, 9))  # 2 sqrt3 pi / 9
 
 
 def plane_moment(m: int, kind: str) -> ExactConst:

@@ -1,14 +1,29 @@
 """Exact limiting probabilities and rigorous truncation brackets.
 
 Every counting generating function produced by this package is entire
-divided by an integrating-factor weight with a double zero at the
+divided by an integrating-factor weight g with a double zero at the
 dominant singularity z0 (1 - sin z at pi/2 for non-plane trees, the
-cosine-square weight at 2 sqrt3 pi/9 for plane trees).  The coefficient
-asymptotics therefore come from one double-pole Laurent coefficient, and
-per-vertex probability limits are that coefficient divided by z0^2 times
-the base growth constant.  With corrections that are polynomials, the
-numerator at z0 is a finite combination of the moment integrals from
-`constants`, so every limit is exact in Q(sqrt3)[pi, 1/pi].
+cosine-square weight at 2 sqrt3 pi/9 for plane trees).  A count series
+f/g therefore has count(n)/n! ~ D (n+1) z0^-(n+2) with D = 2 f(z0)/g''(z0),
+while the tree counts have T_n/n! ~ l z0^-n, l being minus the base
+series' residue at z0 divided by z0 (Flajolet-Sedgewick, Analytic
+Combinatorics, Ch. VII).  The per-vertex probability count(n)/((n+1) T_n)
+thus tends to D/(z0^2 l) = kappa_v f(z0), with one factor per variety,
+kappa_v = 2/(g''(z0) z0^2 l):
+
+* non-plane: the base series (1 + sin z)/cos z has residue -2 at
+  z0 = pi/2, so l = 4/pi; g'' = sin = 1 there; kappa = 2/pi.
+* plane: the base series 1/2 + (sqrt3/2) tan(sqrt3 z/2 + pi/6) has
+  residue -1 at z0 = 2 sqrt3 pi/9 (the tangent's numerator is 1, the
+  derivative of its denominator -sqrt3/2, and the prefactor sqrt3/2),
+  so l = 3 sqrt3/(2 pi); the
+  weight 1/2 + cos(sqrt3 z)/4 - sqrt3 sin(sqrt3 z)/4 has second
+  derivative -(3/4) cos(sqrt3 z) + (3 sqrt3/4) sin(sqrt3 z) = 3/8 + 9/8
+  = 3/2 there; kappa = 2 sqrt3/pi.
+
+With corrections that are polynomials, f(z0) is a finite combination of
+the moment integrals from `constants`, so every limit is exact in
+Q(sqrt3)[pi, 1/pi].
 
 Higher ranks admit no closed form; they get two-sided brackets instead:
 the rank-k mass restricted to subtree sizes <= r is a certified lower
@@ -23,110 +38,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Union
 
-from .constants import Enclosure, ExactConst, UnsupportedDivisorError, halfpi_moment, plane_moment
+from .constants import Enclosure, ExactConst, halfpi_moment, plane_moment
 from .counting import RootRankTable, root_rank_counts
 from .series import InvariantError, tree_counts
 from .variety import TreeVariety
 
-Rational = Union[int, Fraction]
-
 DEFAULT_BOUND_TERMS = 12
 DEFAULT_DIGITS = 12
+
+# kappa_v = 2/(g''(z0) z0^2 l): every limit is kappa_v times f(z0).
+KAPPA = {
+    TreeVariety.NONPLANE: ExactConst.pi_power(-1, 2),
+    TreeVariety.PLANE: ExactConst.pi_power(-1, 0, 2),
+}
 
 
 class ClosedFormUnavailableError(ValueError):
     """Ranks beyond 1 have no elementary closed form; use bound_interval."""
-
-
-@dataclass(frozen=True)
-class PoleData:
-    """Location and leading Laurent data of a dominant pole."""
-
-    location: ExactConst
-    order: int
-    coefficient: ExactConst
-
-    def __post_init__(self) -> None:
-        if self.order not in (1, 2):
-            raise ValueError("only poles of order 1 or 2 occur here")
-        if self.coefficient.is_zero():
-            raise ValueError("a pole needs a nonzero leading coefficient")
-
-
-def simple_pole_residue(f_at_z0: ExactConst, gprime_at_z0: ExactConst) -> ExactConst:
-    """Residue f(z0)/g'(z0) of f/g at a simple zero z0 of g."""
-    try:
-        return f_at_z0 / gprime_at_z0
-    except UnsupportedDivisorError:
-        raise UnsupportedDivisorError(
-            "g'(z0) must be a nonzero rational or monomial"
-        ) from None
-
-
-def double_pole_coefficient(f_at_z0: ExactConst, gpp_at_z0: Union[ExactConst, Rational]) -> ExactConst:
-    """Leading coefficient 2 f(z0)/g''(z0) of f/g at a double zero of g."""
-    gpp = gpp_at_z0 if isinstance(gpp_at_z0, ExactConst) else ExactConst.rational(gpp_at_z0)
-    if gpp.is_zero():
-        raise UnsupportedDivisorError("g''(z0) must be nonzero")
-    return (f_at_z0 * 2) / gpp
-
-
-def singularity(variety: TreeVariety) -> ExactConst:
-    """Dominant singularity: pi/2, or 2 sqrt3 pi / 9."""
-    if variety is TreeVariety.NONPLANE:
-        return ExactConst.pi_power(1, Fraction(1, 2))
-    return ExactConst.pi_power(1, 0, Fraction(2, 9))
-
-
-def weight_second_derivative(variety: TreeVariety) -> Fraction:
-    """g''(z0) for the integrating-factor weight g of the variety.
-
-    Non-plane: g = 1 - sin has g'' = sin = 1 at pi/2.  Plane: the weight
-    1/2 + cos(sqrt3 z)/4 - sqrt3 sin(sqrt3 z)/4 has second derivative
-    -(3/4) cos(sqrt3 z) + (3 sqrt3/4) sin(sqrt3 z), which is 3/8 + 9/8 at
-    the singularity.
-    """
-    return Fraction(1) if variety is TreeVariety.NONPLANE else Fraction(3, 2)
-
-
-@lru_cache(maxsize=None)
-def base_pole(variety: TreeVariety) -> PoleData:
-    """Simple-pole data of the tree-count series at its singularity.
-
-    Non-plane: (1 + sin z)/cos z with f(z0) = 2, g'(z0) = -1.  Plane: the
-    base series is 1/2 + (sqrt3/2) tan(sqrt3 z/2 + pi/6); at the
-    singularity the tangent's numerator is 1 and the derivative of its
-    denominator is -sqrt3/2, leaving residue -1 after the prefactor.
-    """
-    if variety is TreeVariety.NONPLANE:
-        residue = simple_pole_residue(ExactConst.rational(2), ExactConst.rational(-1))
-    else:
-        inner = simple_pole_residue(
-            ExactConst.rational(1), ExactConst.sqrt3(Fraction(-1, 2))
-        )
-        residue = ExactConst.sqrt3(Fraction(1, 2)) * inner
-    return PoleData(location=singularity(variety), order=1, coefficient=residue)
-
-
-@lru_cache(maxsize=None)
-def growth_normalization(variety: TreeVariety) -> tuple[ExactConst, ExactConst]:
-    """(z0, leading) with tree_count(n)/n! ~ leading * z0^-n."""
-    pole = base_pole(variety)
-    leading = (-pole.coefficient) / pole.location
-    return pole.location, leading
-
-
-def probability_limit(variety: TreeVariety, f_at_z0: ExactConst) -> ExactConst:
-    """Limit of count(n)/((n+1) tree_count(n)) for a count series K/g.
-
-    count(n)/n! ~ D (n+1) z0^-(n+2) with D = 2 f(z0)/g''(z0), so the
-    quotient tends to D / (z0^2 * leading).
-    """
-    d = double_pole_coefficient(f_at_z0, weight_second_derivative(variety))
-    z0, leading = growth_normalization(variety)
-    return d / (z0 * z0 * leading)
 
 
 @lru_cache(maxsize=None)
@@ -145,8 +74,7 @@ def _polynomial_correction_limit(variety: TreeVariety, count: int, degree: int) 
     """Limit for a count series whose correction is count * z^degree / degree!."""
     if count == 0:
         return ExactConst.zero()
-    f_at_z0 = weight_moment(variety, degree) * Fraction(count, factorial(degree))
-    return probability_limit(variety, f_at_z0)
+    return weight_moment(variety, degree) * (KAPPA[variety] * Fraction(count, factorial(degree)))
 
 
 @lru_cache(maxsize=None)
@@ -173,43 +101,39 @@ def limit_joint_prob(
 
 # Closed-form numerators of the four solvable count series, evaluated at
 # the singularity where sin(pi/2) = 1, cos(pi/2) = 0, and respectively
-# sin(sqrt3 z0) = sqrt3/2, cos(sqrt3 z0) = -1/2.  Each entry is (f(z0),
-# g''(z0)) for the solved form f/g of the series.
-def _closed_form_pole(variety: TreeVariety, k: int) -> tuple[ExactConst, ExactConst]:
+# sin(sqrt3 z0) = sqrt3/2, cos(sqrt3 z0) = -1/2.  Each solved form is
+# f/(c g) for the variety's weight g, and its numerator on g is f(z0)/c.
+def _closed_form_numerator(variety: TreeVariety, k: int) -> ExactConst:
     if variety is TreeVariety.NONPLANE:
         if k == 0:
             # (z - 1 + cos z)/(1 - sin z)
-            f = ExactConst.pi_power(1, Fraction(1, 2)) - 1
-            return f, ExactConst.rational(1)
+            return ExactConst.pi_power(1, Fraction(1, 2)) - 1
         # (12 z sin z + 12 cos z - 12 - 3 z^2 cos z - z^3) / (6 (1 - sin z))
         f = ExactConst.pi_power(1, 6) - ExactConst.pi_power(3, Fraction(1, 8)) - 12
-        return f, ExactConst.rational(6)
+        return f * Fraction(1, 6)
     if k == 0:
         # (6z + sqrt3 sin(sqrt3 z) + 3 cos(sqrt3 z) - 3)
-        #   / (-3 sqrt3 sin(sqrt3 z) + 3 cos(sqrt3 z) + 6)
+        #   / (-3 sqrt3 sin(sqrt3 z) + 3 cos(sqrt3 z) + 6), a denominator of 12 g
         f = ExactConst.pi_power(1, 0, Fraction(4, 3)) - 3
-        return f, ExactConst.rational(18)
+        return f * Fraction(1, 12)
     # (6z^3 + sqrt3 (3z^2 - 15z - 5) sin(sqrt3 z) + 3 (3z^2 + 5z - 5) cos(sqrt3 z) + 15)
-    #   / (9 (sqrt3 sin(sqrt3 z) - cos(sqrt3 z) - 2))
+    #   / (9 (sqrt3 sin(sqrt3 z) - cos(sqrt3 z) - 2)), a denominator of 9 (-4 g);
+    # f is the numerator over 9.
     f = (
         ExactConst.pi_power(3, 0, Fraction(16, 729))
         - ExactConst.pi_power(1, 0, Fraction(20, 27))
         + Fraction(5, 3)
     )
-    return f, ExactConst.rational(-6)
+    return f * Fraction(-1, 4)
 
 
-@lru_cache(maxsize=None)
 def limit_rank_fraction(variety: TreeVariety, k: int) -> ExactConst:
     """Exact limiting fraction of rank-k vertices, for k = 0 or 1 only."""
     if k not in (0, 1):
         raise ClosedFormUnavailableError(
             f"rank {k} has no closed form; use bound_interval"
         )
-    f_at_z0, gpp = _closed_form_pole(variety, k)
-    d = double_pole_coefficient(f_at_z0, gpp)
-    z0, leading = growth_normalization(variety)
-    return d / (z0 * z0 * leading)
+    return KAPPA[variety] * _closed_form_numerator(variety, k)
 
 
 @dataclass(frozen=True)
@@ -284,19 +208,23 @@ def bound_interval(
     return report
 
 
-def bound_report_dict(report: BoundReport, digits: int = DEFAULT_DIGITS) -> dict:
-    """Canonical JSON-ready form of a bound report (stable key order)."""
+def bound_report_dict(report: BoundReport) -> dict:
+    """Canonical JSON-ready form of a bound report (stable key order).
 
-    def pair(value: ExactConst) -> dict:
-        return {"exact": value.render(), "decimal": value.enclosure(digits).decimal()}
+    Decimals carry the digits the report's enclosures were made with.
+    """
+    digits = report.lower_enc.digits
+
+    def pair(value: ExactConst, enc: Enclosure) -> dict:
+        return {"exact": value.render(), "decimal": enc.decimal()}
 
     return {
         "variety": str(report.variety),
         "k": report.k,
         "r": report.r,
-        "lower": pair(report.lower),
-        "upper": pair(report.upper),
-        "v_partial_sum": pair(report.partial_v_sum),
+        "lower": pair(report.lower, report.lower_enc),
+        "upper": pair(report.upper, report.upper_enc),
+        "v_partial_sum": pair(report.partial_v_sum, report.partial_v_sum.enclosure(digits)),
         "per_i_terms": [
             {
                 "i": term.i,
@@ -311,5 +239,5 @@ def bound_report_dict(report: BoundReport, digits: int = DEFAULT_DIGITS) -> dict
     }
 
 
-def bound_report_json(report: BoundReport, digits: int = DEFAULT_DIGITS) -> str:
-    return json.dumps(bound_report_dict(report, digits), indent=2)
+def bound_report_json(report: BoundReport) -> str:
+    return json.dumps(bound_report_dict(report), indent=2)

@@ -284,7 +284,7 @@ def test_criterion_7_convergence_properties():
         u.append(ExactConst.rational(1) - partial)
     for a, b in zip(u, u[1:]):
         assert (a - b).sign() == 1
-    assert (u[0] / 2 - u[19]).sign() == 1
+    assert (u[0] * Fraction(1, 2) - u[19]).sign() == 1
 
     # Brackets nest along the truncation ladder.
     for variety in (NP, PL):

@@ -14,7 +14,6 @@ from mpmath.libmp import to_rational
 from treerank.constants import (
     Enclosure,
     ExactConst,
-    UnsupportedDivisorError,
     halfpi_moment,
     iv_enclosure,
     plane_moment,
@@ -57,20 +56,6 @@ class TestArithmetic:
         a = ExactConst.rational(1) - ExactConst.pi_power(-1, 2)
         b = ExactConst.pi_power(-1, 2)
         assert a + b == ExactConst.rational(1)
-
-    def test_monomial_division(self):
-        x = ExactConst.pi_power(2, Fraction(3, 4))
-        assert x / ExactConst.pi_power(1, Fraction(1, 2)) == ExactConst.pi_power(1, Fraction(3, 2))
-        y = ExactConst.rational(1) / ExactConst.sqrt3()
-        assert y == ExactConst.sqrt3(Fraction(1, 3))
-
-    def test_division_restrictions(self):
-        with pytest.raises(UnsupportedDivisorError):
-            ExactConst.rational(1) / ExactConst.zero()
-        with pytest.raises(UnsupportedDivisorError):
-            ExactConst.rational(1) / (PI - 2)
-        with pytest.raises(UnsupportedDivisorError):
-            ExactConst.rational(1) / 0
 
     def test_sqrt3_free_flag(self):
         assert (PI - 2).is_sqrt3_free()
@@ -137,7 +122,7 @@ class TestEnclosures:
         coarse = value.enclosure(8)
         for digits in (12, 20, 33):
             fine = value.enclosure(digits)
-            assert fine.subset_of(coarse)
+            assert coarse.contains(fine)
             coarse = fine
 
     @settings(max_examples=40, deadline=None)
@@ -154,14 +139,14 @@ class TestEnclosures:
     def test_interval_addition_soundness(self, terms_x, terms_y):
         x, y = ExactConst(terms_x), ExactConst(terms_y)
         ex, ey = x.enclosure(12), y.enclosure(12)
-        summed = ex + ey
+        summed = Enclosure(ex.lo + ey.lo, ex.hi + ey.hi, 12)
         combined = (x + y).enclosure(14)
         # Two enclosures of the same value must overlap, and the direct
         # enclosure can escape the summed one by at most its own width.
         assert max(summed.lo, combined.lo) <= min(summed.hi, combined.hi)
         padded = Enclosure(summed.lo - combined.width, summed.hi + combined.width,
                            summed.digits)
-        assert combined.subset_of(padded)
+        assert padded.contains(combined)
 
     def test_wide_enclosure_annotates(self):
         enc = Enclosure(Fraction(1, 10), Fraction(2, 10), digits=6)
@@ -175,8 +160,8 @@ class TestEnclosures:
         b = Enclosure(Fraction(3), Fraction(4), 3)
         assert a.certainly_le(b)
         assert a.certainly_lt(b)
-        assert b.certainly_ge(a)
         assert not b.certainly_le(a)
+        assert a.certainly_le(2) and not a.certainly_lt(2)
 
     def test_digits_validation(self):
         with pytest.raises(ValueError):

@@ -1,30 +1,29 @@
-"""Pole machinery, exact limiting probabilities, and certified brackets."""
+"""Exact limiting probabilities and certified brackets, checked against the
+earlier pole-data chain kept here as the reference."""
 
 import json
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
+from typing import Union
 
 import mpmath
 import pytest
 from mpmath.libmp import to_rational
 
-from treerank.constants import ExactConst, UnsupportedDivisorError
-from treerank.counting import rank_vertex_counts, root_rank_counts, size_vertex_counts
+from treerank.constants import ExactConst
+from treerank.counting import RootRankTable, rank_vertex_counts, root_rank_counts, size_vertex_counts
 from treerank.limits import (
+    KAPPA,
     ClosedFormUnavailableError,
-    PoleData,
-    base_pole,
     bound_interval,
     bound_report_dict,
     bound_report_json,
-    double_pole_coefficient,
-    growth_normalization,
     limit_joint_prob,
     limit_rank_fraction,
     limit_subtree_prob,
-    simple_pole_residue,
-    singularity,
-    weight_second_derivative,
+    weight_moment,
 )
 from treerank.series import tree_counts
 from treerank.variety import TreeVariety
@@ -32,12 +31,171 @@ from treerank.variety import TreeVariety
 NP = TreeVariety.NONPLANE
 PL = TreeVariety.PLANE
 
+Rational = Union[int, Fraction]
+
+# Dominant singularity z0, growth constant l of T_n/n! ~ l z0^-n, and the
+# weight's g''(z0), derived by hand for each variety.
+Z0 = {NP: ExactConst.pi_power(1, Fraction(1, 2)), PL: ExactConst.pi_power(1, 0, Fraction(2, 9))}
+ELL = {NP: ExactConst.pi_power(-1, 4), PL: ExactConst.pi_power(-1, 0, Fraction(3, 2))}
+ELL_INVERSE = {NP: ExactConst.pi_power(1, Fraction(1, 4)), PL: ExactConst.pi_power(1, 0, Fraction(2, 9))}
+G_SECOND = {NP: Fraction(1), PL: Fraction(3, 2)}
+
 
 def mp_fraction(x) -> Fraction:
     return Fraction(*to_rational(x._mpf_))
 
 
+# ---------------------------------------------------------------------------
+# Reference: the earlier pole-data chain, kept verbatim except that ExactConst
+# no longer divides or has `is_zero`: each `x / y` is `_div(x, y)`, a copy of
+# the removed `ExactConst.__truediv__`, and each `x.is_zero()` is `x == 0`.
+
+
+class UnsupportedDivisorError(ZeroDivisionError):
+    """Division is only defined by nonzero rationals and single monomials."""
+
+
+def _div(x: ExactConst, other: Union[ExactConst, Rational]) -> ExactConst:
+    if isinstance(other, (int, Fraction)):
+        if other == 0:
+            raise UnsupportedDivisorError("division by zero")
+        return x * (Fraction(1) / Fraction(other))
+    if other == 0:
+        raise UnsupportedDivisorError("division by zero")
+    if len(other.terms) != 1:
+        raise UnsupportedDivisorError(
+            "division is only supported by rationals and monomials c*pi^j"
+        )
+    ((j, (a, b)),) = other.terms.items()
+    # 1/(a + b sqrt3) = (a - b sqrt3)/(a^2 - 3 b^2); the norm cannot vanish.
+    norm = a * a - 3 * b * b
+    inv = ExactConst({-j: (a / norm, -b / norm)})
+    return x * inv
+
+
+@dataclass(frozen=True)
+class PoleData:
+    """Location and leading Laurent data of a dominant pole."""
+
+    location: ExactConst
+    order: int
+    coefficient: ExactConst
+
+    def __post_init__(self) -> None:
+        if self.order not in (1, 2):
+            raise ValueError("only poles of order 1 or 2 occur here")
+        if self.coefficient == 0:
+            raise ValueError("a pole needs a nonzero leading coefficient")
+
+
+def simple_pole_residue(f_at_z0: ExactConst, gprime_at_z0: ExactConst) -> ExactConst:
+    """Residue f(z0)/g'(z0) of f/g at a simple zero z0 of g."""
+    try:
+        return _div(f_at_z0, gprime_at_z0)
+    except UnsupportedDivisorError:
+        raise UnsupportedDivisorError(
+            "g'(z0) must be a nonzero rational or monomial"
+        ) from None
+
+
+def double_pole_coefficient(f_at_z0: ExactConst, gpp_at_z0: Union[ExactConst, Rational]) -> ExactConst:
+    """Leading coefficient 2 f(z0)/g''(z0) of f/g at a double zero of g."""
+    gpp = gpp_at_z0 if isinstance(gpp_at_z0, ExactConst) else ExactConst.rational(gpp_at_z0)
+    if gpp == 0:
+        raise UnsupportedDivisorError("g''(z0) must be nonzero")
+    return _div(f_at_z0 * 2, gpp)
+
+
+def singularity(variety: TreeVariety) -> ExactConst:
+    """Dominant singularity: pi/2, or 2 sqrt3 pi / 9."""
+    if variety is TreeVariety.NONPLANE:
+        return ExactConst.pi_power(1, Fraction(1, 2))
+    return ExactConst.pi_power(1, 0, Fraction(2, 9))
+
+
+def weight_second_derivative(variety: TreeVariety) -> Fraction:
+    """g''(z0) for the integrating-factor weight g of the variety."""
+    return Fraction(1) if variety is TreeVariety.NONPLANE else Fraction(3, 2)
+
+
+@lru_cache(maxsize=None)
+def base_pole(variety: TreeVariety) -> PoleData:
+    """Simple-pole data of the tree-count series at its singularity."""
+    if variety is TreeVariety.NONPLANE:
+        residue = simple_pole_residue(ExactConst.rational(2), ExactConst.rational(-1))
+    else:
+        inner = simple_pole_residue(
+            ExactConst.rational(1), ExactConst.sqrt3(Fraction(-1, 2))
+        )
+        residue = ExactConst.sqrt3(Fraction(1, 2)) * inner
+    return PoleData(location=singularity(variety), order=1, coefficient=residue)
+
+
+@lru_cache(maxsize=None)
+def growth_normalization(variety: TreeVariety) -> tuple[ExactConst, ExactConst]:
+    """(z0, leading) with tree_count(n)/n! ~ leading * z0^-n."""
+    pole = base_pole(variety)
+    leading = _div(-pole.coefficient, pole.location)
+    return pole.location, leading
+
+
+def probability_limit(variety: TreeVariety, f_at_z0: ExactConst) -> ExactConst:
+    """Limit of count(n)/((n+1) tree_count(n)) for a count series K/g."""
+    d = double_pole_coefficient(f_at_z0, weight_second_derivative(variety))
+    z0, leading = growth_normalization(variety)
+    return _div(d, z0 * z0 * leading)
+
+
+def reference_correction_limit(variety: TreeVariety, count: int, degree: int) -> ExactConst:
+    if count == 0:
+        return ExactConst.zero()
+    f_at_z0 = weight_moment(variety, degree) * Fraction(count, factorial(degree))
+    return probability_limit(variety, f_at_z0)
+
+
+def reference_subtree_prob(variety: TreeVariety, r: int) -> ExactConst:
+    count_r = tree_counts(variety, r)[r]
+    return reference_correction_limit(variety, count_r, r - 1)
+
+
+def reference_joint_prob(variety: TreeVariety, k: int, i: int, table: RootRankTable) -> ExactConst:
+    return reference_correction_limit(variety, table.count(k, i), i - 1)
+
+
+def _closed_form_pole(variety: TreeVariety, k: int) -> tuple[ExactConst, ExactConst]:
+    if variety is TreeVariety.NONPLANE:
+        if k == 0:
+            # (z - 1 + cos z)/(1 - sin z)
+            f = ExactConst.pi_power(1, Fraction(1, 2)) - 1
+            return f, ExactConst.rational(1)
+        # (12 z sin z + 12 cos z - 12 - 3 z^2 cos z - z^3) / (6 (1 - sin z))
+        f = ExactConst.pi_power(1, 6) - ExactConst.pi_power(3, Fraction(1, 8)) - 12
+        return f, ExactConst.rational(6)
+    if k == 0:
+        # (6z + sqrt3 sin(sqrt3 z) + 3 cos(sqrt3 z) - 3)
+        #   / (-3 sqrt3 sin(sqrt3 z) + 3 cos(sqrt3 z) + 6)
+        f = ExactConst.pi_power(1, 0, Fraction(4, 3)) - 3
+        return f, ExactConst.rational(18)
+    # (6z^3 + sqrt3 (3z^2 - 15z - 5) sin(sqrt3 z) + 3 (3z^2 + 5z - 5) cos(sqrt3 z) + 15)
+    #   / (9 (sqrt3 sin(sqrt3 z) - cos(sqrt3 z) - 2))
+    f = (
+        ExactConst.pi_power(3, 0, Fraction(16, 729))
+        - ExactConst.pi_power(1, 0, Fraction(20, 27))
+        + Fraction(5, 3)
+    )
+    return f, ExactConst.rational(-6)
+
+
+def reference_rank_fraction(variety: TreeVariety, k: int) -> ExactConst:
+    f_at_z0, gpp = _closed_form_pole(variety, k)
+    d = double_pole_coefficient(f_at_z0, gpp)
+    z0, leading = growth_normalization(variety)
+    return _div(d, z0 * z0 * leading)
+
+
 class TestPoles:
+    """The reference chain's own pieces, against hand-derived values."""
+
     def test_simple_residue_examples(self):
         # (1 + sin z)/cos z at pi/2: numerator 2, denominator derivative -1.
         res = simple_pole_residue(ExactConst.rational(2), ExactConst.rational(-1))
@@ -80,33 +238,64 @@ class TestPoles:
         assert pl_pole.coefficient == ExactConst.rational(-1)
 
     def test_weight_second_derivatives(self):
-        assert weight_second_derivative(NP) == 1
-        assert weight_second_derivative(PL) == Fraction(3, 2)
+        for variety in (NP, PL):
+            assert weight_second_derivative(variety) == G_SECOND[variety]
 
 
 class TestGrowth:
     def test_normalization_values(self):
-        z0, leading = growth_normalization(NP)
-        assert z0 == ExactConst.pi_power(1, Fraction(1, 2))
-        assert leading == ExactConst.pi_power(-1, 4)
-        z0, leading = growth_normalization(PL)
-        assert z0 == ExactConst.pi_power(1, 0, Fraction(2, 9))
-        assert leading == ExactConst.pi_power(-1, 0, Fraction(3, 2))
+        for variety in (NP, PL):
+            assert growth_normalization(variety) == (Z0[variety], ELL[variety])
+            assert ELL[variety] * ELL_INVERSE[variety] == 1
+
+    @pytest.mark.parametrize("variety", [NP, PL])
+    def test_kappa_is_two_over_gpp_z0_squared_growth(self, variety):
+        z0 = Z0[variety]
+        assert KAPPA[variety] * G_SECOND[variety] * z0 * z0 * ELL[variety] == 2
 
     @pytest.mark.parametrize("variety", [NP, PL])
     def test_counts_approach_growth_estimate(self, variety):
         counts = tree_counts(variety, 44)
-        z0, leading = growth_normalization(variety)
+        z0, inverse = Z0[variety], ELL_INVERSE[variety]
         gaps = []
         for n in (11, 22, 44):
             z0_pow = ExactConst.rational(1)
             for _ in range(n):
                 z0_pow = z0_pow * z0
-            ratio = (z0_pow * Fraction(counts[n], factorial(n))) / leading
+            ratio = z0_pow * Fraction(counts[n], factorial(n)) * inverse
             gap = (ratio - 1).enclosure(20)
             gaps.append(max(abs(gap.lo), abs(gap.hi)))
         assert gaps[0] < Fraction(1, 10)
         assert gaps[2] < gaps[1] < gaps[0]
+
+
+@pytest.mark.parametrize("variety", [NP, PL])
+class TestAgainstReferenceChain:
+    def test_subtree_limits(self, variety):
+        for r in range(1, 41):
+            assert limit_subtree_prob(variety, r) == reference_subtree_prob(variety, r)
+
+    def test_joint_limits(self, variety):
+        table = root_rank_counts(variety, 30)
+        for i in range(1, 31):
+            for k in range(i):
+                assert limit_joint_prob(variety, k, i, table) == \
+                    reference_joint_prob(variety, k, i, table)
+
+    def test_rank_fractions(self, variety):
+        for k in (0, 1):
+            assert limit_rank_fraction(variety, k) == reference_rank_fraction(variety, k)
+
+    def test_bracket(self, variety):
+        table = root_rank_counts(variety, 12)
+        lower = ExactConst.zero()
+        v_sum = ExactConst.zero()
+        for i in range(1, 13):
+            lower = lower + reference_joint_prob(variety, 2, i, table)
+            v_sum = v_sum + reference_subtree_prob(variety, i)
+        report = bound_interval(variety, 2, 12)
+        assert report.lower == lower
+        assert report.upper == lower + (ExactConst.rational(1) - v_sum)
 
 
 EXPECTED_CLOSED_FORMS = {
@@ -260,10 +449,14 @@ class TestBoundIntervals:
 class TestReportSerialization:
     def test_schema_keys(self):
         report = bound_interval(NP, 2, 4, digits=8)
-        payload = bound_report_dict(report, digits=8)
+        payload = bound_report_dict(report)
         assert list(payload) == ["variety", "k", "r", "lower", "upper",
                                  "v_partial_sum", "per_i_terms"]
         assert payload["variety"] == "nonplane"
+        # Decimals carry the report's own digits; the bounds reuse its enclosures.
+        assert payload["lower"]["decimal"] == report.lower_enc.decimal()
+        assert payload["upper"]["decimal"] == report.upper_enc.decimal()
+        assert len(payload["v_partial_sum"]["decimal"].split(".")[1]) == 8
         assert list(payload["lower"]) == ["exact", "decimal"]
         term = payload["per_i_terms"][0]
         assert list(term) == ["i", "t_ki", "w_exact", "w_decimal", "v_exact", "v_decimal"]
@@ -272,5 +465,5 @@ class TestReportSerialization:
 
     def test_json_round_trip_is_byte_identical(self):
         report = bound_interval(PL, 1, 5, digits=10)
-        text = bound_report_json(report, digits=10)
+        text = bound_report_json(report)
         assert json.dumps(json.loads(text), indent=2) == text
