@@ -55,7 +55,8 @@ _SHARED_FLAGS = {
                     help="series truncation order (default 80)"),
     "--digits": dict(type=_at_least(1), default=12, help="decimal digits for printed enclosures"),
     "--enum-limit": dict(type=_at_least(1), default=DEFAULT_ENUM_LIMIT,
-                         help="largest size enumerated exhaustively"),
+                         help="largest size enumerated exhaustively (default 10); not "
+                              "capped, so only time and memory bound it"),
 }
 
 

@@ -1,21 +1,32 @@
 """Exhaustive generation of labeled 1-2 trees and exact census statistics.
 
 This module is the ground-truth oracle for everything else: it builds
-every tree of a given size explicitly, walks each vertex, and aggregates
-exact integer statistics.  Sizes are capped (default 10) because the
-counts grow factorially; the refusal message quotes the exact count.
+every tree of a given size explicitly and aggregates exact integer
+statistics over all of their vertices.  Sizes are capped (default 10)
+because the counts grow factorially; the refusal message quotes the
+exact count, or a lower bound when the count itself would be costly.
 
 Internal representation: labels are data, not rebuilt structure.  A
-tree on 1..n is (n, children), and each child is a pair (subtree, labels):
-the subtree is one of the shared canonical trees on 1..j, and the label
-tuple of length j says that its local label l stands for labels[l-1].
-Labels increase toward the root, so the root of a tree on labels L is
-max(L).  Nothing is relabelled while the census walks the trees, because
-ranks, sizes and child counts do not depend on labels; only `LabeledTree`
-materializes the plain nested (label, children) tuple.  Non-plane trees
-are kept canonical by ordering a sibling pair so that the subtree
-containing the smaller minimum label comes first; the generator produces
-exactly one representative per unordered pair this way.
+tree on 1..n is (slot, children): slot is the tree's position among the
+trees of its size, in generation order, and each child is a pair
+(subtree, labels): the subtree is one of the shared canonical trees on
+1..j, and the label tuple of length j says that its local label l stands
+for labels[l-1].  Labels increase toward the root, so the root of a tree
+on labels L is max(L) = L[-1].  Nothing is relabelled while the census
+runs, because ranks, sizes and child counts do not depend on labels;
+only `LabeledTree` materializes the plain nested (label, children)
+tuple.  Non-plane trees are kept canonical by ordering a sibling pair so
+that the subtree containing the smaller minimum label comes first; the
+generator produces exactly one representative per unordered pair this
+way.
+
+The census visits each tree once, not each vertex.  Every canonical
+subtree's root rank and one-child count are computed once, size by size,
+so a generated tree reads its root's from its children's in O(1) and
+counts one occurrence per child.  At the end the occurrences are pushed
+down from the largest subtrees to the smallest, each subtree adding its
+count to its (rank, size) and degree slots and passing it on to its
+children.
 """
 
 from __future__ import annotations
@@ -23,30 +34,43 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, count
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
 from .constants import Enclosure, iv_enclosure, sqrt_weighted_sum
-from .series import InvariantError, tree_counts
+from .series import DEFAULT_ORDER, InvariantError, tree_counts
 from .variety import TreeVariety
 
 DEFAULT_ENUM_LIMIT = 10
 
-Node = tuple  # lazy: (label, tuple of (Node on 1..j, label tuple of length j))
+Node = tuple  # lazy: (slot in its size, tuple of (Node on 1..j, labels of length j))
 PlainNode = tuple  # (label, tuple of PlainNode)
 
 
 class SizeLimitError(ValueError):
-    """Requested size exceeds the configured exhaustive-enumeration cap."""
+    """Requested size exceeds the configured exhaustive-enumeration cap.
+
+    `count` is the exact number of trees of size n when n is at most
+    DEFAULT_ORDER, and None beyond: there the exact count would cost a
+    long recurrence and may have too many digits to print, so the message
+    quotes the smaller count at size min(limit + 1, DEFAULT_ORDER) as a
+    lower bound instead.
+    """
 
     def __init__(self, variety: TreeVariety, n: int, limit: int):
-        count = tree_counts(variety, n)[n]
+        if n <= DEFAULT_ORDER:
+            self.count = tree_counts(variety, n)[n]
+            quoted = f"exactly {self.count} of them"
+        else:
+            self.count = None
+            below = min(limit + 1, DEFAULT_ORDER)
+            quoted = (f"more than {tree_counts(variety, below)[below]} of them, "
+                      f"the count at size {below}")
         super().__init__(
             f"refusing to enumerate {variety} trees of size {n} (limit {limit}): "
-            f"there are exactly {count} of them"
+            f"there are {quoted}"
         )
-        self.count = count
         self.limit = limit
 
 
@@ -57,14 +81,15 @@ def _canonical_trees(variety: TreeVariety, size: int) -> tuple[Node, ...]:
 
 
 def _generate(variety: TreeVariety, n: int) -> Iterator[Node]:
-    """Stream every tree on labels 1..n in the lazy form."""
+    """Stream every tree on labels 1..n in the lazy form, in slot order."""
     m = n - 1
     if m == 0:
-        yield (n, ())
+        yield (0, ())
         return
+    slot = count()
     rest = tuple(range(1, n))
     for sub in _canonical_trees(variety, m):
-        yield (n, ((sub, rest),))
+        yield (next(slot), ((sub, rest),))
     if m < 2:
         return
     if variety is TreeVariety.PLANE:
@@ -79,19 +104,20 @@ def _generate(variety: TreeVariety, n: int) -> Iterator[Node]:
     for j, a_set in subsets:
         chosen = set(a_set)
         b_set = tuple(x for x in rest if x not in chosen)
-        b_trees = _canonical_trees(variety, m - j)
+        # One (subtree, labels) pair per second child, shared by every first
+        # child: the stored canonical trees hold each pair once.
+        b_children = [(tb, b_set) for tb in _canonical_trees(variety, m - j)]
         for ta in _canonical_trees(variety, j):
             a_child = (ta, a_set)
-            for tb in b_trees:
-                yield (n, (a_child, (tb, b_set)))
+            for b_child in b_children:
+                yield (next(slot), (a_child, b_child))
 
 
 def _materialize(node: Node, labels: Sequence[int]) -> PlainNode:
     """The plain form of a lazy tree whose local label l stands for labels[l-1]."""
-    root, children = node
-    return (labels[root - 1], tuple(
+    return (labels[-1], tuple(
         _materialize(sub, tuple(labels[local - 1] for local in sub_labels))
-        for sub, sub_labels in children
+        for sub, sub_labels in node[1]
     ))
 
 
@@ -239,59 +265,109 @@ class Census:
             raise InvariantError(f"{self.variety} census n={n}: " + "; ".join(failed))
 
 
-@lru_cache(maxsize=None)
+def _root_stats(children: tuple, ranks: list[bytearray],
+                ones: list[bytearray]) -> tuple[int, int]:
+    """Root rank and one-child count of a tree, read from its children's rows.
+
+    ranks[j][slot] and ones[j][slot] hold the canonical subtree of size j
+    in that slot; a child's size is the length of its label tuple.
+    """
+    if not children:
+        return 0, 0
+    if len(children) == 1:
+        ((sub, labels),) = children
+        j, i = len(labels), sub[0]
+        return ranks[j][i] + 1, ones[j][i] + 1
+    (ta, la), (tb, lb) = children
+    ja, ia, jb, ib = len(la), ta[0], len(lb), tb[0]
+    ra, rb = ranks[ja][ia], ranks[jb][ib]
+    return 1 + (ra if ra < rb else rb), ones[ja][ia] + ones[jb][ib]
+
+
 def census(variety: TreeVariety, n: int, limit: int = DEFAULT_ENUM_LIMIT) -> Census:
-    """Full enumeration pass with per-vertex rank and subtree-size stats."""
+    """Exact per-vertex rank and subtree-size statistics over every tree of size n.
+
+    Each tree is generated and counted once.  Each canonical subtree's
+    root rank and one-child count are computed once per size; a tree of
+    size n reads its root's from its children's and counts one
+    occurrence per child, and the occurrences are pushed down through
+    the subtrees at the end, so no vertex is walked.  `limit` only guards
+    the size: the result is cached per (variety, n), which `cache_info`
+    and `cache_clear` report and reset.
+    """
     if n < 1:
         raise ValueError("tree size must be at least 1")
     if n > limit:
         raise SizeLimitError(variety, n, limit)
-    stride = n + 1
-    rank_totals = [0] * n
-    size_totals = [0] * stride
-    joint = [0] * (n * stride)  # joint[rank * stride + size]
+    return _census(variety, n)
+
+
+@lru_cache(maxsize=None)
+def _census(variety: TreeVariety, n: int) -> Census:
+    # ranks[s][slot], ones[s][slot]: the canonical subtrees of each size s < n.
+    ranks, ones = [bytearray()], [bytearray()]
+    for s in range(1, n):
+        rank_row, one_row = bytearray(), bytearray()
+        for _, children in _canonical_trees(variety, s):
+            rank, one = _root_stats(children, ranks, ones)
+            rank_row.append(rank)
+            one_row.append(one)
+        ranks.append(rank_row)
+        ones.append(one_row)
+
+    # One pass over the trees of size n: root statistics, and one
+    # occurrence for each child subtree.
+    occurrences = [[0] * len(row) for row in ranks]
     root_ranks = [0] * n
     one_child_trees = [0] * n
     by_degree = [0, 0, 0]  # vertices with zero, one and two children
-    count = 0
-
-    def walk(node: Node) -> tuple[int, int]:
-        children = node[1]
-        if not children:
-            by_degree[0] += 1
-            size, rank = 1, 0
-        elif len(children) == 1:
-            by_degree[1] += 1
-            size, rank = walk(children[0][0])
-            size += 1
-            rank += 1
-        else:
+    trees = 0
+    for _, children in _generate(variety, n):
+        trees += 1
+        if len(children) == 2:  # nearly every tree, so `_root_stats` is inlined
+            (ta, la), (tb, lb) = children
+            ja, ia, jb, ib = len(la), ta[0], len(lb), tb[0]
+            occurrences[ja][ia] += 1
+            occurrences[jb][ib] += 1
+            ra, rb = ranks[ja][ia], ranks[jb][ib]
+            root_ranks[1 + (ra if ra < rb else rb)] += 1
+            one_child_trees[ones[ja][ia] + ones[jb][ib]] += 1
             by_degree[2] += 1
-            s1, r1 = walk(children[0][0])
-            s2, r2 = walk(children[1][0])
-            size, rank = s1 + s2 + 1, 1 + (r1 if r1 < r2 else r2)
-        if (rank == 0) != (size == 1):
+        else:
+            rank, one = _root_stats(children, ranks, ones)
+            root_ranks[rank] += 1
+            one_child_trees[one] += 1
+            by_degree[len(children)] += 1
+            for sub, labels in children:
+                occurrences[len(labels)][sub[0]] += 1
+
+    # Push the occurrences down, largest subtrees first: a subtree's
+    # count reaches its (rank, size) and degree slots and its children.
+    stride = n + 1
+    joint = [0] * (n * stride)  # joint[rank * stride + size]
+    for rank, c in enumerate(root_ranks):
+        joint[rank * stride + n] += c
+    for s in range(n - 1, 0, -1):
+        rank_row, counts = ranks[s], occurrences[s]
+        for (_, children), rank, c in zip(_canonical_trees(variety, s), rank_row, counts):
+            joint[rank * stride + s] += c
+            by_degree[len(children)] += c
+            for sub, labels in children:
+                occurrences[len(labels)][sub[0]] += c
+
+    for key, c in enumerate(joint):
+        rank, size = divmod(key, stride)
+        if c and (rank == 0) != (size == 1):
             raise InvariantError(f"rank {rank} for a subtree of size {size}")
-        rank_totals[rank] += 1
-        size_totals[size] += 1
-        joint[rank * stride + size] += 1
-        return size, rank
-
-    for node in _generate(variety, n):
-        count += 1
-        before = by_degree[1]
-        root_ranks[walk(node)[1]] += 1
-        one_child_trees[by_degree[1] - before] += 1
-
     leaf, one, two = by_degree
     result = Census(
         variety=variety,
         n=n,
-        tree_count=count,
-        rank_totals=tuple(rank_totals),
-        size_totals=tuple(size_totals),
+        tree_count=trees,
+        rank_totals=tuple(sum(joint[k * stride:(k + 1) * stride]) for k in range(n)),
+        size_totals=tuple(sum(joint[r::stride]) for r in range(stride)),
         joint_totals=MappingProxyType({
-            divmod(key, stride): v for key, v in enumerate(joint) if v
+            divmod(key, stride): c for key, c in enumerate(joint) if c
         }),
         root_rank_counts=tuple(root_ranks),
         leaf_total=leaf,
@@ -303,13 +379,17 @@ def census(variety: TreeVariety, n: int, limit: int = DEFAULT_ENUM_LIMIT) -> Cen
     return result
 
 
+census.cache_info = _census.cache_info
+census.cache_clear = _census.cache_clear
+
+
 # ---------------------------------------------------------------------------
 # Plane statistics from the non-plane census
 #
 # A non-plane tree with s one-child vertices has (n-1-s)/2 two-child
 # vertices and corresponds to exactly 2^((n-1-s)/2) plane trees, so plane
 # averages are weighted non-plane averages.  The weights come from
-# Census.one_child_trees, so they cost no walk beyond the census itself.
+# Census.one_child_trees, so they cost no pass beyond the census itself.
 
 
 def _onechild_weight_data(n: int, limit: int) -> tuple[Fraction, int]:

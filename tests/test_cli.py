@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -141,6 +142,21 @@ class TestEnumerate:
         code, out, err = run(capsys, "enumerate", "--n", "8", "--enum-limit", "5")
         assert code == 2
         assert "1385" in err  # the exact count appears in the refusal
+
+    @pytest.mark.parametrize("variety", ["nonplane", "plane"])
+    @pytest.mark.parametrize("n, quoted", [(11, "exactly"), (2000, "more than")])
+    def test_refusal_is_one_line_and_quick_at_any_size(self, capsys, variety, n, quoted):
+        # An exact count at n = 2000 has more digits than int-to-str allows,
+        # and its recurrence would take minutes; beyond the default series
+        # order the refusal quotes a lower bound instead.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "enumerate", "--variety", variety, "--n", str(n))
+        assert time.perf_counter() - start < 5
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"refusing to enumerate {variety} trees of size {n} (limit 10)")
+        assert f"there are {quoted} " in err
 
 
 class TestVerify:

@@ -1,16 +1,25 @@
 """Brute-force enumeration, censuses, and the probabilistic inequalities."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from pathlib import Path
+from types import MappingProxyType
 from typing import Iterator
 
 import mpmath
 import pytest
 from mpmath.libmp import to_rational
 
+from treerank import enumeration
 from treerank.enumeration import (
+    DEFAULT_ENUM_LIMIT,
+    Census,
     SizeLimitError,
     census,
     check_inequalities,
@@ -23,6 +32,8 @@ from treerank.variety import TreeVariety
 
 NP = TreeVariety.NONPLANE
 PL = TreeVariety.PLANE
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # ---------------------------------------------------------------------------
 # Reference generator: the earlier relabelling implementation, kept verbatim
@@ -109,6 +120,86 @@ def reference_census_fields(variety: TreeVariety, n: int) -> dict:
         leaf_total=degrees[0], one_child_total=degrees[1], two_child_total=degrees[2],
         one_child_trees=tuple(one_child_trees),
     )
+
+
+# ---------------------------------------------------------------------------
+# Reference census: the earlier per-vertex walk, kept verbatim but for its
+# name, its cache and the module prefix on `_generate`, as the slow path
+# the per-tree census is checked against.  It walks the current generator.
+
+
+def walk_census(variety: TreeVariety, n: int, limit: int = DEFAULT_ENUM_LIMIT) -> Census:
+    """Full enumeration pass with per-vertex rank and subtree-size stats."""
+    if n < 1:
+        raise ValueError("tree size must be at least 1")
+    if n > limit:
+        raise SizeLimitError(variety, n, limit)
+    stride = n + 1
+    rank_totals = [0] * n
+    size_totals = [0] * stride
+    joint = [0] * (n * stride)  # joint[rank * stride + size]
+    root_ranks = [0] * n
+    one_child_trees = [0] * n
+    by_degree = [0, 0, 0]  # vertices with zero, one and two children
+    count = 0
+
+    def walk(node: Node) -> tuple[int, int]:
+        children = node[1]
+        if not children:
+            by_degree[0] += 1
+            size, rank = 1, 0
+        elif len(children) == 1:
+            by_degree[1] += 1
+            size, rank = walk(children[0][0])
+            size += 1
+            rank += 1
+        else:
+            by_degree[2] += 1
+            s1, r1 = walk(children[0][0])
+            s2, r2 = walk(children[1][0])
+            size, rank = s1 + s2 + 1, 1 + (r1 if r1 < r2 else r2)
+        if (rank == 0) != (size == 1):
+            raise InvariantError(f"rank {rank} for a subtree of size {size}")
+        rank_totals[rank] += 1
+        size_totals[size] += 1
+        joint[rank * stride + size] += 1
+        return size, rank
+
+    for node in enumeration._generate(variety, n):
+        count += 1
+        before = by_degree[1]
+        root_ranks[walk(node)[1]] += 1
+        one_child_trees[by_degree[1] - before] += 1
+
+    leaf, one, two = by_degree
+    result = Census(
+        variety=variety,
+        n=n,
+        tree_count=count,
+        rank_totals=tuple(rank_totals),
+        size_totals=tuple(size_totals),
+        joint_totals=MappingProxyType({
+            divmod(key, stride): v for key, v in enumerate(joint) if v
+        }),
+        root_rank_counts=tuple(root_ranks),
+        leaf_total=leaf,
+        one_child_total=one,
+        two_child_total=two,
+        one_child_trees=tuple(one_child_trees),
+    )
+    result._validate()
+    return result
+
+
+def _plant_a_leaf_among_size_3(monkeypatch) -> None:
+    """Make the first canonical tree of size 3 a lone leaf."""
+    original = enumeration._canonical_trees
+
+    def planted(variety, size):
+        trees = original(variety, size)
+        return ((0, ()),) + trees[1:] if size == 3 else trees
+
+    monkeypatch.setattr(enumeration, "_canonical_trees", planted)
 
 
 class TestEnumeration:
@@ -223,6 +314,57 @@ class TestCensus:
             fields = {f.name: getattr(cen, f.name) for f in dataclasses.fields(cen)}
             fields["joint_totals"] = dict(fields["joint_totals"])
             assert fields == reference_census_fields(variety, n)
+
+    @pytest.mark.parametrize("variety", [NP, PL])
+    def test_equals_the_per_vertex_walk(self, variety):
+        for n in range(1, 10):
+            cen, ref = census(variety, n), walk_census(variety, n)
+            assert cen == ref
+            assert list(cen.joint_totals.items()) == list(ref.joint_totals.items())
+
+    @pytest.mark.parametrize("variety", [NP, PL])
+    def test_limit_is_not_part_of_the_cache_key(self, variety):
+        census.cache_clear()
+        first = census(variety, 6)
+        assert census(variety, 6, 10) is first
+        assert census(variety, 6, limit=10) is first
+        assert census.cache_info().misses == 1
+        with pytest.raises(SizeLimitError):
+            census(variety, 11)
+        with pytest.raises(SizeLimitError):
+            census(variety, 6, limit=5)
+
+    @pytest.mark.parametrize("variety", [NP, PL])
+    def test_a_planted_leaf_among_larger_subtrees_is_caught(self, variety, monkeypatch):
+        _plant_a_leaf_among_size_3(monkeypatch)
+        census.cache_clear()
+        with pytest.raises(InvariantError, match=r"^rank 0 for a subtree of size 3$"):
+            census(variety, 4)
+
+    def test_a_planted_leaf_is_caught_under_python_O(self):
+        script = textwrap.dedent("""
+            from treerank import enumeration
+            from treerank.series import InvariantError
+            from treerank.variety import TreeVariety
+
+            original = enumeration._canonical_trees
+
+            def planted(variety, size):
+                trees = original(variety, size)
+                return ((0, ()),) + trees[1:] if size == 3 else trees
+
+            enumeration._canonical_trees = planted
+            for variety in TreeVariety:
+                try:
+                    enumeration.census(variety, 4)
+                except InvariantError as exc:
+                    print("raised:", exc)
+        """)
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["raised: rank 0 for a subtree of size 3"] * 2
 
     def test_joint_totals_are_read_only(self):
         cen = census(NP, 3)
