@@ -12,6 +12,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, Sequence
 
+from .constants import MAX_DIGITS
 from .counting import (
     joint_vertex_counts,
     rank_vertex_counts,
@@ -36,13 +37,15 @@ from .series import DEFAULT_ORDER, EgfSeries, InvariantError, base_series, tree_
 from .variety import TreeVariety, parse_variety
 
 
-def _at_least(low: int) -> Callable[[str], int]:
-    """argparse type: an integer no smaller than `low`, else a usage error."""
+def _at_least(low: int, most: int | None = None) -> Callable[[str], int]:
+    """argparse type: an integer from `low` up to `most` (if given), else a usage error."""
 
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}")
+        if most is not None and value > most:
+            raise argparse.ArgumentTypeError(f"must be <= {most}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
@@ -53,7 +56,9 @@ _SHARED_FLAGS = {
     "--variety": dict(default="nonplane", choices=["nonplane", "plane"]),
     "--order": dict(type=_at_least(0), default=DEFAULT_ORDER,
                     help="series truncation order (default 80)"),
-    "--digits": dict(type=_at_least(1), default=12, help="decimal digits for printed enclosures"),
+    "--digits": dict(type=_at_least(1, MAX_DIGITS), default=12,
+                     help=f"decimal digits for printed enclosures (at most {MAX_DIGITS}, "
+                          "the most an enclosure can certify)"),
     "--enum-limit": dict(type=_at_least(1), default=DEFAULT_ENUM_LIMIT,
                          help="largest size enumerated exhaustively (default 10); not "
                               "capped, so only time and memory bound it"),

@@ -3,10 +3,26 @@
 Every limiting probability produced by this package lives in the ring of
 Laurent polynomials in pi whose coefficients have the shape a + b*sqrt(3)
 with rational a, b.  Arithmetic here is exact and canonical, so equality
-of values is equality of representations.  Decimal output goes through
-`Enclosure`, an interval with exact rational endpoints certified to
-contain the true value; interval evaluation is delegated to mpmath's
-interval context with outward rounding and escalating precision.
+of values is equality of representations; the operators build their
+canonical results directly instead of re-validating them.  Decimal output
+goes through `Enclosure`, an interval with exact rational endpoints
+certified to contain the true value.
+
+Interval evaluation uses mpmath's interval context, with outward rounding,
+on a ladder of precisions that doubles from a start rung.  A constant is
+evaluated as (A(pi) + sqrt3 B(pi)) pi^low / D, where D is the lcm of its
+coefficient denominators, so A and B are integer polynomials and each
+takes one Horner pass.  Its start rung is the lowest rung that holds its
+largest term, from the coefficient sizes and about 1.66 bits per power of
+pi, plus a guard of `_GUARD_BITS`; so up to about 15 digits the first
+round certifies, also when the terms cancel to a small value.  The ladder
+stops once the interval is at most 10^-digits wide and its endpoints round
+alike at every number of places up to `digits`, so the printed decimals
+are the correctly rounded value.  A rational constant, the only kind that can sit exactly on
+a rounding boundary, is its own point enclosure.  The start rung depends
+on the value alone, and an interval that meets the stop rule at some
+digits meets it at fewer too, so an enclosure at more digits stops on the
+same rung or a later one and nests inside one at fewer.
 """
 
 from __future__ import annotations
@@ -15,15 +31,32 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import ceil, floor, lcm, log10
 from typing import Callable, Mapping, Union
 
 from mpmath.ctx_iv import MPIntervalContext
-from mpmath.libmp import to_rational
+from mpmath.libmp import (
+    from_int,
+    fzero,
+    mpi_add,
+    mpi_mul,
+    round_ceiling,
+    round_floor,
+    to_rational,
+)
 
 Rational = Union[int, Fraction]
 
 _START_PREC = 64
 _MAX_PREC = 1 << 22
+# The most decimal places an enclosure can certify: 10^-MAX_DIGITS is the
+# smallest power of ten not below 2^-_MAX_PREC, the finest interval the
+# precision ladder reaches.
+MAX_DIGITS = floor(_MAX_PREC * log10(2))
+# Bits an exact constant's start rung carries beyond its largest term, so
+# that about 15 decimal places certify in the first interval round.
+_GUARD_BITS = 64
+_LOG2_PI = 1.6514961294723187  # log2(pi); the start rung needs only an estimate
 
 
 def _coeff_sign(a: Fraction, b: Fraction) -> int:
@@ -91,18 +124,34 @@ class ExactConst:
     def is_rational(self) -> bool:
         return self.is_sqrt3_free() and all(j == 0 for j in self._terms)
 
+    @classmethod
+    def _canonical(cls, terms: dict[int, tuple[Fraction, Fraction]]) -> "ExactConst":
+        """Wrap a dict that already holds only nonzero pairs of Fractions.
+
+        The arithmetic below builds such dicts itself, so its results skip
+        the public constructor's conversions and checks.
+        """
+        value = object.__new__(cls)
+        value._terms = terms
+        return value
+
     def __add__(self, other: Union["ExactConst", Rational]) -> "ExactConst":
         other = _coerce(other)
         out = dict(self._terms)
         for j, (a, b) in other._terms.items():
-            ca, cb = out.get(j, (Fraction(0), Fraction(0)))
-            out[j] = (ca + a, cb + b)
-        return ExactConst(out)
+            if j in out:
+                ca, cb = out[j]
+                a, b = ca + a, cb + b
+                if not (a or b):
+                    del out[j]
+                    continue
+            out[j] = (a, b)
+        return ExactConst._canonical(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ExactConst":
-        return ExactConst({j: (-a, -b) for j, (a, b) in self._terms.items()})
+        return ExactConst._canonical({j: (-a, -b) for j, (a, b) in self._terms.items()})
 
     def __sub__(self, other: Union["ExactConst", Rational]) -> "ExactConst":
         return self + (-_coerce(other))
@@ -111,17 +160,23 @@ class ExactConst:
         return _coerce(other) + (-self)
 
     def __mul__(self, other: Union["ExactConst", Rational]) -> "ExactConst":
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                return ExactConst._canonical({})
+            return ExactConst._canonical(
+                {j: (a * other, b * other if b else b) for j, (a, b) in self._terms.items()}
+            )
         other = _coerce(other)
         out: dict[int, tuple[Fraction, Fraction]] = {}
         for j1, (a1, b1) in self._terms.items():
             for j2, (a2, b2) in other._terms.items():
                 j = j1 + j2
-                # (a1 + b1 s)(a2 + b2 s) with s^2 = 3
-                a = a1 * a2 + 3 * b1 * b2
-                b = a1 * b2 + b1 * a2
-                ca, cb = out.get(j, (Fraction(0), Fraction(0)))
-                out[j] = (ca + a, cb + b)
-        return ExactConst(out)
+                a, b = _pair_product(a1, b1, a2, b2)
+                if j in out:
+                    ca, cb = out[j]
+                    a, b = ca + a, cb + b
+                out[j] = (a, b)
+        return ExactConst._canonical({j: pair for j, pair in out.items() if pair[0] or pair[1]})
 
     __rmul__ = __mul__
 
@@ -191,27 +246,58 @@ class ExactConst:
         return f"ExactConst({self.render()})"
 
     def _iv_value(self, ctx):
-        pi = ctx.pi
-        s3 = ctx.sqrt(3)
-        total = ctx.mpf(0)
+        """Interval value as (A(pi) + sqrt3 B(pi)) pi^low / D.
+
+        D is the lcm of every coefficient denominator, so A and B have
+        integer coefficients and each is one Horner pass in pi.
+        """
+        low = min(self._terms)
+        denom = lcm(*(c.denominator for pair in self._terms.values() for c in pair))
+        a_coeffs = [0] * (max(self._terms) - low + 1)
+        b_coeffs = list(a_coeffs)
         for j, (a, b) in self._terms.items():
-            coeff = _iv_fraction(ctx, a)
-            if b:
-                coeff += _iv_fraction(ctx, b) * s3
-            if j > 0:
-                coeff *= pi ** j
-            elif j < 0:
-                coeff /= pi ** (-j)
-            total += coeff
-        return total
+            a_coeffs[j - low] = a.numerator * (denom // a.denominator)
+            b_coeffs[j - low] = b.numerator * (denom // b.denominator)
+        pi = +ctx.pi  # a fixed interval: ctx.pi recomputes its bounds at every use
+        total = _iv_horner(ctx, a_coeffs, pi)
+        if any(b_coeffs):
+            total += ctx.sqrt(3) * _iv_horner(ctx, b_coeffs, pi)
+        if low > 0:
+            total *= pi ** low
+        elif low < 0:
+            total /= pi ** -low
+        return total / denom
+
+    def _start_prec(self) -> int:
+        """Lowest rung of the precision ladder that holds the largest term.
+
+        With la > log2|a| and lb > log2|b|, a term (a + b sqrt3) pi^j is
+        below 2^(max(la, lb + 1) + 1 + 1.66 j); the rung carries that many
+        bits plus `_GUARD_BITS`.  Only the value decides the rung, never
+        the digits asked for.  The rung sets the cost, not the soundness:
+        a rung too low only costs another round.
+        """
+        top = max(
+            max(_log2_bound(a), _log2_bound(b) + 1) + 1 + ceil(j * _LOG2_PI)
+            for j, (a, b) in self._terms.items()
+        )
+        prec = _START_PREC
+        while prec < top + _GUARD_BITS:
+            prec *= 2
+        return prec
 
     def enclosure(self, digits: int) -> "Enclosure":
-        """Interval with rational endpoints of width <= 10^-digits."""
-        if digits < 1:
-            raise ValueError("digits must be >= 1")
-        if not self._terms:
-            return Enclosure(Fraction(0), Fraction(0), digits)
-        return iv_enclosure(self._iv_value, digits)
+        """Interval with rational endpoints of width <= 10^-digits.
+
+        A rational value is its own point enclosure; any other value in
+        this ring is irrational, so its enclosure's decimals are the
+        correctly rounded ones.
+        """
+        _check_digits(digits)
+        if self.is_rational():
+            q = self._terms[0][0] if self._terms else Fraction(0)
+            return Enclosure(q, q, digits)
+        return iv_enclosure(self._iv_value, digits, self._start_prec())
 
     def sign(self) -> int:
         """Exact sign; terminates because a nonzero form has nonzero value."""
@@ -225,6 +311,16 @@ class ExactConst:
             if enc.hi < 0:
                 return -1
             digits *= 2
+
+
+def _pair_product(a1: Fraction, b1: Fraction, a2: Fraction,
+                  b2: Fraction) -> tuple[Fraction, Fraction]:
+    """(a1 + b1 s)(a2 + b2 s) with s^2 = 3, skipping products with a zero sqrt3 part."""
+    if not b2:
+        return a1 * a2, b1 * a2 if b1 else b1
+    if not b1:
+        return a1 * a2, a1 * b2
+    return a1 * a2 + 3 * b1 * b2, a1 * b2 + b1 * a2
 
 
 def _coerce(value: Union[ExactConst, Rational]) -> ExactConst:
@@ -249,8 +345,6 @@ def sqrt3_power(exponent: int) -> ExactConst:
 
 
 def _round_half_up(x: Fraction) -> int:
-    from math import floor
-
     if x >= 0:
         return floor(x + Fraction(1, 2))
     return -floor(-x + Fraction(1, 2))
@@ -333,8 +427,25 @@ class Enclosure:
         return f"Enclosure({self.decimal()}, digits={self.digits})"
 
 
-def _iv_fraction(ctx, q: Fraction):
-    return ctx.mpf(q.numerator) / ctx.mpf(q.denominator)
+def _log2_bound(q: Fraction) -> int:
+    """An integer above log2|q|; 0 for q = 0."""
+    return q.numerator.bit_length() - q.denominator.bit_length() + 1
+
+
+def _iv_horner(ctx, coeffs: list[int], x):
+    """coeffs[0] + coeffs[1] x + coeffs[2] x^2 + ... in interval arithmetic.
+
+    Runs on mpmath's raw interval tuples, which round outward exactly as
+    the context's operators do, without their per-operation dispatch.
+    """
+    prec, x = ctx.prec, x._mpi_
+    total = (fzero, fzero)
+    for c in reversed(coeffs):
+        total = mpi_mul(total, x, prec)
+        if c:
+            total = mpi_add(total, (from_int(c, prec, round_floor),
+                                    from_int(c, prec, round_ceiling)), prec)
+    return ctx.make_mpf(total)
 
 
 def _iv_endpoints(x) -> tuple[Fraction, Fraction]:
@@ -359,19 +470,48 @@ def _iv_context() -> MPIntervalContext:
     return ctx
 
 
-def iv_enclosure(builder: Callable, digits: int) -> Enclosure:
+def _check_digits(digits: int) -> None:
+    if not 1 <= digits <= MAX_DIGITS:
+        raise ValueError(f"digits must be between 1 and {MAX_DIGITS}")
+
+
+def _rounds_alike(lo: Fraction, hi: Fraction, digits: int) -> bool:
+    """Whether lo and hi round half-up alike at every number of places 1..digits.
+
+    If they round alike, to n, at `digits` places, both lie in the cell
+    of values that round to n, and the only coarser rounding boundary in
+    that cell is its centre n/10^digits.  The centre is a boundary at p
+    places exactly when n = (10m + 5) 10^(digits-p-1), so comparing the
+    roundings at that one p settles every coarser place.
+    """
+    n = _round_half_up(lo * 10**digits)
+    if n != _round_half_up(hi * 10**digits):
+        return False
+    zeros, head = 0, abs(n)
+    while head and head % 10 == 0:
+        zeros, head = zeros + 1, head // 10
+    places = digits - 1 - zeros
+    if head % 10 != 5 or places < 1:
+        return True
+    return _round_half_up(lo * 10**places) == _round_half_up(hi * 10**places)
+
+
+def iv_enclosure(builder: Callable, digits: int, start_prec: int = _START_PREC) -> Enclosure:
     """Evaluate `builder(iv_context)` to an enclosure of width <= 10^-digits.
 
-    Precision starts low and doubles until the interval is narrow enough;
-    successive intervals are intersected, so an enclosure requested at
-    more digits is always nested inside one requested at fewer.  The
-    builder gets a private interval context; `mpmath.iv` is not touched.
+    Precision starts at `start_prec` and doubles until the interval is
+    narrow enough and its endpoints round alike at every number of places
+    up to `digits`, so `decimal()` prints the correctly rounded value.  Every
+    narrower interval also meets the rule at fewer places, and successive
+    intervals are intersected; as the ladder does not depend on `digits`,
+    an enclosure requested at more digits is always nested inside one
+    requested at fewer.  The builder gets a private interval context;
+    `mpmath.iv` is not touched.
     """
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
+    _check_digits(digits)
     target = Fraction(1, 10**digits)
     ctx = _iv_context()
-    prec = _START_PREC
+    prec = start_prec
     best: Enclosure | None = None
     while prec <= _MAX_PREC:
         old_prec = ctx.prec  # restored for an enclosing call on this thread
@@ -383,7 +523,7 @@ def iv_enclosure(builder: Callable, digits: int) -> Enclosure:
         lo, hi = _iv_endpoints(value)
         enc = Enclosure(lo, hi, digits)
         best = enc if best is None else best.intersect(enc)
-        if best.width <= target:
+        if best.width <= target and _rounds_alike(best.lo, best.hi, digits):
             return Enclosure(best.lo, best.hi, digits)
         prec *= 2
     raise RuntimeError(f"interval evaluation did not reach 10^-{digits}")

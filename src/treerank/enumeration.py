@@ -38,7 +38,7 @@ from itertools import combinations, count
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
-from .constants import Enclosure, iv_enclosure, sqrt_weighted_sum
+from .constants import MAX_DIGITS, Enclosure, iv_enclosure, sqrt_weighted_sum
 from .series import DEFAULT_ORDER, InvariantError, tree_counts
 from .variety import TreeVariety
 
@@ -226,7 +226,7 @@ class Census:
     def sqrt_size_mean(self, digits: int = 15) -> Enclosure:
         """Enclosure of the expected sqrt(subtree size) per vertex pair."""
         terms = {r: self.size_totals[r] for r in range(1, self.n + 1)}
-        total = sqrt_weighted_sum(terms, digits + 6)
+        total = sqrt_weighted_sum(terms, min(digits + 6, MAX_DIGITS))
         scale = Fraction(1, self.vertex_pairs)
         return Enclosure(total.lo * scale, total.hi * scale, digits)
 
@@ -438,7 +438,8 @@ class InequalityReport:
 def _sqrt_bound_holds(cen: Census, digits: int) -> tuple[bool, str]:
     """E(sqrt(Z_n)) <= 100 - 90/sqrt(n), via enclosures with widening retries."""
     n = cen.n
-    for d in (digits, digits * 2, digits * 4):
+    # The retries stop at the most digits an enclosure can certify.
+    for d in (min(d, MAX_DIGITS) for d in (digits, digits * 2, digits * 4)):
         lhs = cen.sqrt_size_mean(d)
         rhs = iv_enclosure(
             lambda ctx: ctx.mpf(100) - ctx.mpf(90) / ctx.sqrt(n), d

@@ -11,6 +11,7 @@ import pytest
 
 from treerank import cli
 from treerank.cli import main
+from treerank.constants import MAX_DIGITS
 from treerank.enumeration import census
 from treerank.series import InvariantError
 
@@ -98,6 +99,19 @@ class TestBounds:
         payload = json.loads(out)
         assert json.dumps(payload, indent=2) == out.strip()
         assert payload["k"] == 1 and payload["r"] == 3
+
+    @pytest.mark.parametrize("argv, field, expected", [
+        # 0.000528497301...: a 10^-6 wide interval once printed 0.000529.
+        (["--variety", "nonplane", "--k", "0", "--r", "60"],
+         lambda p: p["per_i_terms"][59]["v_decimal"], "0.000528"),
+        # 0.481671477...: a 10^-6 wide interval once printed 0.481672.
+        (["--variety", "plane", "--k", "0", "--r", "20"],
+         lambda p: p["upper"]["decimal"], "0.481671"),
+    ], ids=["nonplane-v60", "plane-upper"])
+    def test_decimals_are_correctly_rounded(self, capsys, argv, field, expected):
+        code, out, _ = run(capsys, "bounds", *argv, "--digits", "6", "--format", "json")
+        assert code == 0
+        assert field(json.loads(out)) == expected
 
     def test_rejects_bad_flags(self):
         for argv in (["bounds", "--k", "-2"], ["bounds", "--k", "0", "--r", "0"]):
@@ -231,6 +245,22 @@ class TestConfig:
             main(argv)
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["limits", "--kind", "rank", "--k", "0"],
+        ["bounds", "--k", "2"],
+        ["counts", "--kind", "rank", "--k", "0", "--order", "3"],
+        ["verify", "--enum-limit", "3", "--order", "3"],
+    ])
+    def test_digits_past_what_an_enclosure_can_certify(self, capsys, argv):
+        # Below 10^-MAX_DIGITS no interval the precision ladder reaches is
+        # narrow enough, so such a request could only end in a traceback.
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--digits", str(MAX_DIGITS + 1)])
+        assert exc.value.code == 2
+        assert f"argument --digits: must be <= {MAX_DIGITS}" in capsys.readouterr().err
+        args = cli.build_parser().parse_args([*argv, "--digits", str(MAX_DIGITS)])
+        assert args.digits == MAX_DIGITS
 
     def test_invariant_failure_exits_1_without_traceback(self, capsys, monkeypatch):
         def broken(args, parser):

@@ -3,23 +3,31 @@
 import sys
 import threading
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache, partial
+from math import factorial, log2
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import to_rational
 
+import treerank.constants as constants
 from treerank.constants import (
+    MAX_DIGITS,
     Enclosure,
     ExactConst,
+    _coerce,
+    _rounds_alike,
+    decimal_string,
     halfpi_moment,
     iv_enclosure,
     plane_moment,
     sqrt3_power,
     sqrt_weighted_sum,
 )
+from treerank.limits import bound_interval
+from treerank.variety import TreeVariety
 
 
 def mp_fraction(value: mpmath.mpf) -> Fraction:
@@ -41,6 +49,80 @@ def mp_eval(const: ExactConst, dps: int = 50) -> Fraction:
 
 PI = ExactConst.pi_power(1)
 INV_PI = ExactConst.pi_power(-1)
+
+
+# The term-by-term arithmetic and evaluator that ExactConst used before
+# its results were built without re-validation and its values were
+# evaluated by Horner's rule; kept verbatim as references.
+def reference_add(self, other):
+    other = _coerce(other)
+    out = dict(self._terms)
+    for j, (a, b) in other._terms.items():
+        ca, cb = out.get(j, (Fraction(0), Fraction(0)))
+        out[j] = (ca + a, cb + b)
+    return ExactConst(out)
+
+
+def reference_neg(self):
+    return ExactConst({j: (-a, -b) for j, (a, b) in self._terms.items()})
+
+
+def reference_mul(self, other):
+    other = _coerce(other)
+    out: dict[int, tuple[Fraction, Fraction]] = {}
+    for j1, (a1, b1) in self._terms.items():
+        for j2, (a2, b2) in other._terms.items():
+            j = j1 + j2
+            # (a1 + b1 s)(a2 + b2 s) with s^2 = 3
+            a = a1 * a2 + 3 * b1 * b2
+            b = a1 * b2 + b1 * a2
+            ca, cb = out.get(j, (Fraction(0), Fraction(0)))
+            out[j] = (ca + a, cb + b)
+    return ExactConst(out)
+
+
+def reference_iv_value(self, ctx):
+    pi = ctx.pi
+    s3 = ctx.sqrt(3)
+    total = ctx.mpf(0)
+    for j, (a, b) in self._terms.items():
+        coeff = _iv_fraction(ctx, a)
+        if b:
+            coeff += _iv_fraction(ctx, b) * s3
+        if j > 0:
+            coeff *= pi ** j
+        elif j < 0:
+            coeff /= pi ** (-j)
+        total += coeff
+    return total
+
+
+def _iv_fraction(ctx, q: Fraction):
+    return ctx.mpf(q.numerator) / ctx.mpf(q.denominator)
+
+
+# Small coefficients that cancel often, also across the sqrt3 cross terms:
+# (1 + sqrt3)(-3 + sqrt3) = -2 sqrt3.
+CANCELLING = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(3), Fraction(-3),
+                              Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3)])
+small_consts = st.dictionaries(st.integers(-2, 2), st.tuples(CANCELLING, CANCELLING),
+                               max_size=4).map(ExactConst)
+scalars = st.one_of(st.integers(-3, 3), CANCELLING)
+wide_consts = st.dictionaries(
+    st.integers(-12, 12),
+    st.tuples(st.fractions(max_denominator=10**20).map(lambda q: q * 10**12),
+              st.fractions(max_denominator=10**20)),
+    min_size=1, max_size=6,
+).map(ExactConst).filter(lambda x: not x.is_rational())
+
+
+def assert_same_const(new: ExactConst, old: ExactConst) -> None:
+    assert list(new.terms.items()) == list(old.terms.items())
+    assert new == old and hash(new) == hash(old)
+    assert new.render() == old.render()
+    for a, b in new.terms.values():
+        assert type(a) is Fraction and type(b) is Fraction
+        assert a or b
 
 
 class TestArithmetic:
@@ -72,6 +154,50 @@ class TestArithmetic:
         assert (PI - Fraction(355, 113)).sign() == -1
         assert (PI - Fraction(333, 106)).sign() == 1
         assert ExactConst.zero().sign() == 0
+
+
+class TestArithmeticMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(small_consts, st.one_of(small_consts, scalars))
+    def test_operators(self, x, y):
+        # A scalar on the left reaches x's reflected operator.
+        left = x if isinstance(y, (int, Fraction)) else y
+        right = y if left is x else x
+        assert_same_const(x + y, reference_add(x, y))
+        assert_same_const(y + x, reference_add(left, right))
+        assert_same_const(x * y, reference_mul(x, y))
+        assert_same_const(y * x, reference_mul(left, right))
+        assert_same_const(x - y, reference_add(x, reference_neg(_coerce(y))))
+        assert_same_const(y - x, reference_add(_coerce(y), reference_neg(x)))
+        assert_same_const(-x, reference_neg(x))
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_consts, small_consts)
+    def test_cancellation(self, x, y):
+        zero = ExactConst.zero()
+        assert_same_const(x + (-x), zero)
+        assert_same_const(x - x, zero)
+        for factor in (0, Fraction(0), zero):
+            assert_same_const(x * factor, zero)
+        restored = (x + y) - y
+        assert_same_const(restored, reference_add(reference_add(x, y), reference_neg(y)))
+        assert restored == x
+        product = (x + y) * (x - y)
+        assert_same_const(product, reference_mul(reference_add(x, y),
+                                                 reference_add(x, reference_neg(y))))
+        assert product == x * x - y * y
+
+    def test_sqrt3_cross_terms_cancel(self):
+        x = ExactConst({0: (1, 1), 1: (1, -1)})
+        y = ExactConst({0: (-3, 1), -1: (3, 1)})
+        assert_same_const(x * y, reference_mul(x, y))
+        assert (ExactConst.sqrt3() + 1) * (ExactConst.sqrt3() - 3) == ExactConst.sqrt3(-2)
+
+    def test_public_constructor_still_accepts_and_cleans(self):
+        x = ExactConst({"2": ("1/3", 0.5), 0: (0, 0), 1: (Fraction(0), 0), -1: (True, 2)})
+        assert list(x.terms.items()) == [(2, (Fraction(1, 3), Fraction(1, 2))),
+                                         (-1, (Fraction(1), Fraction(2)))]
+        assert ExactConst({3: (0, 0)}).terms == {}
 
 
 class TestRendering:
@@ -211,12 +337,124 @@ class TestEnclosures:
         assert not any(t.is_alive() for t in threads)
         assert results == {d: {expected[d]} for d in digits}
 
+    def test_rational_is_its_own_point(self):
+        # An exact tie at the last place rounds half up, with no interval to
+        # straddle it.
+        for q, text in ((Fraction(1, 8), "0.13"), (Fraction(-1, 8), "-0.13")):
+            enc = ExactConst.rational(q).enclosure(2)
+            assert enc.lo == enc.hi == q
+            assert enc.decimal() == text
+        third = ExactConst.rational(Fraction(1, 3)).enclosure(50)
+        assert third.lo == third.hi == Fraction(1, 3)
+
+    def test_most_certifiable_digits(self):
+        # 10^-MAX_DIGITS is the finest power of ten at or above 2^-_MAX_PREC.
+        assert MAX_DIGITS * log2(10) <= constants._MAX_PREC < (MAX_DIGITS + 1) * log2(10)
+        for call in (lambda: PI.enclosure(MAX_DIGITS + 1),
+                     lambda: ExactConst.rational(1).enclosure(MAX_DIGITS + 1),
+                     lambda: iv_enclosure(lambda ctx: ctx.pi, MAX_DIGITS + 1)):
+            with pytest.raises(ValueError):
+                call()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-10**6, 10**6), st.sampled_from([5, 0, 4, 6]), st.integers(0, 7),
+           st.integers(-12, 12), st.integers(0, 12), st.integers(1, 8))
+    # 0.05 - 10^-12 and 0.05 + 10^-12 agree at 8 places but not at 1.
+    @example(0, 5, 2, -1, 2, 8)
+    @example(-1, 5, 2, -1, 2, 8)
+    def test_rounds_alike_matches_every_place(self, head, last, scale, low_off, width, digits):
+        # Endpoints within a few units of the 12th place of a short decimal,
+        # often one ending in 5, so that they sit on or beside rounding
+        # boundaries of several places.
+        lo = Fraction(10 * head + last, 10**scale) + Fraction(low_off, 10**12)
+        hi = lo + Fraction(width, 10**12)
+        naive = all(decimal_string(lo, p) == decimal_string(hi, p) for p in range(1, digits + 1))
+        assert _rounds_alike(lo, hi, digits) == naive
+
+    @pytest.mark.parametrize("variety, r, pick, expected", [
+        (TreeVariety.NONPLANE, 60, lambda rep: rep.terms[59].v, "0.000528"),
+        (TreeVariety.PLANE, 20, lambda rep: rep.upper, "0.481671"),
+    ], ids=["nonplane-v60", "plane-upper"])
+    def test_decimals_from_the_lowest_rung_are_correctly_rounded(self, variety, r, pick,
+                                                                   expected):
+        # The term-by-term evaluator, climbing from 64 bits, reaches an
+        # interval under 10^-6 wide whose midpoint lies across a rounding
+        # boundary from the value; the stop rule climbs on past it.
+        value = pick(bound_interval(variety, 0, r, digits=6))
+        enc = iv_enclosure(partial(reference_iv_value, value), 6)
+        assert value.enclosure(6).decimal() == enc.decimal() == expected
+
     def test_sqrt_weighted_sum(self):
         enc = sqrt_weighted_sum({1: 1, 2: 1}, 20)
         with mpmath.workdps(40):
             truth = mp_fraction(1 + mpmath.sqrt(2))
         assert enc.contains(truth)
         assert enc.width <= Fraction(1, 10**20)
+
+
+@lru_cache(maxsize=None)
+def bracket_ladder_rounds() -> tuple[list[ExactConst], list[int]]:
+    """The w and v terms of both rank-2 brackets at r = 100, and the number
+    of interval rounds each enclosure took while the brackets were built and
+    every term was enclosed at 12 digits."""
+    rounds: list[int] = []
+    original = constants.iv_enclosure
+
+    def counting(builder, digits, *args, **kwargs):
+        calls = [0]
+
+        def counted(ctx):
+            calls[0] += 1
+            return builder(ctx)
+
+        try:
+            return original(counted, digits, *args, **kwargs)
+        finally:
+            rounds.append(calls[0])
+
+    values = []
+    constants.iv_enclosure = counting
+    try:
+        for variety in TreeVariety:
+            report = bound_interval(variety, 2, 100)
+            report.partial_v_sum.enclosure(12)
+            for term in report.terms:
+                values += [term.w, term.v]
+                term.w.enclosure(12)
+                term.v.enclosure(12)
+    finally:
+        constants.iv_enclosure = original
+    return values, rounds
+
+
+class TestHornerEvaluation:
+    def test_every_bracket_enclosure_takes_one_round(self):
+        values, rounds = bracket_ladder_rounds()
+        # Per variety: lower, upper and the v partial sum, plus every term
+        # that is not rational (a rational value is its own enclosure).
+        assert len(rounds) == 2 * 3 + sum(not value.is_rational() for value in values)
+        assert set(rounds) == {1}
+
+    def _check(self, value: ExactConst) -> None:
+        # The reference's 30-digit enclosure lies inside its 12-digit one, so
+        # overlapping it is the stronger check at both digits.
+        ref = iv_enclosure(partial(reference_iv_value, value), 30)
+        fine = value.enclosure(60)
+        for d in (12, 30):
+            new = value.enclosure(d)
+            assert max(new.lo, ref.lo) <= min(new.hi, ref.hi), (value, d)
+            assert new.contains(fine)
+            assert decimal_string(fine.lo, d) == decimal_string(fine.hi, d) == new.decimal()
+
+    def test_bracket_terms_match_the_reference(self):
+        values, _ = bracket_ladder_rounds()
+        for value in values:
+            self._check(value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(wide_consts)
+    def test_drawn_constants_match_the_reference(self, value):
+        self._check(value)
 
 
 def quad_oracle(integrand, upper, dps=60) -> Fraction:

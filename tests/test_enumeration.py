@@ -17,6 +17,7 @@ import pytest
 from mpmath.libmp import to_rational
 
 from treerank import enumeration
+from treerank.constants import MAX_DIGITS, Enclosure
 from treerank.enumeration import (
     DEFAULT_ENUM_LIMIT,
     Census,
@@ -388,6 +389,21 @@ class TestCensus:
         with mpmath.workdps(40):
             truth = Fraction(*to_rational(((1 + mpmath.sqrt(2)) / 2)._mpf_))
         assert enc.contains(truth)
+
+    def test_sqrt_check_asks_for_no_more_digits_than_can_be_certified(self, monkeypatch):
+        # At --digits MAX_DIGITS the check's guard digits and widening retries
+        # would ask past what any enclosure can certify.
+        asked = []
+
+        def fake(_, digits):
+            asked.append(digits)
+            return Enclosure(Fraction(0), Fraction(1), digits)  # never separates
+
+        monkeypatch.setattr(enumeration, "sqrt_weighted_sum", fake)
+        monkeypatch.setattr(enumeration, "iv_enclosure", fake)
+        held, detail = enumeration._sqrt_bound_holds(census(NP, 3), MAX_DIGITS)
+        assert (held, detail) == (False, "enclosures never separated")
+        assert len(asked) == 6 and max(asked) == MAX_DIGITS
 
 
 class TestPlaneWeights:
