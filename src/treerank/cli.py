@@ -113,6 +113,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_root_rows(variety: TreeVariety, n_max: int, fmt: str) -> None:
+    """Print every nonzero t[k][i] with i <= n_max, one f-string per row.
+
+    JSON comes out byte for byte as `json.dumps(payload, indent=2)` would
+    print it, without building the payload.
+    """
+    table = root_rank_counts(variety, max(n_max, 1))
+    cells = [(i, k, c) for i in range(1, n_max + 1)
+             for k, c in enumerate(table.column(i)) if c]
+    if fmt == "json":
+        rows = ",\n".join(f'    {{\n      "i": {i},\n      "k": {k},\n      "count": {c}\n    }}'
+                          for i, k, c in cells)
+        rows = f"[\n{rows}\n  ]" if cells else "[]"
+        print(f'{{\n  "variety": {json.dumps(str(variety))},\n  "kind": "root",\n'
+              f'  "rows": {rows}\n}}')
+    else:
+        sep = "," if fmt == "csv" else "\t"
+        print("\n".join([f"i{sep}k{sep}count"] + [f"{i}{sep}{k}{sep}{c}" for i, k, c in cells]))
+
+
 def cmd_counts(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     variety = parse_variety(args.variety)
     order = args.order
@@ -121,25 +141,7 @@ def cmd_counts(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         parser.error(f"--n-max must be in 0..{order}")
 
     if args.kind == "root":
-        table = root_rank_counts(variety, max(n_max, 1))
-        rows = [["i", "k", "count"]]
-        for i in range(1, n_max + 1):
-            for k in range(i):
-                c = table.count(k, i)
-                if c:
-                    rows.append([str(i), str(k), str(c)])
-        if args.format == "json":
-            payload = {
-                "variety": str(variety),
-                "kind": "root",
-                "rows": [{"i": int(a), "k": int(b), "count": int(c)} for a, b, c in rows[1:]],
-            }
-            print(json.dumps(payload, indent=2))
-        elif args.format == "csv":
-            print("\n".join(",".join(r) for r in rows))
-        else:
-            for r in rows:
-                print("\t".join(r))
+        _print_root_rows(variety, n_max, args.format)
         return 0
 
     if args.kind == "rank":

@@ -1,17 +1,30 @@
 """Exact counting beyond brute-force reach.
 
-Two engines live here.  A dynamic program tabulates t[k][i], the number
-of trees on i labels whose root has rank exactly k; its row sums must
-reproduce the tree counts, which pins the recurrence down completely.
-On top of it, first-order linear recurrences on exponential generating
+Two engines live here.  Suffix rows tabulate S_k[i], the number of trees
+on i labels whose root has rank k or more, so that t[k][i] = S_k[i] -
+S_{k+1}[i] counts the trees whose root has rank exactly k.  On top of
+them, first-order linear recurrences on exponential generating
 functions produce, for every n at once, the totals of vertices with a
 given rank, a given subtree size, or both.
 
-The decomposition behind every recurrence is the same: mark a vertex,
-delete the root.  Either the marked vertex survives in one of the root's
-subtrees (that is the m*y convolution term) or the marked vertex's whole
-subtree was the tree itself (that is a polynomial correction read off
-the t table).  The two cases are disjoint, so no inclusion-exclusion
+The rows follow the increasing-tree specification (Bergeron, Flajolet
+and Salvy, Varieties of increasing trees, 1992) restricted to roots of
+rank at least k.  A root has rank >= k >= 1 exactly when it has a child
+and every child has rank >= k-1, so with c = 1/2 for non-plane and c = 1
+for plane trees
+
+    S_k' = S_{k-1} + c S_{k-1}^2,    S_0 = T - 1,
+
+and with S_0 = T - 1 the right side of S_1' is T' - 1: S_1 counts every
+tree of two or more vertices.  Reading rank k needs rows 0..k+1 only,
+so a rank request costs O(k N^2) multiplications and the whole table
+O(N^3 / 24).
+
+The decomposition behind every count recurrence is the same: mark a
+vertex, delete the root.  Either the marked vertex survives in one of the
+root's subtrees (that is the m*y convolution term) or the marked vertex's
+whole subtree was the tree itself (that is a polynomial correction read
+off the t table).  The two cases are disjoint, so no inclusion-exclusion
 adjustment is ever needed.
 
 Everything runs on integers.  With counts Y_n = n! [z^n] y, the equation
@@ -28,12 +41,13 @@ P is read straight off the t table:
 from __future__ import annotations
 
 import csv
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 from operator import mul
-from typing import IO, Sequence
+from typing import IO
 
 from .constants import decimal_string
 from .series import EgfSeries, InvariantError, solve_linear_counts, tree_counts
@@ -41,29 +55,104 @@ from .variety import TreeVariety
 
 DEFAULT_MAX_SIZE = 80
 
+# Suffix rows S_0, S_1, ... per variety, row k holding S_k[0..len-1]; rows
+# are extended in place under the lock, never rebuilt, and row k is never
+# longer than row k-1.  An appended entry is final, so reads need no lock.
+_SUFFIX_ROWS: dict[TreeVariety, list[list[int]]] = {v: [[0]] for v in TreeVariety}
+_ROWS_LOCK = threading.Lock()
+
+
+@lru_cache(maxsize=None)
+def _binomials(n: int) -> tuple[int, ...]:
+    """C(n, j) for 0 <= j <= n // 2; every rank's row reads the same ones."""
+    return tuple(comb(n, j) for j in range(n // 2 + 1))
+
+
+def _suffix_rows(variety: TreeVariety, rank: int, size: int) -> list[list[int]]:
+    """The variety's rows S_0..S_rank, each extended through `size`.
+
+    n!-scaled, S_k' = S_{k-1} + c S_{k-1}^2 reads
+        S_k[i] = S_{k-1}[i-1] + c sum_j C(i-1, j) S_{k-1}[j] S_{k-1}[i-1-j],
+    where only k <= j <= i-1-k contributes (a root of rank >= k-1 heads at
+    least k vertices).  The square's terms pair up as j <-> i-1-j, so half
+    of them are summed and doubled.  Non-plane trees take half of the
+    square, which must be even.  S_1[i] = T_i for i >= 2 is checked as
+    row 1 grows.
+    """
+    rows = _SUFFIX_ROWS[variety]
+    if len(rows) > rank and len(rows[rank]) > size:
+        return rows
+    with _ROWS_LOCK:
+        counts = tree_counts(variety, size)
+        rows[0].extend(counts[len(rows[0]):])
+        while len(rows) <= rank:
+            rows.append([0])
+        plane = variety is TreeVariety.PLANE
+        for k in range(1, rank + 1):
+            prev, row = rows[k - 1], rows[k]
+            for i in range(len(row), size + 1):
+                n = i - 1
+                square = 0
+                if 2 * k <= n:
+                    # j in k..h-1 pairs with n-j in n-k..n-h+1
+                    binom, h = _binomials(n), (n + 1) // 2
+                    square = 2 * sum(map(mul, map(mul, binom[k:h], prev[k:h]),
+                                         prev[n - k:n - h:-1]))
+                    if n % 2 == 0:
+                        square += binom[h] * prev[h] ** 2
+                if not plane:
+                    square, rem = divmod(square, 2)
+                    if rem:
+                        raise InvariantError(f"ordered two-child count for S_{k}[{i}] is odd")
+                value = prev[n] + square
+                if k == 1 and i >= 2 and value != counts[i]:
+                    raise InvariantError(
+                        f"root-rank row {i} disagrees with the tree count: "
+                        f"{value} trees have a root of rank >= 1, not {counts[i]}")
+                row.append(value)
+    return rows
+
 
 class RootRankTable:
-    """t[k][i]: trees on i labels whose root has rank exactly k."""
+    """t[k][i]: trees on i labels whose root has rank exactly k, i <= max_size.
 
-    def __init__(self, variety: TreeVariety, entries: Sequence[Sequence[int]]):
+    A view of the variety's shared suffix rows, t[k][i] = S_k[i] -
+    S_{k+1}[i]; reading rank k extends rows 0..k+1 through max_size.
+    """
+
+    def __init__(self, variety: TreeVariety, max_size: int,
+                 overrides: dict[tuple[int, int], int] | None = None):
         self.variety = variety
-        self._t = tuple(tuple(row) for row in entries)
+        self.max_size = max_size
+        self._overrides = overrides or {}
 
-    @property
-    def max_size(self) -> int:
-        return len(self._t[0]) - 1
-
-    def count(self, k: int, i: int) -> int:
+    def _check(self, k: int, i: int) -> None:
         if k < 0:
             raise ValueError("rank must be nonnegative")
         if not 1 <= i <= self.max_size:
             raise ValueError(f"size {i} outside table range 1..{self.max_size}")
-        if k >= len(self._t):
+
+    def count(self, k: int, i: int) -> int:
+        self._check(k, i)
+        if (k, i) in self._overrides:
+            return self._overrides[k, i]
+        if k >= i:  # rank k needs a leaf path of length k below the root
             return 0
-        return self._t[k][i]
+        rows = _suffix_rows(self.variety, k + 1, self.max_size)
+        return rows[k][i] - rows[k + 1][i]
+
+    def column(self, i: int) -> list[int]:
+        """t[0][i], ..., t[i-1][i]: the trees on i labels by root rank."""
+        self._check(0, i)
+        rows = _suffix_rows(self.variety, i, self.max_size)
+        col = [rows[k][i] - rows[k + 1][i] for k in range(i)]
+        for (k, j), value in self._overrides.items():
+            if j == i and k < i:
+                col[k] = value
+        return col
 
     def row_sum(self, i: int) -> int:
-        return sum(self.count(k, i) for k in range(min(i, len(self._t))))
+        return sum(self.column(i))
 
     def correction_series(self, k: int, order: int) -> EgfSeries:
         """The generating function sum_i t[k][i] z^i / i! through `order`."""
@@ -78,9 +167,9 @@ class RootRankTable:
 
     def with_entry(self, k: int, i: int, value: int) -> "RootRankTable":
         """Copy with one entry replaced; exists for fault-injection tests."""
-        rows = [list(row) for row in self._t]
-        rows[k][i] = value
-        return RootRankTable(self.variety, rows)
+        self._check(k, i)
+        return RootRankTable(self.variety, self.max_size,
+                             {**self._overrides, (k, i): value})
 
     def __repr__(self) -> str:
         return f"RootRankTable({self.variety}, max_size={self.max_size})"
@@ -88,49 +177,22 @@ class RootRankTable:
 
 @lru_cache(maxsize=None)
 def root_rank_counts(variety: TreeVariety, max_size: int = DEFAULT_MAX_SIZE) -> RootRankTable:
-    """Tabulate t[k][i] for 1 <= i <= max_size by root decomposition.
+    """t[k][i] for 1 <= i <= max_size, as a view of the shared suffix rows.
 
-    A root of rank k has either one child whose subtree root has rank
-    k-1, or two children whose subtree roots have minimum rank k-1.  The
-    two-child sum runs over ordered label splits j + m = i-1 of the
-    non-root labels (binomial factor C(i-1, j)).  An ordered pair has
-    minimum rank k-1 when the first has rank k-1 and the second >= k-1,
-    or the first >= k and the second k-1; swapping j and m folds the two
-    into t[k-1][j] * (S[k-1][m] + S[k][m]) with suffix sums
-    S[k][m] = sum_{r >= k} t[r][m].  A tree of rank k-1 or more has at
-    least k vertices, so only k <= j <= i-1-k contributes.  Non-plane
-    trees take half of the ordered sum, which is exact because sibling
-    label sets always differ.
+    S_k[i], the trees on i labels whose root has rank >= k, satisfies
+    S_k' = S_{k-1} + c S_{k-1}^2 with S_0 = T - 1: a root has rank >= k
+    >= 1 exactly when it has one child of rank >= k-1, or two children
+    that both have rank >= k-1 (c = 1/2 for non-plane trees, whose two
+    subtrees are unordered and always have different label sets; c = 1
+    for plane trees).  So t[k][i] = S_k[i] - S_{k+1}[i], and the rows sum
+    by telescoping to S_0[i] = T_i.  What pins the recurrence down is
+    S_1[i] = T_i for i >= 2, checked as rows 0 and 1 are built here;
+    higher rows are built as a rank is first read.
     """
     if max_size < 1:
         raise ValueError("max_size must be at least 1")
-    plane = variety is TreeVariety.PLANE
-    ranks = max_size  # rank k needs a leaf path of length k below the root
-    t = [[0] * (max_size + 1) for _ in range(ranks)]
-    t[0][1] = 1
-    # both[k][m] = S[k-1][m] + S[k][m] for k >= 1
-    both = [[0] * (max_size + 1) for _ in range(ranks + 1)]
-    for i in range(1, max_size + 1):
-        row = [comb(i - 1, j) for j in range(i)]
-        for k in range(1, i):
-            lo, hi = k, i - 1 - k  # j runs over lo..hi, m = i-1-j over hi..lo
-            weights = map(mul, row[lo:hi + 1], t[k - 1][lo:hi + 1])
-            pairs = sum(map(mul, weights, both[k][hi:lo - 1:-1]))
-            if not plane:
-                pairs, rem = divmod(pairs, 2)
-                if rem:
-                    raise InvariantError(f"ordered two-child count for t[{k}][{i}] is odd")
-            t[k][i] = t[k - 1][i - 1] + pairs
-        s = 0  # S[k][i], from the top rank down; no size-i tree has rank >= i
-        for k in range(i, 0, -1):
-            both[k][i] = t[k - 1][i] + 2 * s
-            s += t[k - 1][i]
-    table = RootRankTable(variety, t)
-    counts = tree_counts(variety, max_size)
-    for i in range(1, max_size + 1):
-        if table.row_sum(i) != counts[i]:
-            raise InvariantError(f"root-rank row {i} does not sum to the tree count")
-    return table
+    _suffix_rows(variety, 1, max_size)
+    return RootRankTable(variety, max_size)
 
 
 @dataclass(frozen=True)
@@ -245,8 +307,10 @@ def joint_vertex_counts(
         raise ValueError("rank must be nonnegative")
     if i < 1:
         raise ValueError("subtree size must be at least 1")
-    if table is None:
-        table = root_rank_counts(variety, max(order, i, 1))
-    t_ki = table.count(k, i) if i <= table.max_size else 0
+    t_ki = 0
+    if i <= order:  # a correction at degree i-1 >= order lies past the truncation
+        if table is None:
+            table = root_rank_counts(variety, i)
+        t_ki = table.count(k, i)
     return _count_sequence(variety, _monomial(i - 1, t_ki, order), order,
                            f"rank k={k}, size i={i}")

@@ -19,6 +19,7 @@ module.
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -161,8 +162,10 @@ class EgfSeries:
         return f"EgfSeries([{head}{tail}], order={self.order})"
 
 
-# Tree counts T_0..T_N per variety; extended in place, never rebuilt.
+# Tree counts T_0..T_N per variety; extended in place under the lock, never
+# rebuilt.
 _TREE_COUNTS: dict[TreeVariety, list[int]] = {v: [1] for v in TreeVariety}
+_TREE_COUNTS_LOCK = threading.Lock()
 
 
 def _extend_tree_counts(variety: TreeVariety, order: int) -> list[int]:
@@ -177,20 +180,21 @@ def _extend_tree_counts(variety: TreeVariety, order: int) -> list[int]:
     """
     t = _TREE_COUNTS[variety]
     plane = variety is TreeVariety.PLANE
-    for n in range(len(t) - 1, order):
-        lo = (n + 1) // 2  # terms i < lo pair with n-i > n-lo
-        row = [comb(n, i) for i in range(lo + 1)]
-        square = 2 * sum(map(mul, map(mul, row, t[:lo]), t[n:n - lo:-1]))
-        if n % 2 == 0:
-            square += row[lo] * t[lo] ** 2
-        rhs = (1 if n == 0 else 0) + square
-        if plane:
-            t.append(rhs - t[n])
-        else:
-            half, rem = divmod(rhs, 2)
-            if rem:
-                raise InvariantError(f"non-plane tree count {n + 1} is not an integer")
-            t.append(half)
+    with _TREE_COUNTS_LOCK:
+        for n in range(len(t) - 1, order):
+            lo = (n + 1) // 2  # terms i < lo pair with n-i > n-lo
+            row = [comb(n, i) for i in range(lo + 1)]
+            square = 2 * sum(map(mul, map(mul, row, t[:lo]), t[n:n - lo:-1]))
+            if n % 2 == 0:
+                square += row[lo] * t[lo] ** 2
+            rhs = (1 if n == 0 else 0) + square
+            if plane:
+                t.append(rhs - t[n])
+            else:
+                half, rem = divmod(rhs, 2)
+                if rem:
+                    raise InvariantError(f"non-plane tree count {n + 1} is not an integer")
+                t.append(half)
     return t
 
 

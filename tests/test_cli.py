@@ -9,11 +9,14 @@ from pathlib import Path
 
 import pytest
 
+import treerank.counting as counting
 from treerank import cli
 from treerank.cli import main
 from treerank.constants import MAX_DIGITS
+from treerank.counting import root_rank_counts
 from treerank.enumeration import census
 from treerank.series import InvariantError
+from treerank.variety import TreeVariety
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -22,6 +25,28 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def reference_root_output(variety, n_max, fmt):
+    """`counts --kind root` as printed before the direct writer: a payload
+    through `json.dumps(indent=2)`, or joined string rows."""
+    table = root_rank_counts(variety, max(n_max, 1))
+    rows = [["i", "k", "count"]]
+    for i in range(1, n_max + 1):
+        for k in range(i):
+            c = table.count(k, i)
+            if c:
+                rows.append([str(i), str(k), str(c)])
+    if fmt == "json":
+        payload = {
+            "variety": str(variety),
+            "kind": "root",
+            "rows": [{"i": int(a), "k": int(b), "count": int(c)} for a, b, c in rows[1:]],
+        }
+        return json.dumps(payload, indent=2) + "\n"
+    if fmt == "csv":
+        return "\n".join(",".join(r) for r in rows) + "\n"
+    return "\n".join("\t".join(r) for r in rows) + "\n"
 
 
 class TestCounts:
@@ -60,6 +85,43 @@ class TestCounts:
                            "--order", "6")
         assert code == 0
         assert "4\t1\t3" in out  # three size-4 trees with a rank-1 root
+
+    @pytest.mark.parametrize("variety", list(TreeVariety), ids=str)
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 9, 60])
+    def test_root_writer_matches_reference_rendering(self, capsys, variety, n_max):
+        for fmt in ("json", "csv", "table"):
+            code, out, _ = run(capsys, "counts", "--variety", str(variety), "--kind", "root",
+                               "--order", "60", "--n-max", str(n_max), "--format", fmt)
+            assert code == 0
+            assert out == reference_root_output(variety, n_max, fmt), fmt
+            if n_max == 0 and fmt == "json":
+                assert '"rows": []' in out
+
+    def test_joint_size_past_order_reads_no_table(self, capsys):
+        # A correction at degree i-1 >= order lies past the truncation, so
+        # every count is 0 whatever t[k][i] is; i = 3000 must not build it.
+        argv = ["counts", "--order", "10", "--kind", "joint", "--k", "1", "--format", "json"]
+        started = time.perf_counter()
+        code, far, _ = run(capsys, *argv, "--i", "3000")
+        assert code == 0
+        assert time.perf_counter() - started < 5.0
+        _, near, _ = run(capsys, *argv, "--i", "11")
+        far_lines, near_lines = far.splitlines(), near.splitlines()
+        assert len(far_lines) == len(near_lines)
+        assert [(a, b) for a, b in zip(far_lines, near_lines) if a != b] == [
+            ('  "selector": "rank k=1, size i=3000",', '  "selector": "rank k=1, size i=11",'),
+        ]
+
+    def test_rank_request_at_order_320_within_budget(self, capsys, monkeypatch):
+        # ROADMAP aim 1's counts size, from empty rows as in a new process
+        monkeypatch.setattr(counting, "_SUFFIX_ROWS", {v: [[0]] for v in TreeVariety})
+        started = time.perf_counter()
+        code, out, _ = run(capsys, "counts", "--variety", "nonplane", "--order", "320",
+                           "--kind", "rank", "--k", "2")
+        elapsed = time.perf_counter() - started
+        assert code == 0
+        assert len(out.splitlines()) == 322  # header and n = 0..320
+        assert elapsed < 2.0, f"took {elapsed:.2f} s"
 
     def test_negative_rank_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,16 +1,20 @@
-"""Root-rank dynamic program and the recurrence-driven count sequences."""
+"""Root-rank suffix rows and the recurrence-driven count sequences."""
 
 import io
 import os
 import subprocess
 import sys
 import textwrap
+import threading
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
+from operator import mul
 from pathlib import Path
 
 import pytest
 
+import treerank.counting as counting
 from treerank.counting import (
     joint_vertex_counts,
     rank_vertex_counts,
@@ -18,7 +22,7 @@ from treerank.counting import (
     size_vertex_counts,
 )
 from treerank.enumeration import census
-from treerank.series import EgfSeries, base_series, tree_counts
+from treerank.series import EgfSeries, InvariantError, base_series, tree_counts
 from treerank.variety import TreeVariety
 
 NP = TreeVariety.NONPLANE
@@ -62,6 +66,81 @@ def reference_root_rank_table(variety, max_size):
     return t
 
 
+@lru_cache(maxsize=None)
+def band_root_rank_table(variety, max_size):
+    """The size-major band dynamic program that the suffix rows replaced,
+    kept verbatim as a reference except that it returns the bare rows
+    t[k][i], k < max_size, instead of a table around them.
+
+    A root of rank k has either one child whose subtree root has rank
+    k-1, or two children whose subtree roots have minimum rank k-1.  The
+    two-child sum runs over ordered label splits j + m = i-1 of the
+    non-root labels (binomial factor C(i-1, j)).  An ordered pair has
+    minimum rank k-1 when the first has rank k-1 and the second >= k-1,
+    or the first >= k and the second k-1; swapping j and m folds the two
+    into t[k-1][j] * (S[k-1][m] + S[k][m]) with suffix sums
+    S[k][m] = sum_{r >= k} t[r][m].  A tree of rank k-1 or more has at
+    least k vertices, so only k <= j <= i-1-k contributes.  Non-plane
+    trees take half of the ordered sum, which is exact because sibling
+    label sets always differ.
+    """
+    if max_size < 1:
+        raise ValueError("max_size must be at least 1")
+    plane = variety is TreeVariety.PLANE
+    ranks = max_size  # rank k needs a leaf path of length k below the root
+    t = [[0] * (max_size + 1) for _ in range(ranks)]
+    t[0][1] = 1
+    # both[k][m] = S[k-1][m] + S[k][m] for k >= 1
+    both = [[0] * (max_size + 1) for _ in range(ranks + 1)]
+    for i in range(1, max_size + 1):
+        row = [comb(i - 1, j) for j in range(i)]
+        for k in range(1, i):
+            lo, hi = k, i - 1 - k  # j runs over lo..hi, m = i-1-j over hi..lo
+            weights = map(mul, row[lo:hi + 1], t[k - 1][lo:hi + 1])
+            pairs = sum(map(mul, weights, both[k][hi:lo - 1:-1]))
+            if not plane:
+                pairs, rem = divmod(pairs, 2)
+                if rem:
+                    raise InvariantError(f"ordered two-child count for t[{k}][{i}] is odd")
+            t[k][i] = t[k - 1][i - 1] + pairs
+        s = 0  # S[k][i], from the top rank down; no size-i tree has rank >= i
+        for k in range(i, 0, -1):
+            both[k][i] = t[k - 1][i] + 2 * s
+            s += t[k - 1][i]
+    counts = tree_counts(variety, max_size)
+    for i in range(1, max_size + 1):
+        if sum(t[k][i] for k in range(i)) != counts[i]:
+            raise InvariantError(f"root-rank row {i} does not sum to the tree count")
+    return t
+
+
+class ReferenceTable:
+    """Just enough of a root-rank table for the count sequences to read."""
+
+    def __init__(self, t):
+        self.t = t
+        self.max_size = len(t[0]) - 1
+
+    def count(self, k, i):
+        return self.t[k][i] if k < len(self.t) else 0
+
+
+@pytest.fixture
+def fresh_rows(monkeypatch):
+    """Empty suffix rows, as a new process starts with."""
+    monkeypatch.setattr(counting, "_SUFFIX_ROWS", {v: [[0]] for v in TreeVariety})
+
+
+def assert_matches_band_table(variety, order):
+    reference = band_root_rank_table(variety, 150)
+    table = root_rank_counts(variety, order)
+    for i in range(1, order + 1):
+        column = [reference[k][i] for k in range(i)]
+        assert [table.count(k, i) for k in range(i)] == column, (variety, order, i)
+        assert table.column(i) == column, (variety, order, i)
+        assert table.count(i, i) == 0
+
+
 class TestRootRankTable:
     def test_small_nonplane_entries(self):
         table = root_rank_counts(NP, 8)
@@ -102,7 +181,63 @@ class TestRootRankTable:
         for size in (1, 2, 3, 40):
             reference = reference_root_rank_table(variety, size)
             table = root_rank_counts(variety, size)
-            assert table._t == tuple(tuple(row) for row in reference)
+            for i in range(1, size + 1):
+                for k in range(size + 1):
+                    expected = reference[k][i] if k < len(reference) else 0
+                    assert table.count(k, i) == expected, (size, k, i)
+
+    @pytest.mark.parametrize("variety", [NP, PL])
+    def test_matches_band_dynamic_program_through_150(self, variety, fresh_rows):
+        assert_matches_band_table(variety, 150)
+
+    @pytest.mark.parametrize("variety", [NP, PL])
+    def test_rows_extend_in_place_across_sizes(self, variety, fresh_rows):
+        # a prefix read after a longer one, then an extension past both
+        for order in (100, 12, 150):
+            assert_matches_band_table(variety, order)
+
+    @pytest.mark.parametrize("variety", [NP, PL])
+    def test_rank_reads_build_only_their_rows(self, variety, fresh_rows):
+        reference = ReferenceTable(band_root_rank_table(variety, 150))
+        for k in range(5):
+            got = rank_vertex_counts(variety, k, 150)
+            assert got.counts == rank_vertex_counts(variety, k, 150, reference).counts
+            # t[k][i] = S_k[i] - S_{k+1}[i]: rows 0..k+1 and no more
+            assert len(counting._SUFFIX_ROWS[variety]) == k + 2
+
+    def test_concurrent_readers_extend_rows_once(self, fresh_rows):
+        # Readers that start together and grow the rows in different orders,
+        # switching threads as often as the interpreter allows, must each see
+        # every entry exactly, and leave rows that later reads can extend.
+        order = 60
+        reference = band_root_rank_table(NP, 150)
+        sizes = list(range(1, order + 1))
+        expected = [[reference[k][i] for k in range(i)] for i in sizes]
+        orders = [sizes[::-1], sizes, sizes[::-1], sizes[30:] + sizes[:30]]
+        start = threading.Barrier(len(orders))
+        results = {}
+
+        def read(name, read_order):
+            start.wait(timeout=60)
+            table = root_rank_counts(NP, order)
+            results[name] = {i: table.column(i) for i in read_order}
+
+        threads = [threading.Thread(target=read, args=(n, o)) for n, o in enumerate(orders)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == len(threads)
+        for got in results.values():
+            assert [got[i] for i in sizes] == expected
+        # a row grown twice over would misplace every entry past order
+        assert_matches_band_table(NP, 150)
 
     def test_row_sum_check_survives_python_O(self):
         # A wrong tree count must still be caught when asserts are stripped.
@@ -132,6 +267,8 @@ class TestRootRankTable:
         table = root_rank_counts(NP, 6)
         broken = table.with_entry(1, 3, 999)
         assert broken.row_sum(3) != tree_counts(NP, 6)[3]
+        assert broken.count(1, 3) == 999 and broken.column(3)[1] == 999
+        assert table.count(1, 3) == 1 and table.row_sum(3) == tree_counts(NP, 6)[3]
 
     def test_validation(self):
         table = root_rank_counts(NP, 6)

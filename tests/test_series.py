@@ -1,5 +1,7 @@
 """Exact series arithmetic and the term-by-term recurrence solvers."""
 
+import sys
+import threading
 from fractions import Fraction
 from math import factorial
 
@@ -187,6 +189,30 @@ class TestTreeCountPrefix:
         expected = fraction_tree_counts(variety, 80)
         for order in (50, 10, 80, 0, 79):
             assert tree_counts(variety, order) == expected[: order + 1]
+
+    def test_concurrent_extensions_append_each_count_once(self, cold):
+        # Threads that start together, switching as often as the interpreter
+        # allows, must leave one count per size.
+        expected = fraction_tree_counts(TreeVariety.NONPLANE, 120)
+        start = threading.Barrier(4)
+
+        def extend():
+            start.wait(timeout=60)
+            series._extend_tree_counts(TreeVariety.NONPLANE, 120)
+
+        threads = [threading.Thread(target=extend) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert tree_counts(TreeVariety.NONPLANE, 120) == expected
+        assert len(series._TREE_COUNTS[TreeVariety.NONPLANE]) == 121
 
     def test_base_series_is_a_view_of_the_counts(self, cold):
         for variety in TreeVariety:
