@@ -5,7 +5,7 @@ probabilities in Q(sqrt3)[pi, 1/pi], and rigorous truncation brackets,
 all in exact arithmetic with certified decimal enclosures.
 """
 
-from .constants import Enclosure, ExactConst, halfpi_moment, plane_moment
+from .constants import Enclosure, ExactConst, halfpi_moment
 from .counting import (
     CountSequences,
     RootRankTable,
@@ -70,7 +70,6 @@ __all__ = [
     "limit_joint_prob",
     "limit_rank_fraction",
     "limit_subtree_prob",
-    "plane_moment",
     "plane_multiplicity_total",
     "rank_vertex_counts",
     "root_rank_counts",

@@ -8,42 +8,41 @@ canonical results directly instead of re-validating them.  Decimal output
 goes through `Enclosure`, an interval with exact rational endpoints
 certified to contain the true value.
 
-Interval evaluation uses mpmath's interval context, with outward rounding,
-on a ladder of precisions that doubles from a start rung.  A constant is
-evaluated as (A(pi) + sqrt3 B(pi)) pi^low / D, where D is the lcm of its
-coefficient denominators, so A and B are integer polynomials and each
-takes one Horner pass.  Its start rung is the lowest rung that holds its
-largest term, from the coefficient sizes and about 1.66 bits per power of
-pi, plus a guard of `_GUARD_BITS`; so up to about 15 digits the first
-round certifies, also when the terms cancel to a small value.  The ladder
-stops once the interval is at most 10^-digits wide and its endpoints round
-alike at every number of places up to `digits`, so the printed decimals
-are the correctly rounded value.  A rational constant, the only kind that can sit exactly on
-a rounding boundary, is its own point enclosure.  The start rung depends
-on the value alone, and an interval that meets the stop rule at some
-digits meets it at fewer too, so an enclosure at more digits stops on the
-same rung or a later one and nests inside one at fewer.
+Interval evaluation runs in integer fixed point, on a ladder of
+precisions that doubles from a start rung.  A round at precision p holds
+a real x as integers lo <= x 2^p <= hi; every product and quotient
+rounds its lower bound down and its upper bound up, so the bounds stay
+certified.  sqrt(n) comes from `math.isqrt`.  pi comes from the
+Chudnovsky series, summed to N terms by binary splitting
+(Haible-Papanikolaou 1998).  The first term is below 2^24 and the ratio
+of consecutive terms is below 2^-45 in magnitude, so the tail is below
+2^(25 - 45N); N puts it under 2^-(p+1), and the bounds are cached per
+precision.  A constant is evaluated as (A(pi) + sqrt3 B(pi)) pi^low / D,
+where D is the lcm of its coefficient denominators, so A and B are
+integer polynomials and each takes one Horner pass; as pi > 0, each step
+takes two products, picked by the signs of the bounds.  Its start rung
+is the lowest rung that holds its largest term, from the coefficient
+sizes and about 1.66 bits per power of pi, plus a guard of
+`_GUARD_BITS`; so up to about 15 digits the first round certifies, also
+when the terms cancel to a small value.  The ladder stops once the
+interval is at most 10^-digits wide and its endpoints round alike at
+every number of places up to `digits`, so the printed decimals are the
+correctly rounded value.  A rational constant, the only kind that can
+sit exactly on a rounding boundary, is its own point enclosure.  The
+start rung depends on the value alone, and an interval that meets the
+stop rule at some digits meets it at fewer too, so an enclosure at more
+digits stops on the same rung or a later one and nests inside one at
+fewer.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, floor, lcm, log10
+from math import ceil, floor, isqrt, lcm, log10
 from typing import Callable, Mapping, Union
-
-from mpmath.ctx_iv import MPIntervalContext
-from mpmath.libmp import (
-    from_int,
-    fzero,
-    mpi_add,
-    mpi_mul,
-    round_ceiling,
-    round_floor,
-    to_rational,
-)
 
 Rational = Union[int, Fraction]
 
@@ -245,8 +244,8 @@ class ExactConst:
     def __repr__(self) -> str:
         return f"ExactConst({self.render()})"
 
-    def _iv_value(self, ctx):
-        """Interval value as (A(pi) + sqrt3 B(pi)) pi^low / D.
+    def _iv_value(self, ctx: "FixedPoint") -> tuple[int, int]:
+        """Bounds on the value times 2^prec, as (A(pi) + sqrt3 B(pi)) pi^low / D.
 
         D is the lcm of every coefficient denominator, so A and B have
         integer coefficients and each is one Horner pass in pi.
@@ -258,15 +257,18 @@ class ExactConst:
         for j, (a, b) in self._terms.items():
             a_coeffs[j - low] = a.numerator * (denom // a.denominator)
             b_coeffs[j - low] = b.numerator * (denom // b.denominator)
-        pi = +ctx.pi  # a fixed interval: ctx.pi recomputes its bounds at every use
-        total = _iv_horner(ctx, a_coeffs, pi)
+        prec = ctx.prec
+        pi = ctx.pi()
+        lo, hi = _horner(a_coeffs, pi, prec)
         if any(b_coeffs):
-            total += ctx.sqrt(3) * _iv_horner(ctx, b_coeffs, pi)
-        if low > 0:
-            total *= pi ** low
-        elif low < 0:
-            total /= pi ** -low
-        return total / denom
+            one = 1 << prec
+            b_lo, b_hi = _scale(*_horner(b_coeffs, pi, prec), ctx.sqrt(3), (one, one))
+            lo, hi = lo + b_lo, hi + b_hi
+        if low >= 0:
+            unit = denom << (prec * low)
+            return _scale(lo, hi, (pi[0] ** low, pi[1] ** low), (unit, unit))
+        unit = 1 << (prec * -low)
+        return _scale(lo, hi, (unit, unit), (denom * pi[0] ** -low, denom * pi[1] ** -low))
 
     def _start_prec(self) -> int:
         """Lowest rung of the precision ladder that holds the largest term.
@@ -353,7 +355,8 @@ def _round_half_up(x: Fraction) -> int:
 def decimal_string(x: Fraction, places: int) -> str:
     scaled = _round_half_up(x * 10**places)
     sign = "-" if scaled < 0 else ""
-    digits = str(abs(scaled)).rjust(places + 1, "0")
+    # Decimal converts without the interpreter's cap on int -> str digits.
+    digits = str(Decimal(abs(scaled))).rjust(places + 1, "0")
     if places == 0:
         return sign + digits
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
@@ -363,8 +366,8 @@ def _sci_upper(x: Fraction) -> str:
     """Upper bound of x in two significant decimal digits, scientific form."""
     if x <= 0:
         return "0"
-    # Exact integer log10: 10^ic <= x < 10^(ic+1).
-    ic = len(str(x.numerator)) - len(str(x.denominator))
+    # Exact integer log10: 10^ic <= x < 10^(ic+1), from an estimate by bit lengths.
+    ic = floor((x.numerator.bit_length() - x.denominator.bit_length()) * log10(2))
     while Fraction(10) ** ic > x:
         ic -= 1
     while Fraction(10) ** (ic + 1) <= x:
@@ -432,42 +435,92 @@ def _log2_bound(q: Fraction) -> int:
     return q.numerator.bit_length() - q.denominator.bit_length() + 1
 
 
-def _iv_horner(ctx, coeffs: list[int], x):
-    """coeffs[0] + coeffs[1] x + coeffs[2] x^2 + ... in interval arithmetic.
+# ---------------------------------------------------------------------------
+# Fixed-point interval kernel
 
-    Runs on mpmath's raw interval tuples, which round outward exactly as
-    the context's operators do, without their per-operation dispatch.
+
+class FixedPoint:
+    """One interval round: a real x is held as integers lo <= x 2^prec <= hi.
+
+    A builder passed to `iv_enclosure` gets one and returns its value's
+    bounds as such a pair.
     """
-    prec, x = ctx.prec, x._mpi_
-    total = (fzero, fzero)
+
+    __slots__ = ("prec",)
+
+    def __init__(self, prec: int):
+        self.prec = prec
+
+    def pi(self) -> tuple[int, int]:
+        return _pi_bounds(self.prec)
+
+    def sqrt(self, n: int) -> tuple[int, int]:
+        """Bounds on sqrt(n) 2^prec for an integer n >= 0."""
+        scaled = n << (2 * self.prec)
+        root = isqrt(scaled)
+        return root, root + (root * root != scaled)
+
+
+def _horner(coeffs: list[int], pi: tuple[int, int], prec: int) -> tuple[int, int]:
+    """Bounds on coeffs[0] + coeffs[1] pi + coeffs[2] pi^2 + ..., times 2^prec.
+
+    As pi > 0, a step's lower bound is the old one times pi's lower bound
+    when it is nonnegative and times the upper bound otherwise, and the
+    other way round for the upper bound; the shifts round down and up.
+    """
+    pl, ph = pi
+    lo = hi = 0
     for c in reversed(coeffs):
-        total = mpi_mul(total, x, prec)
-        if c:
-            total = mpi_add(total, (from_int(c, prec, round_floor),
-                                    from_int(c, prec, round_ceiling)), prec)
-    return ctx.make_mpf(total)
+        c <<= prec
+        lo = (lo * (pl if lo >= 0 else ph) >> prec) + c
+        hi = c - (-hi * (ph if hi >= 0 else pl) >> prec)
+    return lo, hi
 
 
-def _iv_endpoints(x) -> tuple[Fraction, Fraction]:
-    lo_t, hi_t = x._mpi_
-    return Fraction(*to_rational(lo_t)), Fraction(*to_rational(hi_t))
+def _scale(lo: int, hi: int, num: tuple[int, int], den: tuple[int, int]) -> tuple[int, int]:
+    """Bounds on x * n / d for x in [lo, hi], n in num and d in den, all n, d > 0."""
+    lo = lo * (num[0] if lo >= 0 else num[1]) // (den[1] if lo >= 0 else den[0])
+    hi = -(-hi * (num[1] if hi >= 0 else num[0]) // (den[0] if hi >= 0 else den[1]))
+    return lo, hi
 
 
-_IV_CONTEXTS = threading.local()
+# pi = C^(3/2) / (12 S), S = sum_k (-1)^k (6k)! (A + B k) / ((3k)! k!^3 C^(3k)).
+_CHUD_A, _CHUD_B, _CHUD_C = 13591409, 545140134, 640320
+_CHUD_C3_24 = _CHUD_C**3 // 24
 
 
-def _iv_context() -> MPIntervalContext:
-    """This thread's private interval context, created on first use.
+def _chudnovsky_split(a: int, b: int) -> tuple[int, int, int]:
+    """Binary splitting of the Chudnovsky terms k = a+1 .. b.
 
-    mpmath's shared `mpmath.iv` keeps its precision as global state, so
-    setting it from two threads, or from a library caller's own code,
-    would race.  A context costs about half a millisecond to build, so
-    each thread keeps one rather than building one per enclosure.
+    Term k is term k-1 times -g_k/p_k, with g_k = (6k-5)(2k-1)(6k-1) and
+    p_k = k^3 C^3/24.  Returns (G, P, T): the products of g_k and of p_k,
+    and T with T/P = sum over the range of (A + B k) times the product of
+    -g_j/p_j for j = a+1 .. k.
     """
-    ctx = getattr(_IV_CONTEXTS, "ctx", None)
-    if ctx is None:
-        ctx = _IV_CONTEXTS.ctx = MPIntervalContext()
-    return ctx
+    if b - a == 1:
+        g = (6 * b - 5) * (2 * b - 1) * (6 * b - 1)
+        t = g * (_CHUD_A + _CHUD_B * b)
+        return g, b**3 * _CHUD_C3_24, -t if b & 1 else t
+    mid = (a + b) // 2
+    g1, p1, t1 = _chudnovsky_split(a, mid)
+    g2, p2, t2 = _chudnovsky_split(mid, b)
+    return g1 * g2, p1 * p2, t1 * p2 + g1 * t2
+
+
+@lru_cache(maxsize=None)
+def _pi_bounds(prec: int) -> tuple[int, int]:
+    """Integers lo <= pi 2^prec <= hi.
+
+    With terms k < N summed to S_N, |S - S_N| < 2^(25 - 45N) < 2^-(prec+1),
+    and S_N > 2^23, so S_N is within a factor 1 +- 2^-(prec+24) of S;
+    isqrt gives sqrt(C) 2^prec within 2^-(prec+9) of it relatively.  So
+    v = C isqrt(C 4^prec) / (12 S_N) is within 2^(prec+2) 2^-(prec+8) < 1
+    of pi 2^prec, and [v - 1, v + 2] holds it after the floor.
+    """
+    n = (prec + 25) // 45 + 1
+    _, p, t = _chudnovsky_split(0, n - 1) if n > 1 else (1, 1, 0)
+    v = _CHUD_C * isqrt(_CHUD_C << (2 * prec)) * p // (12 * (_CHUD_A * p + t))
+    return v - 1, v + 2
 
 
 def _check_digits(digits: int) -> None:
@@ -497,7 +550,7 @@ def _rounds_alike(lo: Fraction, hi: Fraction, digits: int) -> bool:
 
 
 def iv_enclosure(builder: Callable, digits: int, start_prec: int = _START_PREC) -> Enclosure:
-    """Evaluate `builder(iv_context)` to an enclosure of width <= 10^-digits.
+    """Evaluate `builder(FixedPoint(prec))` to an enclosure of width <= 10^-digits.
 
     Precision starts at `start_prec` and doubles until the interval is
     narrow enough and its endpoints round alike at every number of places
@@ -505,23 +558,16 @@ def iv_enclosure(builder: Callable, digits: int, start_prec: int = _START_PREC) 
     narrower interval also meets the rule at fewer places, and successive
     intervals are intersected; as the ladder does not depend on `digits`,
     an enclosure requested at more digits is always nested inside one
-    requested at fewer.  The builder gets a private interval context;
-    `mpmath.iv` is not touched.
+    requested at fewer.  The builder returns integers (lo, hi) with
+    lo <= value 2^prec <= hi.
     """
     _check_digits(digits)
     target = Fraction(1, 10**digits)
-    ctx = _iv_context()
     prec = start_prec
     best: Enclosure | None = None
     while prec <= _MAX_PREC:
-        old_prec = ctx.prec  # restored for an enclosing call on this thread
-        try:
-            ctx.prec = prec
-            value = builder(ctx)
-        finally:
-            ctx.prec = old_prec
-        lo, hi = _iv_endpoints(value)
-        enc = Enclosure(lo, hi, digits)
+        lo, hi = builder(FixedPoint(prec))
+        enc = Enclosure(Fraction(lo, 1 << prec), Fraction(hi, 1 << prec), digits)
         best = enc if best is None else best.intersect(enc)
         if best.width <= target and _rounds_alike(best.lo, best.hi, digits):
             return Enclosure(best.lo, best.hi, digits)
@@ -532,12 +578,13 @@ def iv_enclosure(builder: Callable, digits: int, start_prec: int = _START_PREC) 
 def sqrt_weighted_sum(terms: Mapping[int, int], digits: int) -> Enclosure:
     """Enclosure of sum over r of terms[r] * sqrt(r)."""
 
-    def build(ctx):
-        total = ctx.mpf(0)
-        for r, count in sorted(terms.items()):
-            if count:
-                total += ctx.mpf(count) * ctx.sqrt(r)
-        return total
+    def build(ctx: FixedPoint) -> tuple[int, int]:
+        lo = hi = 0
+        for r, count in terms.items():
+            root_lo, root_hi = ctx.sqrt(r)
+            lo += count * (root_lo if count >= 0 else root_hi)
+            hi += count * (root_hi if count >= 0 else root_lo)
+        return lo, hi
 
     return iv_enclosure(build, digits)
 
@@ -545,12 +592,10 @@ def sqrt_weighted_sum(terms: Mapping[int, int], digits: int) -> Enclosure:
 # ---------------------------------------------------------------------------
 # Trigonometric moment integrals
 #
-# Two weight functions drive every limit computation: (1 - sin t) on
-# [0, pi/2] and Q(t) = 1/2 + cos(sqrt3 t)/4 - sqrt3 sin(sqrt3 t)/4 on
-# [0, 2 sqrt3 pi / 9].  Both reduce to the families  int t^m sin t  and
-# int t^m cos t, which satisfy a two-step integration-by-parts recurrence
-# whose boundary terms are exact here (the endpoints have rational sine
-# and cosine up to a factor sqrt3/2).
+# The non-plane weight (1 - sin t) on [0, pi/2] reduces to the family
+# int t^m sin t, which satisfies a two-step integration-by-parts
+# recurrence whose boundary terms are exact (sin = 1, cos = 0 at pi/2).
+# The plane weight's moments follow the same pattern; see `limits`.
 
 
 @lru_cache(maxsize=None)
@@ -570,47 +615,3 @@ def halfpi_moment(m: int) -> ExactConst:
         raise ValueError("moment degree must be nonnegative")
     power = ExactConst.pi_power(m + 1, Fraction(1, (m + 1) * 2 ** (m + 1)))
     return power - _halfpi_sin_moment(m)
-
-
-# Upper endpoint u = 2 pi / 3 of the substituted plane integrals:
-# sin u = sqrt3/2, cos u = -1/2.
-_PLANE_SIN_U = ExactConst.sqrt3(Fraction(1, 2))
-_PLANE_COS_U = ExactConst.rational(Fraction(-1, 2))
-
-
-def _plane_u_power(m: int) -> ExactConst:
-    return ExactConst.pi_power(m, Fraction(2, 3) ** m)
-
-
-@lru_cache(maxsize=None)
-def _plane_sin_moment(m: int) -> ExactConst:
-    """int_0^{2pi/3} u^m sin u du."""
-    if m == 0:
-        return ExactConst.rational(1) - _PLANE_COS_U
-    return -(_plane_u_power(m) * _PLANE_COS_U) + _plane_cos_moment(m - 1) * m
-
-
-@lru_cache(maxsize=None)
-def _plane_cos_moment(m: int) -> ExactConst:
-    """int_0^{2pi/3} u^m cos u du."""
-    if m == 0:
-        return _PLANE_SIN_U
-    return _plane_u_power(m) * _PLANE_SIN_U - _plane_sin_moment(m - 1) * m
-
-
-def plane_moment(m: int, kind: str) -> ExactConst:
-    """int_0^{2 sqrt3 pi/9} t^m * {sin(sqrt3 t) | cos(sqrt3 t) | 1} dt.
-
-    The substitution u = sqrt3 t turns the trigonometric kinds into the
-    [0, 2pi/3] moment families above, scaled by 3^-(m+1)/2.
-    """
-    if m < 0:
-        raise ValueError("moment degree must be nonnegative")
-    if kind == "const":
-        scale = sqrt3_power(m + 1) * Fraction(2 ** (m + 1), 9 ** (m + 1) * (m + 1))
-        return scale * ExactConst.pi_power(m + 1)
-    if kind == "sin":
-        return sqrt3_power(-(m + 1)) * _plane_sin_moment(m)
-    if kind == "cos":
-        return sqrt3_power(-(m + 1)) * _plane_cos_moment(m)
-    raise ValueError(f"unknown moment kind {kind!r}; expected sin, cos or const")

@@ -33,12 +33,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, count
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
-from .constants import MAX_DIGITS, Enclosure, iv_enclosure, sqrt_weighted_sum
+from .constants import MAX_DIGITS, Enclosure, FixedPoint, iv_enclosure, sqrt_weighted_sum
 from .series import DEFAULT_ORDER, InvariantError, tree_counts
 from .variety import TreeVariety
 
@@ -435,15 +435,21 @@ class InequalityReport:
         return [c for c in self.checks if not c.holds]
 
 
+def _sqrt_bound_rhs(n: int, ctx: FixedPoint) -> tuple[int, int]:
+    """Interval bounds on 100 - 90/sqrt(n) = 100 - 90 sqrt(n)/n."""
+    lo, hi = ctx.sqrt(n)
+    hundred = 100 << ctx.prec
+    # floor(90 lo / n) and ceil(90 hi / n) bound 90 sqrt(n) 2^prec / n.
+    return hundred + (-90 * hi // n), hundred - 90 * lo // n
+
+
 def _sqrt_bound_holds(cen: Census, digits: int) -> tuple[bool, str]:
     """E(sqrt(Z_n)) <= 100 - 90/sqrt(n), via enclosures with widening retries."""
-    n = cen.n
+    rhs_bounds = partial(_sqrt_bound_rhs, cen.n)
     # The retries stop at the most digits an enclosure can certify.
     for d in (min(d, MAX_DIGITS) for d in (digits, digits * 2, digits * 4)):
         lhs = cen.sqrt_size_mean(d)
-        rhs = iv_enclosure(
-            lambda ctx: ctx.mpf(100) - ctx.mpf(90) / ctx.sqrt(n), d
-        )
+        rhs = iv_enclosure(rhs_bounds, d)
         if lhs.certainly_le(rhs):
             return True, f"E(sqrt Z)={lhs.decimal(6)} <= {rhs.decimal(6)}"
         if rhs.certainly_lt(lhs):

@@ -22,8 +22,19 @@ kappa_v = 2/(g''(z0) z0^2 l):
   = 3/2 there; kappa = 2 sqrt3/pi.
 
 With corrections that are polynomials, f(z0) is a finite combination of
-the moment integrals from `constants`, so every limit is exact in
-Q(sqrt3)[pi, 1/pi].
+the weight moments W_m = int_0^{z0} t^m g(t) dt, so every limit is exact
+in Q(sqrt3)[pi, 1/pi].  The non-plane moments are `halfpi_moment` from
+`constants`.  The plane weight is 1/2 + cos(theta)/2 with
+theta = sqrt3 t + pi/3, which runs from pi/3 at t = 0 to pi at z0, so
+W_m = z0^(m+1)/(2(m+1)) + J_m/2 with J_m = int_0^{z0} t^m cos(theta) dt.
+Integrating by parts twice, with sin(theta) = 0 and cos(theta) = -1 at
+z0 and t^m = 0 at 0 for m >= 1,
+
+    J_m = -(m/sqrt3) int_0^{z0} t^(m-1) sin(theta) dt
+        = -(m/3) z0^(m-1) - (m(m-1)/3) J_(m-2)        (m >= 2),
+
+and directly J_0 = (sin(pi) - sin(pi/3))/sqrt3 = -1/2 and
+J_1 = -(cos(pi/3) - cos(pi))/3 = -1/2.
 
 Higher ranks admit no closed form; they get two-sided brackets instead:
 the rank-k mass restricted to subtree sizes <= r is a certified lower
@@ -39,7 +50,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .constants import Enclosure, ExactConst, halfpi_moment, plane_moment
+from .constants import Enclosure, ExactConst, halfpi_moment, sqrt3_power
 from .counting import RootRankTable, root_rank_counts
 from .series import InvariantError, tree_counts
 from .variety import TreeVariety
@@ -58,16 +69,28 @@ class ClosedFormUnavailableError(ValueError):
     """Ranks beyond 1 have no elementary closed form; use bound_interval."""
 
 
+def _z0_power(m: int) -> ExactConst:
+    """(2 sqrt3 pi/9)^m, a power of the plane singularity."""
+    return sqrt3_power(m) * ExactConst.pi_power(m, Fraction(2**m, 9**m))
+
+
+@lru_cache(maxsize=None)
+def _plane_cos_theta_moment(m: int) -> ExactConst:
+    """J_m = int_0^{z0} t^m cos(sqrt3 t + pi/3) dt, by the recurrence above."""
+    if m < 2:
+        return ExactConst.rational(Fraction(-1, 2))
+    return (_z0_power(m - 1) * Fraction(-m, 3)
+            - _plane_cos_theta_moment(m - 2) * Fraction(m * (m - 1), 3))
+
+
 @lru_cache(maxsize=None)
 def weight_moment(variety: TreeVariety, m: int) -> ExactConst:
     """Integral of t^m times the variety's weight from 0 to z0."""
     if variety is TreeVariety.NONPLANE:
         return halfpi_moment(m)
-    return (
-        plane_moment(m, "const") * Fraction(1, 2)
-        + plane_moment(m, "cos") * Fraction(1, 4)
-        - ExactConst.sqrt3(Fraction(1, 4)) * plane_moment(m, "sin")
-    )
+    if m < 0:
+        raise ValueError("moment degree must be nonnegative")
+    return (_z0_power(m + 1) * Fraction(1, m + 1) + _plane_cos_theta_moment(m)) * Fraction(1, 2)
 
 
 def _polynomial_correction_limit(variety: TreeVariety, count: int, degree: int) -> ExactConst:

@@ -7,6 +7,7 @@ import sys
 import time
 from pathlib import Path
 
+import mpmath
 import pytest
 
 import treerank.counting as counting
@@ -194,6 +195,16 @@ class TestLimits:
                            "--r", "1")
         assert code == 0
         assert "(2/3) - (1/2)*sqrt3*pi^-1" in out
+
+    def test_digits_past_the_int_to_str_cap(self, capsys):
+        # Printing more than 4300 digits must not trip the interpreter's cap
+        # on int -> str conversion.
+        code, out, _ = run(capsys, "limits", "--variety", "nonplane", "--kind", "v",
+                           "--r", "1", "--digits", "5000")
+        assert code == 0
+        with mpmath.workdps(5010):
+            truth = mpmath.nstr(1 - 2 / mpmath.pi, 5000, strip_zeros=False)
+        assert out.split("≈ ")[1].strip() == truth
 
     def test_joint_kind(self, capsys):
         code, out, _ = run(capsys, "limits", "--kind", "w", "--k", "0", "--i", "1",

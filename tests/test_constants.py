@@ -1,33 +1,44 @@
 """Exact constants, enclosures, and the trigonometric moment integrals."""
 
+import subprocess
 import sys
 import threading
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import factorial, log2
+from math import factorial, isqrt, log2
+from pathlib import Path
+from typing import Callable
 
 import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath.ctx_iv import MPIntervalContext
 from mpmath.libmp import to_rational
 
 import treerank.constants as constants
+import treerank.enumeration as enumeration
 from treerank.constants import (
+    _MAX_PREC,
+    _START_PREC,
     MAX_DIGITS,
     Enclosure,
     ExactConst,
+    FixedPoint,
+    _check_digits,
     _coerce,
     _rounds_alike,
+    _sci_upper,
     decimal_string,
     halfpi_moment,
     iv_enclosure,
-    plane_moment,
     sqrt3_power,
     sqrt_weighted_sum,
 )
-from treerank.limits import bound_interval
+from treerank.limits import bound_interval, weight_moment
 from treerank.variety import TreeVariety
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def mp_fraction(value: mpmath.mpf) -> Fraction:
@@ -99,6 +110,76 @@ def reference_iv_value(self, ctx):
 
 def _iv_fraction(ctx, q: Fraction):
     return ctx.mpf(q.numerator) / ctx.mpf(q.denominator)
+
+
+# The mpmath interval ladder that enclosures ran on before the integer
+# fixed-point kernel, kept verbatim as the reference that
+# `reference_iv_value` runs on.
+def _iv_endpoints(x) -> tuple[Fraction, Fraction]:
+    lo_t, hi_t = x._mpi_
+    return Fraction(*to_rational(lo_t)), Fraction(*to_rational(hi_t))
+
+
+_IV_CONTEXTS = threading.local()
+
+
+def _iv_context() -> MPIntervalContext:
+    """This thread's private interval context, created on first use.
+
+    mpmath's shared `mpmath.iv` keeps its precision as global state, so
+    setting it from two threads, or from a library caller's own code,
+    would race.  A context costs about half a millisecond to build, so
+    each thread keeps one rather than building one per enclosure.
+    """
+    ctx = getattr(_IV_CONTEXTS, "ctx", None)
+    if ctx is None:
+        ctx = _IV_CONTEXTS.ctx = MPIntervalContext()
+    return ctx
+
+
+def mpmath_iv_enclosure(builder: Callable, digits: int, start_prec: int = _START_PREC) -> Enclosure:
+    """Evaluate `builder(iv_context)` to an enclosure of width <= 10^-digits.
+
+    Precision starts at `start_prec` and doubles until the interval is
+    narrow enough and its endpoints round alike at every number of places
+    up to `digits`, so `decimal()` prints the correctly rounded value.  Every
+    narrower interval also meets the rule at fewer places, and successive
+    intervals are intersected; as the ladder does not depend on `digits`,
+    an enclosure requested at more digits is always nested inside one
+    requested at fewer.  The builder gets a private interval context;
+    `mpmath.iv` is not touched.
+    """
+    _check_digits(digits)
+    target = Fraction(1, 10**digits)
+    ctx = _iv_context()
+    prec = start_prec
+    best: Enclosure | None = None
+    while prec <= _MAX_PREC:
+        old_prec = ctx.prec  # restored for an enclosing call on this thread
+        try:
+            ctx.prec = prec
+            value = builder(ctx)
+        finally:
+            ctx.prec = old_prec
+        lo, hi = _iv_endpoints(value)
+        enc = Enclosure(lo, hi, digits)
+        best = enc if best is None else best.intersect(enc)
+        if best.width <= target and _rounds_alike(best.lo, best.hi, digits):
+            return Enclosure(best.lo, best.hi, digits)
+        prec *= 2
+    raise RuntimeError(f"interval evaluation did not reach 10^-{digits}")
+
+
+def mpmath_interval(build, prec: int = 400) -> tuple[Fraction, Fraction]:
+    """Exact endpoints of `build(ctx)` in a private mpmath interval context."""
+    ctx = MPIntervalContext()
+    ctx.prec = prec
+    return _iv_endpoints(build(ctx))
+
+
+def assert_holds(enc: Enclosure, interval: tuple[Fraction, Fraction]) -> None:
+    lo, hi = interval
+    assert enc.lo <= lo <= hi <= enc.hi, (enc, float(lo))
 
 
 # Small coefficients that cancel often, also across the sqrt3 cross terms:
@@ -293,24 +374,14 @@ class TestEnclosures:
         with pytest.raises(ValueError):
             PI.enclosure(0)
 
-    def test_global_interval_precision_untouched(self):
-        seen = []
-
-        def failing(ctx):
-            seen.append(ctx)
-            raise ZeroDivisionError("builder failed")
-
-        saved = mpmath.iv.prec
-        mpmath.iv.prec = 77
-        try:
-            PI.enclosure(40)
-            assert mpmath.iv.prec == 77
-            with pytest.raises(ZeroDivisionError):
-                iv_enclosure(failing, 10)
-            assert mpmath.iv.prec == 77
-            assert seen and seen[0] is not mpmath.iv
-        finally:
-            mpmath.iv.prec = saved
+    def test_package_imports_without_mpmath(self):
+        # Enclosures run on integers alone, so neither the package nor its
+        # command line may pull in mpmath.
+        code = "import sys, treerank, treerank.cli; print('mpmath' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={"PYTHONPATH": str(SRC)}, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_threads_at_different_digits_match_sequential(self):
         value = PI * PI - ExactConst.sqrt3(Fraction(22, 7))
@@ -352,7 +423,7 @@ class TestEnclosures:
         assert MAX_DIGITS * log2(10) <= constants._MAX_PREC < (MAX_DIGITS + 1) * log2(10)
         for call in (lambda: PI.enclosure(MAX_DIGITS + 1),
                      lambda: ExactConst.rational(1).enclosure(MAX_DIGITS + 1),
-                     lambda: iv_enclosure(lambda ctx: ctx.pi, MAX_DIGITS + 1)):
+                     lambda: iv_enclosure(lambda ctx: ctx.pi(), MAX_DIGITS + 1)):
             with pytest.raises(ValueError):
                 call()
 
@@ -381,7 +452,7 @@ class TestEnclosures:
         # interval under 10^-6 wide whose midpoint lies across a rounding
         # boundary from the value; the stop rule climbs on past it.
         value = pick(bound_interval(variety, 0, r, digits=6))
-        enc = iv_enclosure(partial(reference_iv_value, value), 6)
+        enc = mpmath_iv_enclosure(partial(reference_iv_value, value), 6)
         assert value.enclosure(6).decimal() == enc.decimal() == expected
 
     def test_sqrt_weighted_sum(self):
@@ -390,6 +461,52 @@ class TestEnclosures:
             truth = mp_fraction(1 + mpmath.sqrt(2))
         assert enc.contains(truth)
         assert enc.width <= Fraction(1, 10**20)
+
+    def test_decimals_past_the_int_to_str_cap(self):
+        # 1/7 = 0.(142857); the digit after 5000 places is 2, so it rounds down.
+        assert decimal_string(Fraction(1, 7), 5000) == "0." + "142857" * 833 + "14"
+        assert decimal_string(Fraction(1 - 10**6000, 3), 0) == "-" + "3" * 6000
+        assert _sci_upper(Fraction(10**5000 + 1, 3)) == "34e4998"
+        assert _sci_upper(Fraction(1, 3 * 10**5000)) == "34e-5002"
+        assert _sci_upper(Fraction(10**5000)) == "10e4999"
+
+
+class TestFixedPointKernel:
+    def test_pi_bounds_hold_mpmath_pi_at_every_rung(self):
+        # Every rung from 64 to 2^16 bits, and odd precisions, some below one
+        # Chudnovsky term.
+        rungs = [_START_PREC << k for k in range(11)]
+        assert rungs[-1] == 1 << 16
+        for prec in rungs + list(range(1, 400, 7)):
+            lo, hi = FixedPoint(prec).pi()
+            assert hi - lo <= 3
+            enc = Enclosure(Fraction(lo, 1 << prec), Fraction(hi, 1 << prec), 1)
+            assert_holds(enc, mpmath_interval(lambda ctx: ctx.pi, prec + 64))
+
+    def test_sqrt_bounds(self):
+        for n in (0, 1, 2, 3, 4, 99, 100, 10**40 + 1):
+            for prec in (1, 64, 129):
+                lo, hi = FixedPoint(prec).sqrt(n)
+                exact = isqrt(n) ** 2 == n
+                assert hi - lo == (not exact)
+                assert lo * lo <= n << (2 * prec) <= hi * hi
+
+    def test_sqrt_weighted_sum_against_mpmath(self):
+        for n in range(1, 201):
+            # Mixed signs exercise both choices of bound.
+            terms = {r: (r * 7919 + n) % 13 - 4 for r in range(1, n + 1, max(1, n // 9))}
+            enc = sqrt_weighted_sum(terms, 20)
+            assert enc.width <= Fraction(1, 10**20)
+            assert_holds(enc, mpmath_interval(
+                lambda ctx: sum((ctx.mpf(c) * ctx.sqrt(r) for r, c in terms.items()),
+                                ctx.mpf(0))))
+
+    def test_sqrt_bound_rhs_against_mpmath(self):
+        for n in range(1, 201):
+            enc = iv_enclosure(partial(enumeration._sqrt_bound_rhs, n), 20)
+            assert enc.width <= Fraction(1, 10**20)
+            assert_holds(enc, mpmath_interval(
+                lambda ctx: ctx.mpf(100) - ctx.mpf(90) / ctx.sqrt(n)))
 
 
 @lru_cache(maxsize=None)
@@ -438,7 +555,7 @@ class TestHornerEvaluation:
     def _check(self, value: ExactConst) -> None:
         # The reference's 30-digit enclosure lies inside its 12-digit one, so
         # overlapping it is the stronger check at both digits.
-        ref = iv_enclosure(partial(reference_iv_value, value), 30)
+        ref = mpmath_iv_enclosure(partial(reference_iv_value, value), 30)
         fine = value.enclosure(60)
         for d in (12, 30):
             new = value.enclosure(d)
@@ -455,6 +572,60 @@ class TestHornerEvaluation:
     @given(wide_consts)
     def test_drawn_constants_match_the_reference(self, value):
         self._check(value)
+
+
+# The three plane moment families that the plane weight moment was built
+# from before its own recurrence; kept verbatim as the reference.
+# Upper endpoint u = 2 pi / 3 of the substituted plane integrals:
+# sin u = sqrt3/2, cos u = -1/2.
+_PLANE_SIN_U = ExactConst.sqrt3(Fraction(1, 2))
+_PLANE_COS_U = ExactConst.rational(Fraction(-1, 2))
+
+
+def _plane_u_power(m: int) -> ExactConst:
+    return ExactConst.pi_power(m, Fraction(2, 3) ** m)
+
+
+@lru_cache(maxsize=None)
+def _plane_sin_moment(m: int) -> ExactConst:
+    """int_0^{2pi/3} u^m sin u du."""
+    if m == 0:
+        return ExactConst.rational(1) - _PLANE_COS_U
+    return -(_plane_u_power(m) * _PLANE_COS_U) + _plane_cos_moment(m - 1) * m
+
+
+@lru_cache(maxsize=None)
+def _plane_cos_moment(m: int) -> ExactConst:
+    """int_0^{2pi/3} u^m cos u du."""
+    if m == 0:
+        return _PLANE_SIN_U
+    return _plane_u_power(m) * _PLANE_SIN_U - _plane_sin_moment(m - 1) * m
+
+
+def plane_moment(m: int, kind: str) -> ExactConst:
+    """int_0^{2 sqrt3 pi/9} t^m * {sin(sqrt3 t) | cos(sqrt3 t) | 1} dt.
+
+    The substitution u = sqrt3 t turns the trigonometric kinds into the
+    [0, 2pi/3] moment families above, scaled by 3^-(m+1)/2.
+    """
+    if m < 0:
+        raise ValueError("moment degree must be nonnegative")
+    if kind == "const":
+        scale = sqrt3_power(m + 1) * Fraction(2 ** (m + 1), 9 ** (m + 1) * (m + 1))
+        return scale * ExactConst.pi_power(m + 1)
+    if kind == "sin":
+        return sqrt3_power(-(m + 1)) * _plane_sin_moment(m)
+    if kind == "cos":
+        return sqrt3_power(-(m + 1)) * _plane_cos_moment(m)
+    raise ValueError(f"unknown moment kind {kind!r}; expected sin, cos or const")
+
+
+def reference_plane_weight_moment(m: int) -> ExactConst:
+    return (
+        plane_moment(m, "const") * Fraction(1, 2)
+        + plane_moment(m, "cos") * Fraction(1, 4)
+        - ExactConst.sqrt3(Fraction(1, 4)) * plane_moment(m, "sin")
+    )
 
 
 def quad_oracle(integrand, upper, dps=60) -> Fraction:
@@ -497,6 +668,8 @@ class TestHalfPiMoments:
 
 
 class TestPlaneMoments:
+    """The reference families above, then the plane weight moment against them."""
+
     def test_const_kind(self):
         assert plane_moment(0, "const") == ExactConst.pi_power(1, 0, Fraction(2, 9))
         # z0^(m+1)/(m+1) for m=1
@@ -532,3 +705,19 @@ class TestPlaneMoments:
             plane_moment(1, "tan")
         with pytest.raises(ValueError):
             plane_moment(-1, "sin")
+
+    def test_weight_moment_matches_the_three_families(self):
+        for m in range(150):
+            assert weight_moment(TreeVariety.PLANE, m) == reference_plane_weight_moment(m), m
+        with pytest.raises(ValueError):
+            weight_moment(TreeVariety.PLANE, -1)
+
+    def test_weight_moment_against_quadrature(self):
+        for m in (0, 1, 2, 7, 20):
+            enc = weight_moment(TreeVariety.PLANE, m).enclosure(30)
+            with mpmath.workdps(60):
+                upper = 2 * mpmath.sqrt(3) * mpmath.pi / 9
+            truth = quad_oracle(lambda t, m=m: t**m * (1 + mpmath.cos(mpmath.sqrt(3) * t
+                                                                       + mpmath.pi / 3)) / 2,
+                                upper)
+            assert abs(enc.midpoint - truth) < Fraction(1, 10**25), m
