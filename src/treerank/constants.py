@@ -2,11 +2,16 @@
 
 Every limiting probability produced by this package lives in the ring of
 Laurent polynomials in pi whose coefficients have the shape a + b*sqrt(3)
-with rational a, b.  Arithmetic here is exact and canonical, so equality
-of values is equality of representations; the operators build their
-canonical results directly instead of re-validating them.  Decimal output
-goes through `Enclosure`, an interval with exact rational endpoints
-certified to contain the true value.
+with rational a, b.  A value is stored as integer pairs (a_j, b_j) per
+power of pi over one integer denominator D > 0, meaning
+sum_j (a_j + b_j sqrt3) pi^j / D.  The form is canonical: no zero pair
+is stored and gcd(D, every a_j, b_j) = 1, so equality of values is
+equality of representations.  A sum scales both sides to the lcm of the
+denominators, a product convolves the pairs over D1 D2 with sqrt3^2 = 3,
+and one gcd with D first reduces the result; `Fraction`s appear only in
+constructor input, in `.terms` and at the endpoints of rational
+enclosures.  Decimal output goes through `Enclosure`, an interval with
+exact rational endpoints certified to contain the true value.
 
 Interval evaluation runs in integer fixed point, on a ladder of
 precisions that doubles from a start rung.  A round at precision p holds
@@ -17,10 +22,10 @@ Chudnovsky series, summed to N terms by binary splitting
 (Haible-Papanikolaou 1998).  The first term is below 2^24 and the ratio
 of consecutive terms is below 2^-45 in magnitude, so the tail is below
 2^(25 - 45N); N puts it under 2^-(p+1), and the bounds are cached per
-precision.  A constant is evaluated as (A(pi) + sqrt3 B(pi)) pi^low / D,
-where D is the lcm of its coefficient denominators, so A and B are
-integer polynomials and each takes one Horner pass; as pi > 0, each step
-takes two products, picked by the signs of the bounds.  Its start rung
+precision.  A constant is evaluated as (A(pi) + sqrt3 B(pi)) pi^low / D
+with its stored numerators as the integer coefficients of A and B and
+its stored D, so each takes one Horner pass; as pi > 0, each step takes
+two products, picked by the signs of the bounds.  Its start rung
 is the lowest rung that holds its largest term, from the coefficient
 sizes and about 1.66 bits per power of pi, plus a guard of
 `_GUARD_BITS`; so up to about 15 digits the first round certifies, also
@@ -41,7 +46,8 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, floor, isqrt, lcm, log10
+from itertools import chain
+from math import ceil, floor, gcd, isqrt, lcm, log10
 from typing import Callable, Mapping, Union
 
 Rational = Union[int, Fraction]
@@ -58,7 +64,7 @@ _GUARD_BITS = 64
 _LOG2_PI = 1.6514961294723187  # log2(pi); the start rung needs only an estimate
 
 
-def _coeff_sign(a: Fraction, b: Fraction) -> int:
+def _coeff_sign(a: int, b: int) -> int:
     """Exact sign of a + b*sqrt(3)."""
     if b == 0:
         return (a > 0) - (a < 0)
@@ -76,18 +82,27 @@ def _coeff_sign(a: Fraction, b: Fraction) -> int:
     return lead if diff > 0 else -lead
 
 
-def _fraction_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"({q.numerator}/{q.denominator})"
+def _fraction_str(n: int, d: int) -> str:
+    """n/d in lowest terms, for d > 0."""
+    n, d = _lowest(n, d)
+    return str(n) if d == 1 else f"({n}/{d})"
+
+
+def _lowest(n: int, d: int) -> tuple[int, int]:
+    """n/d in lowest terms, for d > 0; 0 becomes 0/1."""
+    g = gcd(n, d)
+    return n // g, d // g
 
 
 class ExactConst:
-    """Element of Q(sqrt3)[pi, 1/pi], stored as {pi exponent: (a, b)}.
+    """Element of Q(sqrt3)[pi, 1/pi]: sum over j of (a_j + b_j sqrt3) pi^j / D.
 
-    Zero coefficient pairs are never stored, so `==` on the mapping is
-    value equality.
+    Stored as {pi exponent j: (a_j, b_j)} with integer a_j, b_j over one
+    integer D > 0.  No zero pair is stored and gcd(D, every a_j, b_j) = 1,
+    so `==` on the representation is value equality.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, terms: Mapping[int, tuple[Rational, Rational]] | None = None):
         clean: dict[int, tuple[Fraction, Fraction]] = {}
@@ -95,11 +110,17 @@ class ExactConst:
             fa, fb = Fraction(a), Fraction(b)
             if fa or fb:
                 clean[int(j)] = (fa, fb)
-        self._terms = clean
+        # D is the lcm of the reduced denominators: the highest power of a
+        # prime in D is some coefficient's own, and that coefficient's
+        # numerator is free of the prime, so the form is canonical.
+        den = lcm(*(q.denominator for pair in clean.values() for q in pair))
+        self._num = {j: (a.numerator * (den // a.denominator),
+                         b.numerator * (den // b.denominator)) for j, (a, b) in clean.items()}
+        self._den = den
 
     @classmethod
     def rational(cls, value: Rational) -> "ExactConst":
-        return cls({0: (Fraction(value), Fraction(0))})
+        return cls({0: (value, 0)})
 
     @classmethod
     def zero(cls) -> "ExactConst":
@@ -107,37 +128,57 @@ class ExactConst:
 
     @classmethod
     def pi_power(cls, exponent: int, coeff: Rational = 1, sqrt3_coeff: Rational = 0) -> "ExactConst":
-        return cls({exponent: (Fraction(coeff), Fraction(sqrt3_coeff))})
+        return cls({exponent: (coeff, sqrt3_coeff)})
 
     @classmethod
     def sqrt3(cls, coeff: Rational = 1) -> "ExactConst":
-        return cls({0: (Fraction(0), Fraction(coeff))})
+        return cls({0: (0, coeff)})
 
     @property
     def terms(self) -> dict[int, tuple[Fraction, Fraction]]:
-        return dict(self._terms)
+        den = self._den
+        return {j: (Fraction(a, den), Fraction(b, den)) for j, (a, b) in self._num.items()}
 
     def is_sqrt3_free(self) -> bool:
-        return all(b == 0 for _, b in self._terms.values())
+        return all(b == 0 for _, b in self._num.values())
 
     def is_rational(self) -> bool:
-        return self.is_sqrt3_free() and all(j == 0 for j in self._terms)
+        return self.is_sqrt3_free() and all(j == 0 for j in self._num)
 
     @classmethod
-    def _canonical(cls, terms: dict[int, tuple[Fraction, Fraction]]) -> "ExactConst":
-        """Wrap a dict that already holds only nonzero pairs of Fractions.
+    def _canonical(cls, num: dict[int, tuple[int, int]], den: int) -> "ExactConst":
+        """Wrap numerators and a denominator that are already canonical.
 
-        The arithmetic below builds such dicts itself, so its results skip
+        The arithmetic below builds such forms itself, so its results skip
         the public constructor's conversions and checks.
         """
         value = object.__new__(cls)
-        value._terms = terms
+        value._num = num
+        value._den = den
         return value
+
+    @classmethod
+    def _reduced(cls, num: dict[int, tuple[int, int]], den: int) -> "ExactConst":
+        """Canonical form of numerators with no zero pair over den > 0.
+
+        D goes first: once the running gcd is 1, `gcd` only checks the
+        remaining arguments.
+        """
+        g = gcd(den, *chain.from_iterable(num.values()))
+        if g > 1:
+            num = {j: (a // g, b // g) for j, (a, b) in num.items()}
+            den //= g
+        return cls._canonical(num, den)
 
     def __add__(self, other: Union["ExactConst", Rational]) -> "ExactConst":
         other = _coerce(other)
-        out = dict(self._terms)
-        for j, (a, b) in other._terms.items():
+        den = lcm(self._den, other._den)
+        m1, m2 = den // self._den, den // other._den
+        out = dict(self._num) if m1 == 1 else {
+            j: (a * m1, b * m1) for j, (a, b) in self._num.items()}
+        for j, (a, b) in other._num.items():
+            if m2 != 1:
+                a, b = a * m2, b * m2
             if j in out:
                 ca, cb = out[j]
                 a, b = ca + a, cb + b
@@ -145,12 +186,12 @@ class ExactConst:
                     del out[j]
                     continue
             out[j] = (a, b)
-        return ExactConst._canonical(out)
+        return ExactConst._reduced(out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ExactConst":
-        return ExactConst._canonical({j: (-a, -b) for j, (a, b) in self._terms.items()})
+        return ExactConst._canonical({j: (-a, -b) for j, (a, b) in self._num.items()}, self._den)
 
     def __sub__(self, other: Union["ExactConst", Rational]) -> "ExactConst":
         return self + (-_coerce(other))
@@ -160,65 +201,83 @@ class ExactConst:
 
     def __mul__(self, other: Union["ExactConst", Rational]) -> "ExactConst":
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return ExactConst._canonical({})
-            return ExactConst._canonical(
-                {j: (a * other, b * other if b else b) for j, (a, b) in self._terms.items()}
-            )
+            return self._scaled(other.numerator, other.denominator)
         other = _coerce(other)
-        out: dict[int, tuple[Fraction, Fraction]] = {}
-        for j1, (a1, b1) in self._terms.items():
-            for j2, (a2, b2) in other._terms.items():
+        out: dict[int, tuple[int, int]] = {}
+        for j1, (a1, b1) in self._num.items():
+            for j2, (a2, b2) in other._num.items():
+                # (a1 + b1 s)(a2 + b2 s) with s^2 = 3
+                if b2:
+                    a, b = (a1 * a2 + 3 * b1 * b2, a1 * b2 + b1 * a2) if b1 else (a1 * a2, a1 * b2)
+                else:
+                    a, b = a1 * a2, b1 * a2
                 j = j1 + j2
-                a, b = _pair_product(a1, b1, a2, b2)
                 if j in out:
                     ca, cb = out[j]
                     a, b = ca + a, cb + b
                 out[j] = (a, b)
-        return ExactConst._canonical({j: pair for j, pair in out.items() if pair[0] or pair[1]})
+        return ExactConst._reduced({j: pair for j, pair in out.items() if pair[0] or pair[1]},
+                                   self._den * other._den)
 
     __rmul__ = __mul__
+
+    def _scaled(self, p: int, q: int) -> "ExactConst":
+        """self * p/q for p/q in lowest terms with q > 0.
+
+        With g = gcd(p, D) and h = gcd(q, every numerator), the numerators
+        times p/g over (D/g)(q/h) are already canonical.
+        """
+        if not p:
+            return ExactConst._canonical({}, 1)
+        g = gcd(p, self._den)
+        p, den = p // g, self._den // g
+        h = gcd(q, *chain.from_iterable(self._num.values())) if q > 1 else 1
+        if h > 1:
+            num = {j: (a // h * p, b // h * p) for j, (a, b) in self._num.items()}
+        else:
+            num = {j: (a * p, b * p) for j, (a, b) in self._num.items()}
+        return ExactConst._canonical(num, den * (q // h))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
             other = ExactConst.rational(other)
         if not isinstance(other, ExactConst):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
         # Purely rational values compare equal to plain numbers, so they
         # must hash like them.
-        if not self._terms:
+        if not self._num:
             return hash(0)
         if self.is_rational():
-            return hash(self._terms[0][0])
-        return hash(frozenset(self._terms.items()))
+            return hash(Fraction(self._num[0][0], self._den))
+        return hash(frozenset(self.terms.items()))
 
-    def _ordered_terms(self) -> list[tuple[int, tuple[Fraction, Fraction]]]:
+    def _ordered_terms(self) -> list[tuple[int, tuple[int, int]]]:
         """Canonical term order: exponents 0,1,2,... then -1,-2,..."""
-        nonneg = sorted(j for j in self._terms if j >= 0)
-        neg = sorted((j for j in self._terms if j < 0), reverse=True)
-        return [(j, self._terms[j]) for j in nonneg + neg]
+        nonneg = sorted(j for j in self._num if j >= 0)
+        neg = sorted((j for j in self._num if j < 0), reverse=True)
+        return [(j, self._num[j]) for j in nonneg + neg]
 
     def render(self) -> str:
         """Canonical text form, e.g. '1 - 2*pi^-1' or '(5/6)*sqrt3*pi^-1'."""
-        if not self._terms:
+        if not self._num:
             return "0"
+        den = self._den
         parts: list[str] = []
         for j, (a, b) in self._ordered_terms():
             sign = _coeff_sign(a, b)
             if b == 0:
-                mag = _fraction_str(abs(a))
-                coeff = None if abs(a) == 1 else mag
+                coeff = None if abs(a) == den else _fraction_str(abs(a), den)
             elif a == 0:
-                coeff = "sqrt3" if abs(b) == 1 else f"{_fraction_str(abs(b))}*sqrt3"
+                coeff = "sqrt3" if abs(b) == den else f"{_fraction_str(abs(b), den)}*sqrt3"
             else:
                 # Mixed pair: keep both components inside one parenthesis,
                 # negated as a whole when the value is negative.
                 aa, bb = (a, b) if sign > 0 else (-a, -b)
-                first = _fraction_str(aa).strip("()") if aa.denominator == 1 else _fraction_str(aa)
-                second = "sqrt3" if abs(bb) == 1 else f"{_fraction_str(abs(bb))}*sqrt3"
+                first = _fraction_str(aa, den)
+                second = "sqrt3" if abs(bb) == den else f"{_fraction_str(abs(bb), den)}*sqrt3"
                 joiner = " + " if bb > 0 else " - "
                 coeff = f"({first}{joiner}{second})"
             if j == 0:
@@ -247,16 +306,16 @@ class ExactConst:
     def _iv_value(self, ctx: "FixedPoint") -> tuple[int, int]:
         """Bounds on the value times 2^prec, as (A(pi) + sqrt3 B(pi)) pi^low / D.
 
-        D is the lcm of every coefficient denominator, so A and B have
-        integer coefficients and each is one Horner pass in pi.
+        A and B have the stored numerators as coefficients, so each is one
+        Horner pass in pi.
         """
-        low = min(self._terms)
-        denom = lcm(*(c.denominator for pair in self._terms.values() for c in pair))
-        a_coeffs = [0] * (max(self._terms) - low + 1)
+        low = min(self._num)
+        denom = self._den
+        a_coeffs = [0] * (max(self._num) - low + 1)
         b_coeffs = list(a_coeffs)
-        for j, (a, b) in self._terms.items():
-            a_coeffs[j - low] = a.numerator * (denom // a.denominator)
-            b_coeffs[j - low] = b.numerator * (denom // b.denominator)
+        for j, (a, b) in self._num.items():
+            a_coeffs[j - low] = a
+            b_coeffs[j - low] = b
         prec = ctx.prec
         pi = ctx.pi()
         lo, hi = _horner(a_coeffs, pi, prec)
@@ -273,15 +332,16 @@ class ExactConst:
     def _start_prec(self) -> int:
         """Lowest rung of the precision ladder that holds the largest term.
 
-        With la > log2|a| and lb > log2|b|, a term (a + b sqrt3) pi^j is
-        below 2^(max(la, lb + 1) + 1 + 1.66 j); the rung carries that many
-        bits plus `_GUARD_BITS`.  Only the value decides the rung, never
-        the digits asked for.  The rung sets the cost, not the soundness:
-        a rung too low only costs another round.
+        With la > log2|a/D| and lb > log2|b/D|, a term (a + b sqrt3) pi^j / D
+        is below 2^(max(la, lb + 1) + 1 + 1.66 j); the rung carries that
+        many bits plus `_GUARD_BITS`.  Only the value decides the rung,
+        never the digits asked for.  The rung sets the cost, not the
+        soundness: a rung too low only costs another round.
         """
+        den = self._den
         top = max(
-            max(_log2_bound(a), _log2_bound(b) + 1) + 1 + ceil(j * _LOG2_PI)
-            for j, (a, b) in self._terms.items()
+            max(_log2_bound(a, den), _log2_bound(b, den) + 1) + 1 + ceil(j * _LOG2_PI)
+            for j, (a, b) in self._num.items()
         )
         prec = _START_PREC
         while prec < top + _GUARD_BITS:
@@ -297,13 +357,13 @@ class ExactConst:
         """
         _check_digits(digits)
         if self.is_rational():
-            q = self._terms[0][0] if self._terms else Fraction(0)
+            q = Fraction(self._num[0][0], self._den) if self._num else Fraction(0)
             return Enclosure(q, q, digits)
         return iv_enclosure(self._iv_value, digits, self._start_prec())
 
     def sign(self) -> int:
         """Exact sign; terminates because a nonzero form has nonzero value."""
-        if not self._terms:
+        if not self._num:
             return 0
         digits = 10
         while True:
@@ -313,16 +373,6 @@ class ExactConst:
             if enc.hi < 0:
                 return -1
             digits *= 2
-
-
-def _pair_product(a1: Fraction, b1: Fraction, a2: Fraction,
-                  b2: Fraction) -> tuple[Fraction, Fraction]:
-    """(a1 + b1 s)(a2 + b2 s) with s^2 = 3, skipping products with a zero sqrt3 part."""
-    if not b2:
-        return a1 * a2, b1 * a2 if b1 else b1
-    if not b1:
-        return a1 * a2, a1 * b2
-    return a1 * a2 + 3 * b1 * b2, a1 * b2 + b1 * a2
 
 
 def _coerce(value: Union[ExactConst, Rational]) -> ExactConst:
@@ -430,9 +480,10 @@ class Enclosure:
         return f"Enclosure({self.decimal()}, digits={self.digits})"
 
 
-def _log2_bound(q: Fraction) -> int:
-    """An integer above log2|q|; 0 for q = 0."""
-    return q.numerator.bit_length() - q.denominator.bit_length() + 1
+def _log2_bound(n: int, d: int) -> int:
+    """An integer above log2|n/d|, for d > 0; 0 for n = 0."""
+    n, d = _lowest(n, d)
+    return n.bit_length() - d.bit_length() + 1
 
 
 # ---------------------------------------------------------------------------
@@ -601,10 +652,12 @@ def sqrt_weighted_sum(terms: Mapping[int, int], digits: int) -> Enclosure:
 @lru_cache(maxsize=None)
 def _halfpi_sin_moment(m: int) -> ExactConst:
     """int_0^{pi/2} t^m sin t dt.  At pi/2: cos = 0, sin = 1."""
-    if m == 0:
+    if m < 2:
         return ExactConst.rational(1)
-    if m == 1:
-        return ExactConst.rational(1)
+    # Fill the cache from below, so the call for m - 2 is a hit and the
+    # recursion is one level deep at any degree.
+    for k in range(m % 2, m - 2, 2):
+        _halfpi_sin_moment(k)
     lead = ExactConst.pi_power(m - 1, Fraction(m, 2 ** (m - 1)))
     return lead - _halfpi_sin_moment(m - 2) * (m * (m - 1))
 

@@ -79,6 +79,9 @@ def _plane_cos_theta_moment(m: int) -> ExactConst:
     """J_m = int_0^{z0} t^m cos(sqrt3 t + pi/3) dt, by the recurrence above."""
     if m < 2:
         return ExactConst.rational(Fraction(-1, 2))
+    # Filled from below like `_halfpi_sin_moment`: one recursion level.
+    for k in range(m % 2, m - 2, 2):
+        _plane_cos_theta_moment(k)
     return (_z0_power(m - 1) * Fraction(-m, 3)
             - _plane_cos_theta_moment(m - 2) * Fraction(m * (m - 1), 3))
 

@@ -1,13 +1,14 @@
 """Exact constants, enclosures, and the trigonometric moment integrals."""
 
+import operator
 import subprocess
 import sys
 import threading
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import factorial, isqrt, log2
+from math import ceil, factorial, gcd, isqrt, lcm, log2
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Mapping, Union
 
 import mpmath
 import pytest
@@ -19,6 +20,8 @@ from mpmath.libmp import to_rational
 import treerank.constants as constants
 import treerank.enumeration as enumeration
 from treerank.constants import (
+    _GUARD_BITS,
+    _LOG2_PI,
     _MAX_PREC,
     _START_PREC,
     MAX_DIGITS,
@@ -26,8 +29,11 @@ from treerank.constants import (
     ExactConst,
     FixedPoint,
     _check_digits,
+    Rational,
     _coerce,
+    _horner,
     _rounds_alike,
+    _scale,
     _sci_upper,
     decimal_string,
     halfpi_moment,
@@ -64,25 +70,26 @@ INV_PI = ExactConst.pi_power(-1)
 
 # The term-by-term arithmetic and evaluator that ExactConst used before
 # its results were built without re-validation and its values were
-# evaluated by Horner's rule; kept verbatim as references.
+# evaluated by Horner's rule; kept as references, reading the public
+# `.terms`.
 def reference_add(self, other):
     other = _coerce(other)
-    out = dict(self._terms)
-    for j, (a, b) in other._terms.items():
+    out = self.terms
+    for j, (a, b) in other.terms.items():
         ca, cb = out.get(j, (Fraction(0), Fraction(0)))
         out[j] = (ca + a, cb + b)
     return ExactConst(out)
 
 
 def reference_neg(self):
-    return ExactConst({j: (-a, -b) for j, (a, b) in self._terms.items()})
+    return ExactConst({j: (-a, -b) for j, (a, b) in self.terms.items()})
 
 
 def reference_mul(self, other):
     other = _coerce(other)
     out: dict[int, tuple[Fraction, Fraction]] = {}
-    for j1, (a1, b1) in self._terms.items():
-        for j2, (a2, b2) in other._terms.items():
+    for j1, (a1, b1) in self.terms.items():
+        for j2, (a2, b2) in other.terms.items():
             j = j1 + j2
             # (a1 + b1 s)(a2 + b2 s) with s^2 = 3
             a = a1 * a2 + 3 * b1 * b2
@@ -96,7 +103,7 @@ def reference_iv_value(self, ctx):
     pi = ctx.pi
     s3 = ctx.sqrt(3)
     total = ctx.mpf(0)
-    for j, (a, b) in self._terms.items():
+    for j, (a, b) in self.terms.items():
         coeff = _iv_fraction(ctx, a)
         if b:
             coeff += _iv_fraction(ctx, b) * s3
@@ -110,6 +117,289 @@ def reference_iv_value(self, ctx):
 
 def _iv_fraction(ctx, q: Fraction):
     return ctx.mpf(q.numerator) / ctx.mpf(q.denominator)
+
+
+# ExactConst as it was when its coefficients were Fraction pairs, kept
+# verbatim but for its name (and its coercion's) as the reference for the
+# integer form over one shared denominator.
+def _coeff_sign(a: Fraction, b: Fraction) -> int:
+    """Exact sign of a + b*sqrt(3)."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0:
+        return (b > 0) - (b < 0)
+    if a > 0 and b > 0:
+        return 1
+    if a < 0 and b < 0:
+        return -1
+    # Mixed signs: compare a^2 with 3 b^2 on the side of the positive part.
+    lead = 1 if a > 0 else -1
+    diff = a * a - 3 * b * b
+    if diff == 0:
+        raise AssertionError("sqrt(3) is irrational; a^2 == 3 b^2 is impossible here")
+    return lead if diff > 0 else -lead
+
+
+def _fraction_str(q: Fraction) -> str:
+    return str(q.numerator) if q.denominator == 1 else f"({q.numerator}/{q.denominator})"
+
+
+class FractionConst:
+    """Element of Q(sqrt3)[pi, 1/pi], stored as {pi exponent: (a, b)}.
+
+    Zero coefficient pairs are never stored, so `==` on the mapping is
+    value equality.
+    """
+
+    __slots__ = ("_terms",)
+
+    def __init__(self, terms: Mapping[int, tuple[Rational, Rational]] | None = None):
+        clean: dict[int, tuple[Fraction, Fraction]] = {}
+        for j, (a, b) in (terms or {}).items():
+            fa, fb = Fraction(a), Fraction(b)
+            if fa or fb:
+                clean[int(j)] = (fa, fb)
+        self._terms = clean
+
+    @classmethod
+    def rational(cls, value: Rational) -> "FractionConst":
+        return cls({0: (Fraction(value), Fraction(0))})
+
+    @classmethod
+    def zero(cls) -> "FractionConst":
+        return cls()
+
+    @classmethod
+    def pi_power(cls, exponent: int, coeff: Rational = 1, sqrt3_coeff: Rational = 0) -> "FractionConst":
+        return cls({exponent: (Fraction(coeff), Fraction(sqrt3_coeff))})
+
+    @classmethod
+    def sqrt3(cls, coeff: Rational = 1) -> "FractionConst":
+        return cls({0: (Fraction(0), Fraction(coeff))})
+
+    @property
+    def terms(self) -> dict[int, tuple[Fraction, Fraction]]:
+        return dict(self._terms)
+
+    def is_sqrt3_free(self) -> bool:
+        return all(b == 0 for _, b in self._terms.values())
+
+    def is_rational(self) -> bool:
+        return self.is_sqrt3_free() and all(j == 0 for j in self._terms)
+
+    @classmethod
+    def _canonical(cls, terms: dict[int, tuple[Fraction, Fraction]]) -> "FractionConst":
+        """Wrap a dict that already holds only nonzero pairs of Fractions.
+
+        The arithmetic below builds such dicts itself, so its results skip
+        the public constructor's conversions and checks.
+        """
+        value = object.__new__(cls)
+        value._terms = terms
+        return value
+
+    def __add__(self, other: Union["FractionConst", Rational]) -> "FractionConst":
+        other = _fraction_coerce(other)
+        out = dict(self._terms)
+        for j, (a, b) in other._terms.items():
+            if j in out:
+                ca, cb = out[j]
+                a, b = ca + a, cb + b
+                if not (a or b):
+                    del out[j]
+                    continue
+            out[j] = (a, b)
+        return FractionConst._canonical(out)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "FractionConst":
+        return FractionConst._canonical({j: (-a, -b) for j, (a, b) in self._terms.items()})
+
+    def __sub__(self, other: Union["FractionConst", Rational]) -> "FractionConst":
+        return self + (-_fraction_coerce(other))
+
+    def __rsub__(self, other: Rational) -> "FractionConst":
+        return _fraction_coerce(other) + (-self)
+
+    def __mul__(self, other: Union["FractionConst", Rational]) -> "FractionConst":
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                return FractionConst._canonical({})
+            return FractionConst._canonical(
+                {j: (a * other, b * other if b else b) for j, (a, b) in self._terms.items()}
+            )
+        other = _fraction_coerce(other)
+        out: dict[int, tuple[Fraction, Fraction]] = {}
+        for j1, (a1, b1) in self._terms.items():
+            for j2, (a2, b2) in other._terms.items():
+                j = j1 + j2
+                a, b = _pair_product(a1, b1, a2, b2)
+                if j in out:
+                    ca, cb = out[j]
+                    a, b = ca + a, cb + b
+                out[j] = (a, b)
+        return FractionConst._canonical({j: pair for j, pair in out.items() if pair[0] or pair[1]})
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (int, Fraction)):
+            other = FractionConst.rational(other)
+        if not isinstance(other, FractionConst):
+            return NotImplemented
+        return self._terms == other._terms
+
+    def __hash__(self) -> int:
+        # Purely rational values compare equal to plain numbers, so they
+        # must hash like them.
+        if not self._terms:
+            return hash(0)
+        if self.is_rational():
+            return hash(self._terms[0][0])
+        return hash(frozenset(self._terms.items()))
+
+    def _ordered_terms(self) -> list[tuple[int, tuple[Fraction, Fraction]]]:
+        """Canonical term order: exponents 0,1,2,... then -1,-2,..."""
+        nonneg = sorted(j for j in self._terms if j >= 0)
+        neg = sorted((j for j in self._terms if j < 0), reverse=True)
+        return [(j, self._terms[j]) for j in nonneg + neg]
+
+    def render(self) -> str:
+        """Canonical text form, e.g. '1 - 2*pi^-1' or '(5/6)*sqrt3*pi^-1'."""
+        if not self._terms:
+            return "0"
+        parts: list[str] = []
+        for j, (a, b) in self._ordered_terms():
+            sign = _coeff_sign(a, b)
+            if b == 0:
+                mag = _fraction_str(abs(a))
+                coeff = None if abs(a) == 1 else mag
+            elif a == 0:
+                coeff = "sqrt3" if abs(b) == 1 else f"{_fraction_str(abs(b))}*sqrt3"
+            else:
+                # Mixed pair: keep both components inside one parenthesis,
+                # negated as a whole when the value is negative.
+                aa, bb = (a, b) if sign > 0 else (-a, -b)
+                first = _fraction_str(aa).strip("()") if aa.denominator == 1 else _fraction_str(aa)
+                second = "sqrt3" if abs(bb) == 1 else f"{_fraction_str(abs(bb))}*sqrt3"
+                joiner = " + " if bb > 0 else " - "
+                coeff = f"({first}{joiner}{second})"
+            if j == 0:
+                pi_part = None
+            elif j == 1:
+                pi_part = "pi"
+            else:
+                pi_part = f"pi^{j}"
+            if coeff is None and pi_part is None:
+                term = "1"
+            elif coeff is None:
+                term = pi_part
+            elif pi_part is None:
+                term = coeff
+            else:
+                term = f"{coeff}*{pi_part}"
+            if not parts:
+                parts.append(term if sign > 0 else f"-{term}")
+            else:
+                parts.append(("+ " if sign > 0 else "- ") + term)
+        return " ".join(parts)
+
+    def __repr__(self) -> str:
+        return f"FractionConst({self.render()})"
+
+    def _iv_value(self, ctx: "FixedPoint") -> tuple[int, int]:
+        """Bounds on the value times 2^prec, as (A(pi) + sqrt3 B(pi)) pi^low / D.
+
+        D is the lcm of every coefficient denominator, so A and B have
+        integer coefficients and each is one Horner pass in pi.
+        """
+        low = min(self._terms)
+        denom = lcm(*(c.denominator for pair in self._terms.values() for c in pair))
+        a_coeffs = [0] * (max(self._terms) - low + 1)
+        b_coeffs = list(a_coeffs)
+        for j, (a, b) in self._terms.items():
+            a_coeffs[j - low] = a.numerator * (denom // a.denominator)
+            b_coeffs[j - low] = b.numerator * (denom // b.denominator)
+        prec = ctx.prec
+        pi = ctx.pi()
+        lo, hi = _horner(a_coeffs, pi, prec)
+        if any(b_coeffs):
+            one = 1 << prec
+            b_lo, b_hi = _scale(*_horner(b_coeffs, pi, prec), ctx.sqrt(3), (one, one))
+            lo, hi = lo + b_lo, hi + b_hi
+        if low >= 0:
+            unit = denom << (prec * low)
+            return _scale(lo, hi, (pi[0] ** low, pi[1] ** low), (unit, unit))
+        unit = 1 << (prec * -low)
+        return _scale(lo, hi, (unit, unit), (denom * pi[0] ** -low, denom * pi[1] ** -low))
+
+    def _start_prec(self) -> int:
+        """Lowest rung of the precision ladder that holds the largest term.
+
+        With la > log2|a| and lb > log2|b|, a term (a + b sqrt3) pi^j is
+        below 2^(max(la, lb + 1) + 1 + 1.66 j); the rung carries that many
+        bits plus `_GUARD_BITS`.  Only the value decides the rung, never
+        the digits asked for.  The rung sets the cost, not the soundness:
+        a rung too low only costs another round.
+        """
+        top = max(
+            max(_log2_bound(a), _log2_bound(b) + 1) + 1 + ceil(j * _LOG2_PI)
+            for j, (a, b) in self._terms.items()
+        )
+        prec = _START_PREC
+        while prec < top + _GUARD_BITS:
+            prec *= 2
+        return prec
+
+    def enclosure(self, digits: int) -> "Enclosure":
+        """Interval with rational endpoints of width <= 10^-digits.
+
+        A rational value is its own point enclosure; any other value in
+        this ring is irrational, so its enclosure's decimals are the
+        correctly rounded ones.
+        """
+        _check_digits(digits)
+        if self.is_rational():
+            q = self._terms[0][0] if self._terms else Fraction(0)
+            return Enclosure(q, q, digits)
+        return iv_enclosure(self._iv_value, digits, self._start_prec())
+
+    def sign(self) -> int:
+        """Exact sign; terminates because a nonzero form has nonzero value."""
+        if not self._terms:
+            return 0
+        digits = 10
+        while True:
+            enc = self.enclosure(digits)
+            if enc.lo > 0:
+                return 1
+            if enc.hi < 0:
+                return -1
+            digits *= 2
+
+
+def _pair_product(a1: Fraction, b1: Fraction, a2: Fraction,
+                  b2: Fraction) -> tuple[Fraction, Fraction]:
+    """(a1 + b1 s)(a2 + b2 s) with s^2 = 3, skipping products with a zero sqrt3 part."""
+    if not b2:
+        return a1 * a2, b1 * a2 if b1 else b1
+    if not b1:
+        return a1 * a2, a1 * b2
+    return a1 * a2 + 3 * b1 * b2, a1 * b2 + b1 * a2
+
+
+def _fraction_coerce(value: Union[FractionConst, Rational]) -> FractionConst:
+    if isinstance(value, FractionConst):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return FractionConst.rational(value)
+    raise TypeError(f"cannot use {type(value).__name__} with FractionConst")
+
+
+def _log2_bound(q: Fraction) -> int:
+    """An integer above log2|q|; 0 for q = 0."""
+    return q.numerator.bit_length() - q.denominator.bit_length() + 1
 
 
 # The mpmath interval ladder that enclosures ran on before the integer
@@ -279,6 +569,71 @@ class TestArithmeticMatchesReference:
         assert list(x.terms.items()) == [(2, (Fraction(1, 3), Fraction(1, 2))),
                                          (-1, (Fraction(1), Fraction(2)))]
         assert ExactConst({3: (0, 0)}).terms == {}
+
+
+# One link of a chain: an operator and, for the binary ones, an operand
+# drawn as an int, a Fraction or the terms of a constant.
+CHAIN_OPS = ("add", "radd", "sub", "rsub", "mul", "rmul", "neg")
+chain_operands = st.one_of(
+    st.integers(-6, 6), CANCELLING,
+    st.dictionaries(st.integers(-2, 2), st.tuples(CANCELLING, CANCELLING), max_size=3))
+chains = st.lists(st.tuples(st.sampled_from(CHAIN_OPS), chain_operands), min_size=1, max_size=8)
+
+
+def apply_link(cls, value, op: str, operand):
+    """One link applied to value; an "r" operator puts the operand on the left."""
+    if op == "neg":
+        return -value
+    if isinstance(operand, dict):
+        operand = cls(operand)
+    binary = getattr(operator, op.removeprefix("r"))
+    return binary(operand, value) if op.startswith("r") else binary(value, operand)
+
+
+def assert_canonical(x: ExactConst) -> None:
+    """Integer numerators, no zero pair, and nothing shared with D > 0."""
+    assert type(x._den) is int and x._den > 0
+    for a, b in x._num.values():
+        assert type(a) is int and type(b) is int and (a or b)
+    assert gcd(x._den, *(c for pair in x._num.values() for c in pair)) == 1
+
+
+class TestMatchesFractionReference:
+    """The integer form against the Fraction-pair form it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(st.integers(-2, 2), st.tuples(CANCELLING, CANCELLING), max_size=4),
+           chains)
+    def test_operator_chains(self, start, links):
+        new, old = ExactConst(start), FractionConst(start)
+        values = [(new, old)]
+        for op, operand in links:
+            new, old = apply_link(ExactConst, new, op, operand), apply_link(FractionConst, old,
+                                                                            op, operand)
+            values.append((new, old))
+        for new, old in values:
+            assert_canonical(new)
+            assert list(new.terms.items()) == list(old.terms.items())
+            assert new.render() == old.render()
+            assert hash(new) == hash(old)
+            assert new.is_rational() == old.is_rational()
+            assert new.enclosure(12).decimal() == old.enclosure(12).decimal()
+            for q in (0, 1, Fraction(-1, 2)):
+                assert (new == q) == (old == q)
+        for new1, old1 in values:
+            for new2, old2 in values:
+                assert (new1 == new2) == (old1 == old2)
+        new, old = values[-1]
+        assert new.enclosure(40).decimal() == old.enclosure(40).decimal()
+
+    def test_bracket_terms_render_alike(self):
+        for variety in TreeVariety:
+            for k in (2, 3, 4):
+                report = bound_interval(variety, k, 100)
+                for term in report.terms:
+                    for value in (term.w, term.v):
+                        assert_canonical(value)
+                        assert FractionConst(value.terms).render() == value.render()
 
 
 class TestRendering:
@@ -721,3 +1076,21 @@ class TestPlaneMoments:
                                                                        + mpmath.pi / 3)) / 2,
                                 upper)
             assert abs(enc.midpoint - truth) < Fraction(1, 10**25), m
+
+
+class TestDeepMoments:
+    def test_cold_degree_1500_at_the_default_recursion_limit(self):
+        # Each moment cache fills from below, so a cold build of a high
+        # degree recurses one level deep instead of one level per two degrees.
+        code = ("import sys\n"
+                "from treerank.limits import weight_moment\n"
+                "from treerank.variety import TreeVariety\n"
+                "for variety in TreeVariety:\n"
+                "    print(len(weight_moment(variety, 1500).terms))\n"
+                "print(sys.getrecursionlimit())\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={"PYTHONPATH": str(SRC)}, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        # Degree 1500 in both varieties: pi^1501, pi^1499, ..., pi^1 and pi^0.
+        assert proc.stdout.split() == ["752", "752", "1000"]
+

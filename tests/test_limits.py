@@ -2,6 +2,7 @@
 earlier pole-data chain kept here as the reference."""
 
 import json
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -12,6 +13,10 @@ import mpmath
 import pytest
 from mpmath.libmp import to_rational
 
+import treerank.constants as constants
+import treerank.counting as counting
+import treerank.limits as limits
+import treerank.series as series
 from treerank.constants import ExactConst
 from treerank.counting import RootRankTable, rank_vertex_counts, root_rank_counts, size_vertex_counts
 from treerank.limits import (
@@ -438,6 +443,29 @@ class TestBoundIntervals:
         rep = bound_interval(NP, 3, 10)
         assert rep.lower.is_sqrt3_free()
         assert rep.upper.is_sqrt3_free()
+
+    @pytest.fixture
+    def cold(self, monkeypatch):
+        """Empty every cache a bracket fills, and leave them empty."""
+        caches = (limits.weight_moment, limits.limit_subtree_prob,
+                  limits._plane_cos_theta_moment, constants._halfpi_sin_moment,
+                  constants._pi_bounds, counting.root_rank_counts, counting._binomials,
+                  tree_counts)
+        monkeypatch.setattr(counting, "_SUFFIX_ROWS", {v: [[0]] for v in TreeVariety})
+        monkeypatch.setattr(series, "_TREE_COUNTS", {v: [1] for v in TreeVariety})
+        for cache in caches:
+            cache.cache_clear()
+        yield
+        for cache in caches:
+            cache.cache_clear()
+
+    def test_r200_budget_from_cold_caches(self, cold):
+        # Both r = 200 brackets take about 0.55 s of CPU on a 2-core Xeon
+        # with Python 3.11 (1.3 s with Fraction coefficient pairs).
+        start = time.process_time()
+        for variety in (NP, PL):
+            bound_interval(variety, 2, 200)
+        assert time.process_time() - start < 1.5
 
     def test_validation(self):
         with pytest.raises(ValueError):
