@@ -5,7 +5,7 @@ probabilities in Q(sqrt3)[pi, 1/pi], and rigorous truncation brackets,
 all in exact arithmetic with certified decimal enclosures.
 """
 
-from .constants import Enclosure, ExactConst, halfpi_moment
+from .constants import Enclosure, ExactConst
 from .counting import (
     CountSequences,
     RootRankTable,
@@ -65,7 +65,6 @@ __all__ = [
     "census",
     "check_inequalities",
     "enumerate_trees",
-    "halfpi_moment",
     "joint_vertex_counts",
     "limit_joint_prob",
     "limit_rank_fraction",

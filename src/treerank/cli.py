@@ -259,7 +259,8 @@ def _verify_checks(args: argparse.Namespace):
                 f"enumerated {got}, series says {counts[n]}",
             )
 
-    table = {v: root_rank_counts(v, order) for v in TreeVariety}
+    # The bracket ladder reads sizes up to --r, which may exceed --order.
+    table = {v: root_rank_counts(v, max(order, args.r)) for v in TreeVariety}
     if args.corrupt_root_table:
         table[TreeVariety.NONPLANE] = table[TreeVariety.NONPLANE].with_entry(1, 3, 999)
 

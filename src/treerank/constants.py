@@ -383,15 +383,6 @@ def _coerce(value: Union[ExactConst, Rational]) -> ExactConst:
     raise TypeError(f"cannot use {type(value).__name__} with ExactConst")
 
 
-def sqrt3_power(exponent: int) -> ExactConst:
-    """3^(exponent/2) as an exact constant, for any integer exponent."""
-    q, r = divmod(exponent, 2)
-    scale = Fraction(3) ** q
-    if r:
-        return ExactConst.sqrt3(scale)
-    return ExactConst.rational(scale)
-
-
 # ---------------------------------------------------------------------------
 # Enclosures
 
@@ -638,33 +629,3 @@ def sqrt_weighted_sum(terms: Mapping[int, int], digits: int) -> Enclosure:
         return lo, hi
 
     return iv_enclosure(build, digits)
-
-
-# ---------------------------------------------------------------------------
-# Trigonometric moment integrals
-#
-# The non-plane weight (1 - sin t) on [0, pi/2] reduces to the family
-# int t^m sin t, which satisfies a two-step integration-by-parts
-# recurrence whose boundary terms are exact (sin = 1, cos = 0 at pi/2).
-# The plane weight's moments follow the same pattern; see `limits`.
-
-
-@lru_cache(maxsize=None)
-def _halfpi_sin_moment(m: int) -> ExactConst:
-    """int_0^{pi/2} t^m sin t dt.  At pi/2: cos = 0, sin = 1."""
-    if m < 2:
-        return ExactConst.rational(1)
-    # Fill the cache from below, so the call for m - 2 is a hit and the
-    # recursion is one level deep at any degree.
-    for k in range(m % 2, m - 2, 2):
-        _halfpi_sin_moment(k)
-    lead = ExactConst.pi_power(m - 1, Fraction(m, 2 ** (m - 1)))
-    return lead - _halfpi_sin_moment(m - 2) * (m * (m - 1))
-
-
-def halfpi_moment(m: int) -> ExactConst:
-    """int_0^{pi/2} t^m (1 - sin t) dt, exact in Q[pi]."""
-    if m < 0:
-        raise ValueError("moment degree must be nonnegative")
-    power = ExactConst.pi_power(m + 1, Fraction(1, (m + 1) * 2 ** (m + 1)))
-    return power - _halfpi_sin_moment(m)

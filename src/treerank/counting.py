@@ -45,12 +45,12 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 from operator import mul
 from typing import IO
 
 from .constants import decimal_string
-from .series import EgfSeries, InvariantError, solve_linear_counts, tree_counts
+from .series import EgfSeries, InvariantError, _binomials, solve_linear_counts, tree_counts
 from .variety import TreeVariety
 
 DEFAULT_MAX_SIZE = 80
@@ -60,12 +60,6 @@ DEFAULT_MAX_SIZE = 80
 # longer than row k-1.  An appended entry is final, so reads need no lock.
 _SUFFIX_ROWS: dict[TreeVariety, list[list[int]]] = {v: [[0]] for v in TreeVariety}
 _ROWS_LOCK = threading.Lock()
-
-
-@lru_cache(maxsize=None)
-def _binomials(n: int) -> tuple[int, ...]:
-    """C(n, j) for 0 <= j <= n // 2; every rank's row reads the same ones."""
-    return tuple(comb(n, j) for j in range(n // 2 + 1))
 
 
 def _suffix_rows(variety: TreeVariety, rank: int, size: int) -> list[list[int]]:

@@ -23,18 +23,25 @@ kappa_v = 2/(g''(z0) z0^2 l):
 
 With corrections that are polynomials, f(z0) is a finite combination of
 the weight moments W_m = int_0^{z0} t^m g(t) dt, so every limit is exact
-in Q(sqrt3)[pi, 1/pi].  The non-plane moments are `halfpi_moment` from
-`constants`.  The plane weight is 1/2 + cos(theta)/2 with
-theta = sqrt3 t + pi/3, which runs from pi/3 at t = 0 to pi at z0, so
-W_m = z0^(m+1)/(2(m+1)) + J_m/2 with J_m = int_0^{z0} t^m cos(theta) dt.
-Integrating by parts twice, with sin(theta) = 0 and cos(theta) = -1 at
-z0 and t^m = 0 at 0 for m >= 1,
+in Q(sqrt3)[pi, 1/pi].  Both weights are a constant plus a sinusoid,
+g = c - b g'', with the double zero g(z0) = g'(z0) = 0.  So W_m is
+c z0^(m+1)/(m+1) - b int_0^{z0} t^m g''; integrating by parts twice, the
+terms at z0 vanish, and so do those at 0 for m >= 2, which leaves one
+recurrence for both varieties:
 
-    J_m = -(m/sqrt3) int_0^{z0} t^(m-1) sin(theta) dt
-        = -(m/3) z0^(m-1) - (m(m-1)/3) J_(m-2)        (m >= 2),
+    W_m = c z0^(m+1)/(m+1) - b m(m-1) W_(m-2)        (m >= 2),
+    W_m = c z0^(m+1)/(m+1) - b g(0)                  (m = 0, 1),
 
-and directly J_0 = (sin(pi) - sin(pi/3))/sqrt3 = -1/2 and
-J_1 = -(cos(pi/3) - cos(pi))/3 = -1/2.
+where at m = 0 the boundary term -g'(0) equals g(0) in both varieties:
+
+* non-plane: g = 1 - sin t, g'' = sin t, so (c, b) = (1, 1) and g(0) = 1.
+* plane: g = 1/2 + cos(theta)/2 with theta = sqrt3 t + pi/3, which runs
+  from pi/3 at t = 0 to pi at z0, so g'' = -(3/2) cos(theta),
+  (c, b) = (1/2, 1/3) and g(0) = 3/4.
+
+A degree reads only moments of its own parity, so `weight_moment` keeps
+per variety a prefix list of z0 powers and one of moments per parity,
+extended in place like the tree counts and the suffix rows.
 
 Higher ranks admit no closed form; they get two-sided brackets instead:
 the rank-k mass restricted to subtree sizes <= r is a certified lower
@@ -45,12 +52,13 @@ gives the upper bound.
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .constants import Enclosure, ExactConst, halfpi_moment, sqrt3_power
+from .constants import Enclosure, ExactConst
 from .counting import RootRankTable, root_rank_counts
 from .series import InvariantError, tree_counts
 from .variety import TreeVariety
@@ -64,36 +72,46 @@ KAPPA = {
     TreeVariety.PLANE: ExactConst.pi_power(-1, 0, 2),
 }
 
+# (z0, c, b, g(0)) per variety: the weight is g = c - b g'', and the
+# moment recurrence in the docstring reads nothing else.
+_WEIGHT = {
+    TreeVariety.NONPLANE: (ExactConst.pi_power(1, Fraction(1, 2)), 1, 1, 1),
+    TreeVariety.PLANE: (ExactConst.pi_power(1, 0, Fraction(2, 9)),
+                        Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)),
+}
+
+# Per variety, prefix lists of z0^0, z0^1, ..., of W_0, W_2, ... and of
+# W_1, W_3, ...; extended in place under the lock, never rebuilt.
+_MOMENTS: dict[TreeVariety, tuple[list[ExactConst], list[ExactConst], list[ExactConst]]] = {
+    v: ([ExactConst.rational(1)], [], []) for v in TreeVariety
+}
+_MOMENTS_LOCK = threading.Lock()
+
 
 class ClosedFormUnavailableError(ValueError):
     """Ranks beyond 1 have no elementary closed form; use bound_interval."""
 
 
-def _z0_power(m: int) -> ExactConst:
-    """(2 sqrt3 pi/9)^m, a power of the plane singularity."""
-    return sqrt3_power(m) * ExactConst.pi_power(m, Fraction(2**m, 9**m))
-
-
-@lru_cache(maxsize=None)
-def _plane_cos_theta_moment(m: int) -> ExactConst:
-    """J_m = int_0^{z0} t^m cos(sqrt3 t + pi/3) dt, by the recurrence above."""
-    if m < 2:
-        return ExactConst.rational(Fraction(-1, 2))
-    # Filled from below like `_halfpi_sin_moment`: one recursion level.
-    for k in range(m % 2, m - 2, 2):
-        _plane_cos_theta_moment(k)
-    return (_z0_power(m - 1) * Fraction(-m, 3)
-            - _plane_cos_theta_moment(m - 2) * Fraction(m * (m - 1), 3))
-
-
-@lru_cache(maxsize=None)
 def weight_moment(variety: TreeVariety, m: int) -> ExactConst:
-    """Integral of t^m times the variety's weight from 0 to z0."""
-    if variety is TreeVariety.NONPLANE:
-        return halfpi_moment(m)
+    """W_m = int_0^{z0} t^m g(t) dt for the variety's weight g, exact.
+
+    The first call at a degree extends the prefix list of its parity
+    through it, bottom-up under the lock; entries are only ever appended,
+    so reads need no lock and no degree recurses.
+    """
     if m < 0:
         raise ValueError("moment degree must be nonnegative")
-    return (_z0_power(m + 1) * Fraction(1, m + 1) + _plane_cos_theta_moment(m)) * Fraction(1, 2)
+    powers, moments = _MOMENTS[variety][0], _MOMENTS[variety][1 + m % 2]
+    if m // 2 < len(moments):
+        return moments[m // 2]
+    z0, c, b, g0 = _WEIGHT[variety]
+    with _MOMENTS_LOCK:
+        while len(powers) < m + 2:
+            powers.append(powers[-1] * z0)
+        for n in range(2 * len(moments) + m % 2, m + 1, 2):
+            lead = powers[n + 1] * Fraction(c, n + 1)
+            moments.append(lead - (moments[-1] * (b * n * (n - 1)) if n > 1 else b * g0))
+    return moments[m // 2]
 
 
 def _polynomial_correction_limit(variety: TreeVariety, count: int, degree: int) -> ExactConst:

@@ -22,7 +22,8 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from itertools import accumulate
+from math import factorial
 from operator import mul
 from typing import Iterable, Sequence, Union
 
@@ -162,6 +163,15 @@ class EgfSeries:
         return f"EgfSeries([{head}{tail}], order={self.order})"
 
 
+@lru_cache(maxsize=None)
+def _binomials(n: int) -> tuple[int, ...]:
+    """C(n, j) for 0 <= j <= n // 2; the other half is the same row reversed.
+
+    Built by C(n, j+1) = C(n, j) (n-j)/(j+1), where the division is exact.
+    """
+    return tuple(accumulate(range(n // 2), lambda c, j: c * (n - j) // (j + 1), initial=1))
+
+
 # Tree counts T_0..T_N per variety; extended in place under the lock, never
 # rebuilt.
 _TREE_COUNTS: dict[TreeVariety, list[int]] = {v: [1] for v in TreeVariety}
@@ -183,7 +193,7 @@ def _extend_tree_counts(variety: TreeVariety, order: int) -> list[int]:
     with _TREE_COUNTS_LOCK:
         for n in range(len(t) - 1, order):
             lo = (n + 1) // 2  # terms i < lo pair with n-i > n-lo
-            row = [comb(n, i) for i in range(lo + 1)]
+            row = _binomials(n)
             square = 2 * sum(map(mul, map(mul, row, t[:lo]), t[n:n - lo:-1]))
             if n % 2 == 0:
                 square += row[lo] * t[lo] ** 2
@@ -232,8 +242,10 @@ def solve_linear_counts(m: Sequence[int], p: Sequence[int], order: int) -> list[
         )
     ys = [0]
     for n in range(order):
-        # Y_0 = 0, so i runs over 0..n-1, pairing M_i with Y_n..Y_1
-        weights = map(mul, [comb(n, i) for i in range(n)], m)
+        # Y_0 = 0, so i runs over 0..n-1, pairing M_i with Y_n..Y_1;
+        # C(n, i) for i > n // 2 is C(n, n - i), read back along the half row.
+        half = _binomials(n)
+        weights = map(mul, half + half[n - len(half):0:-1], m)
         ys.append(sum(map(mul, weights, ys[:0:-1])) + p[n])
     return ys
 

@@ -20,6 +20,7 @@ from treerank.series import InvariantError
 from treerank.variety import TreeVariety
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def run(capsys, *argv):
@@ -260,6 +261,19 @@ class TestVerify:
         assert "FAIL" in out
         assert "root-rank-table" in out
 
+    def test_bracket_truncation_past_the_order(self, capsys):
+        # The default --r 12 exceeds --order 7: the tables reach both.
+        code, out, err = run(capsys, "verify", "--order", "7", "--enum-limit", "5")
+        assert code == 0, err
+        assert "FAIL" not in out
+        assert "bracket nesting/anchoring plane" in out
+
+    def test_bracket_truncation_past_the_order_still_detects_corruption(self, capsys):
+        code, out, _ = run(capsys, "verify", "--order", "7", "--enum-limit", "5",
+                           "--corrupt-root-table")
+        assert code == 1
+        assert "root-rank-table" in out
+
     def test_corrupted_table_detected_under_python_O(self):
         env = dict(os.environ, PYTHONPATH=str(SRC))
         argv = ["verify", "--enum-limit", "4", "--order", "6", "--r", "3",
@@ -348,3 +362,31 @@ class TestConfig:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+class TestBenchmarkTracer:
+    def test_tracer_installs_and_reports_on_the_current_package(self):
+        # The benchmark's traced mode wraps the package's public functions and
+        # reads the caches it names; a rename or an uncached name breaks it.
+        script = (
+            "import contextlib, io, json, sys, time\n"
+            f"sys.path.insert(0, {str(PERFBENCH)!r})\n"
+            "import treerank, treerank.cli\n"
+            "import spans\n"
+            "tracer = spans.Tracer()\n"
+            "tracer.install()\n"
+            "start = time.perf_counter()\n"
+            "for argv in (['bounds', '--k', '2', '--r', '4'],\n"
+            "             ['counts', '--order', '10', '--kind', 'size', '--r', '2']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert treerank.cli.main(argv) == 0, argv\n"
+            "metrics = tracer.metrics(time.perf_counter() - start)\n"
+            "print(json.dumps({'metrics': metrics, 'cached': sorted(tracer._cached),\n"
+            "                  'expected': sorted(spans.CACHED)}))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["metrics"]["constants.enclosures"] > 0
+        assert result["cached"] == result["expected"]

@@ -19,6 +19,7 @@ from mpmath.libmp import to_rational
 
 import treerank.constants as constants
 import treerank.enumeration as enumeration
+import treerank.limits as limits
 from treerank.constants import (
     _GUARD_BITS,
     _LOG2_PI,
@@ -36,9 +37,7 @@ from treerank.constants import (
     _scale,
     _sci_upper,
     decimal_string,
-    halfpi_moment,
     iv_enclosure,
-    sqrt3_power,
     sqrt_weighted_sum,
 )
 from treerank.limits import bound_interval, weight_moment
@@ -929,6 +928,66 @@ class TestHornerEvaluation:
         self._check(value)
 
 
+# The two moment recurrences that `weight_moment` replaced, one per variety,
+# kept verbatim as the reference.
+
+
+def sqrt3_power(exponent: int) -> ExactConst:
+    """3^(exponent/2) as an exact constant, for any integer exponent."""
+    q, r = divmod(exponent, 2)
+    scale = Fraction(3) ** q
+    if r:
+        return ExactConst.sqrt3(scale)
+    return ExactConst.rational(scale)
+
+
+@lru_cache(maxsize=None)
+def _halfpi_sin_moment(m: int) -> ExactConst:
+    """int_0^{pi/2} t^m sin t dt.  At pi/2: cos = 0, sin = 1."""
+    if m < 2:
+        return ExactConst.rational(1)
+    # Fill the cache from below, so the call for m - 2 is a hit and the
+    # recursion is one level deep at any degree.
+    for k in range(m % 2, m - 2, 2):
+        _halfpi_sin_moment(k)
+    lead = ExactConst.pi_power(m - 1, Fraction(m, 2 ** (m - 1)))
+    return lead - _halfpi_sin_moment(m - 2) * (m * (m - 1))
+
+
+def halfpi_moment(m: int) -> ExactConst:
+    """int_0^{pi/2} t^m (1 - sin t) dt, exact in Q[pi]."""
+    if m < 0:
+        raise ValueError("moment degree must be nonnegative")
+    power = ExactConst.pi_power(m + 1, Fraction(1, (m + 1) * 2 ** (m + 1)))
+    return power - _halfpi_sin_moment(m)
+
+
+def _z0_power(m: int) -> ExactConst:
+    """(2 sqrt3 pi/9)^m, a power of the plane singularity."""
+    return sqrt3_power(m) * ExactConst.pi_power(m, Fraction(2**m, 9**m))
+
+
+@lru_cache(maxsize=None)
+def _plane_cos_theta_moment(m: int) -> ExactConst:
+    """J_m = int_0^{z0} t^m cos(sqrt3 t + pi/3) dt, by the recurrence in `limits`."""
+    if m < 2:
+        return ExactConst.rational(Fraction(-1, 2))
+    # Filled from below like `_halfpi_sin_moment`: one recursion level.
+    for k in range(m % 2, m - 2, 2):
+        _plane_cos_theta_moment(k)
+    return (_z0_power(m - 1) * Fraction(-m, 3)
+            - _plane_cos_theta_moment(m - 2) * Fraction(m * (m - 1), 3))
+
+
+def reference_weight_moment(variety: TreeVariety, m: int) -> ExactConst:
+    """The weight moment as the two recurrences above assemble it."""
+    if variety is TreeVariety.NONPLANE:
+        return halfpi_moment(m)
+    if m < 0:
+        raise ValueError("moment degree must be nonnegative")
+    return (_z0_power(m + 1) * Fraction(1, m + 1) + _plane_cos_theta_moment(m)) * Fraction(1, 2)
+
+
 # The three plane moment families that the plane weight moment was built
 # from before its own recurrence; kept verbatim as the reference.
 # Upper endpoint u = 2 pi / 3 of the substituted plane integrals:
@@ -990,25 +1049,28 @@ def quad_oracle(integrand, upper, dps=60) -> Fraction:
 
 
 class TestHalfPiMoments:
+    """The non-plane weight moment, and the reference recurrence beside it."""
+
     def test_base_cases(self):
-        assert halfpi_moment(0) == ExactConst.pi_power(1, Fraction(1, 2)) - 1
-        assert halfpi_moment(1) == ExactConst.pi_power(2, Fraction(1, 8)) - 1
+        for moment in (partial(weight_moment, TreeVariety.NONPLANE), halfpi_moment):
+            assert moment(0) == ExactConst.pi_power(1, Fraction(1, 2)) - 1
+            assert moment(1) == ExactConst.pi_power(2, Fraction(1, 8)) - 1
 
     def test_against_quadrature(self):
         for m in range(21):
-            enc = halfpi_moment(m).enclosure(30)
             truth = quad_oracle(lambda t, m=m: t**m * (1 - mpmath.sin(t)), mpmath.pi / 2)
-            assert abs(enc.midpoint - truth) < Fraction(1, 10**25), f"m={m}"
+            for moment in (weight_moment(TreeVariety.NONPLANE, m), halfpi_moment(m)):
+                enc = moment.enclosure(30)
+                assert abs(enc.midpoint - truth) < Fraction(1, 10**25), f"m={m}"
 
     def test_positive(self):
         for m in range(21):
+            assert weight_moment(TreeVariety.NONPLANE, m).sign() == 1
             assert halfpi_moment(m).sign() == 1
 
     def test_closed_sum_formula_matches_recurrence(self):
         # The antiderivative of t^m sin t evaluates at the endpoints to an
         # alternating factorial sum; it must agree with the recurrence exactly.
-        from treerank.constants import _halfpi_sin_moment
-
         for m in range(21):
             total = ExactConst.zero()
             i = 0
@@ -1020,6 +1082,9 @@ class TestHalfPiMoments:
             if m % 2 == 0:  # cosine part survives only at the lower endpoint
                 total = total + Fraction((-1) ** (m // 2) * factorial(m), 1)
             assert total == _halfpi_sin_moment(m), f"m={m}"
+            # W_m = (pi/2)^(m+1)/(m+1) - int_0^{pi/2} t^m sin t dt
+            power = ExactConst.pi_power(m + 1, Fraction(1, (m + 1) * 2 ** (m + 1)))
+            assert weight_moment(TreeVariety.NONPLANE, m) == power - total, f"m={m}"
 
 
 class TestPlaneMoments:
@@ -1062,10 +1127,17 @@ class TestPlaneMoments:
             plane_moment(-1, "sin")
 
     def test_weight_moment_matches_the_three_families(self):
+        # The plane moment against the three families and against its earlier
+        # recurrence; the non-plane moment against its earlier recurrence.
         for m in range(150):
-            assert weight_moment(TreeVariety.PLANE, m) == reference_plane_weight_moment(m), m
-        with pytest.raises(ValueError):
-            weight_moment(TreeVariety.PLANE, -1)
+            plane = weight_moment(TreeVariety.PLANE, m)
+            assert plane == reference_plane_weight_moment(m), m
+            for variety in TreeVariety:
+                value, reference = weight_moment(variety, m), reference_weight_moment(variety, m)
+                assert value == reference and value.render() == reference.render(), (variety, m)
+        for variety in TreeVariety:
+            with pytest.raises(ValueError):
+                weight_moment(variety, -1)
 
     def test_weight_moment_against_quadrature(self):
         for m in (0, 1, 2, 7, 20):
@@ -1080,8 +1152,8 @@ class TestPlaneMoments:
 
 class TestDeepMoments:
     def test_cold_degree_1500_at_the_default_recursion_limit(self):
-        # Each moment cache fills from below, so a cold build of a high
-        # degree recurses one level deep instead of one level per two degrees.
+        # The moment lists are extended bottom-up in a loop, so a cold build
+        # of a high degree does not recurse per degree.
         code = ("import sys\n"
                 "from treerank.limits import weight_moment\n"
                 "from treerank.variety import TreeVariety\n"
@@ -1094,3 +1166,49 @@ class TestDeepMoments:
         # Degree 1500 in both varieties: pi^1501, pi^1499, ..., pi^1 and pi^0.
         assert proc.stdout.split() == ["752", "752", "1000"]
 
+
+
+class TestMomentPrefix:
+    @pytest.fixture
+    def cold(self, monkeypatch):
+        """Start every variety from empty moment lists."""
+        monkeypatch.setattr(limits, "_MOMENTS",
+                            {v: ([ExactConst.rational(1)], [], []) for v in TreeVariety})
+
+    @pytest.mark.parametrize("variety", list(TreeVariety))
+    def test_call_order_does_not_matter(self, cold, variety):
+        for m in (50, 10, 80, 0, 79):
+            assert weight_moment(variety, m) == reference_weight_moment(variety, m), m
+        # z0^0..z0^81, W_0, W_2, ..., W_80 and W_1, W_3, ..., W_79
+        assert tuple(map(len, limits._MOMENTS[variety])) == (82, 41, 40)
+
+    def test_a_degree_builds_only_its_parity(self, cold):
+        weight_moment(TreeVariety.PLANE, 99)
+        assert tuple(map(len, limits._MOMENTS[TreeVariety.PLANE])) == (101, 0, 50)
+
+    @pytest.mark.parametrize("variety", list(TreeVariety))
+    def test_concurrent_extensions_append_each_moment_once(self, cold, variety):
+        # Threads that start together, switching as often as the interpreter
+        # allows, must leave one entry per degree in every list.
+        start = threading.Barrier(4)
+
+        def extend():
+            start.wait(timeout=60)
+            weight_moment(variety, 60)
+            weight_moment(variety, 61)
+
+        threads = [threading.Thread(target=extend) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        powers, even, odd = limits._MOMENTS[variety]
+        assert (len(powers), len(even), len(odd)) == (63, 31, 31)
+        for m in range(62):
+            assert (even, odd)[m % 2][m // 2] == reference_weight_moment(variety, m), m

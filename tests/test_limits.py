@@ -447,10 +447,10 @@ class TestBoundIntervals:
     @pytest.fixture
     def cold(self, monkeypatch):
         """Empty every cache a bracket fills, and leave them empty."""
-        caches = (limits.weight_moment, limits.limit_subtree_prob,
-                  limits._plane_cos_theta_moment, constants._halfpi_sin_moment,
-                  constants._pi_bounds, counting.root_rank_counts, counting._binomials,
-                  tree_counts)
+        caches = (limits.limit_subtree_prob, constants._pi_bounds, counting.root_rank_counts,
+                  series._binomials, tree_counts)
+        monkeypatch.setattr(limits, "_MOMENTS",
+                            {v: ([ExactConst.rational(1)], [], []) for v in TreeVariety})
         monkeypatch.setattr(counting, "_SUFFIX_ROWS", {v: [[0]] for v in TreeVariety})
         monkeypatch.setattr(series, "_TREE_COUNTS", {v: [1] for v in TreeVariety})
         for cache in caches:
