@@ -158,7 +158,7 @@ class ExactConst:
         return value
 
     @classmethod
-    def _reduced(cls, num: dict[int, tuple[int, int]], den: int) -> "ExactConst":
+    def reduced(cls, num: dict[int, tuple[int, int]], den: int) -> "ExactConst":
         """Canonical form of numerators with no zero pair over den > 0.
 
         D goes first: once the running gcd is 1, `gcd` only checks the
@@ -186,7 +186,7 @@ class ExactConst:
                     del out[j]
                     continue
             out[j] = (a, b)
-        return ExactConst._reduced(out, den)
+        return ExactConst.reduced(out, den)
 
     __radd__ = __add__
 
@@ -216,8 +216,8 @@ class ExactConst:
                     ca, cb = out[j]
                     a, b = ca + a, cb + b
                 out[j] = (a, b)
-        return ExactConst._reduced({j: pair for j, pair in out.items() if pair[0] or pair[1]},
-                                   self._den * other._den)
+        return ExactConst.reduced({j: pair for j, pair in out.items() if pair[0] or pair[1]},
+                                  self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -472,8 +472,11 @@ class Enclosure:
 
 
 def _log2_bound(n: int, d: int) -> int:
-    """An integer above log2|n/d|, for d > 0; 0 for n = 0."""
-    n, d = _lowest(n, d)
+    """An integer above log2|n/d|, for d > 0.
+
+    |n| < 2^n.bit_length() and d >= 2^(d.bit_length() - 1), so n/d need
+    not be in lowest terms.
+    """
     return n.bit_length() - d.bit_length() + 1
 
 

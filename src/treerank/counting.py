@@ -114,11 +114,9 @@ class RootRankTable:
     S_{k+1}[i]; reading rank k extends rows 0..k+1 through max_size.
     """
 
-    def __init__(self, variety: TreeVariety, max_size: int,
-                 overrides: dict[tuple[int, int], int] | None = None):
+    def __init__(self, variety: TreeVariety, max_size: int):
         self.variety = variety
         self.max_size = max_size
-        self._overrides = overrides or {}
 
     def _check(self, k: int, i: int) -> None:
         if k < 0:
@@ -128,8 +126,6 @@ class RootRankTable:
 
     def count(self, k: int, i: int) -> int:
         self._check(k, i)
-        if (k, i) in self._overrides:
-            return self._overrides[k, i]
         if k >= i:  # rank k needs a leaf path of length k below the root
             return 0
         rows = _suffix_rows(self.variety, k + 1, self.max_size)
@@ -139,11 +135,7 @@ class RootRankTable:
         """t[0][i], ..., t[i-1][i]: the trees on i labels by root rank."""
         self._check(0, i)
         rows = _suffix_rows(self.variety, i, self.max_size)
-        col = [rows[k][i] - rows[k + 1][i] for k in range(i)]
-        for (k, j), value in self._overrides.items():
-            if j == i and k < i:
-                col[k] = value
-        return col
+        return [rows[k][i] - rows[k + 1][i] for k in range(i)]
 
     def row_sum(self, i: int) -> int:
         return sum(self.column(i))
@@ -158,12 +150,6 @@ class RootRankTable:
             if c:
                 coeffs[i] = Fraction(c, factorial(i))
         return EgfSeries(coeffs)
-
-    def with_entry(self, k: int, i: int, value: int) -> "RootRankTable":
-        """Copy with one entry replaced; exists for fault-injection tests."""
-        self._check(k, i)
-        return RootRankTable(self.variety, self.max_size,
-                             {**self._overrides, (k, i): value})
 
     def __repr__(self) -> str:
         return f"RootRankTable({self.variety}, max_size={self.max_size})"

@@ -39,9 +39,16 @@ where at m = 0 the boundary term -g'(0) equals g(0) in both varieties:
   from pi/3 at t = 0 to pi at z0, so g'' = -(3/2) cos(theta),
   (c, b) = (1/2, 1/3) and g(0) = 3/4.
 
-A degree reads only moments of its own parity, so `weight_moment` keeps
-per variety a prefix list of z0 powers and one of moments per parity,
-extended in place like the tree counts and the suffix rows.
+Unrolled, the recurrence is a sum of floor(m/2) + 2 terms:
+
+    W_m = c sum_{j=0}^{floor(m/2)} (-b)^j m!/(m+1-2j)! z0^(m+1-2j)
+          + (-b)^(floor(m/2)+1) g(0) m!,
+
+so `weight_moment` builds any degree directly, with no table of lower
+ones.  The count series of subtree size i has the correction
+T_i z^(i-1)/(i-1)!, so its limit is v_i = kappa_v T_i W_(i-1)/(i-1)!; that
+of rank k with size i has t[k][i] in place of T_i, so its limit is
+w_{k,i} = v_i t[k][i]/T_i.
 
 Higher ranks admit no closed form; they get two-sided brackets instead:
 the rank-k mass restricted to subtree sizes <= r is a certified lower
@@ -52,7 +59,6 @@ gives the upper bound.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -73,19 +79,12 @@ KAPPA = {
 }
 
 # (z0, c, b, g(0)) per variety: the weight is g = c - b g'', and the
-# moment recurrence in the docstring reads nothing else.
+# moment sum in the docstring reads nothing else.
 _WEIGHT = {
     TreeVariety.NONPLANE: (ExactConst.pi_power(1, Fraction(1, 2)), 1, 1, 1),
     TreeVariety.PLANE: (ExactConst.pi_power(1, 0, Fraction(2, 9)),
                         Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)),
 }
-
-# Per variety, prefix lists of z0^0, z0^1, ..., of W_0, W_2, ... and of
-# W_1, W_3, ...; extended in place under the lock, never rebuilt.
-_MOMENTS: dict[TreeVariety, tuple[list[ExactConst], list[ExactConst], list[ExactConst]]] = {
-    v: ([ExactConst.rational(1)], [], []) for v in TreeVariety
-}
-_MOMENTS_LOCK = threading.Lock()
 
 
 class ClosedFormUnavailableError(ValueError):
@@ -95,52 +94,52 @@ class ClosedFormUnavailableError(ValueError):
 def weight_moment(variety: TreeVariety, m: int) -> ExactConst:
     """W_m = int_0^{z0} t^m g(t) dt for the variety's weight g, exact.
 
-    The first call at a degree extends the prefix list of its parity
-    through it, bottom-up under the lock; entries are only ever appended,
-    so reads need no lock and no degree recurses.
+    The unrolled sum of the module docstring, on integer numerators over
+    one denominator, reduced once.  With z0 = x sqrt(root) pi, each pi^n
+    term is the one before it times rho n(n-1), rho = -b pi^2/z0^2, and
+    all of them take the sqrt3 slot or all the rational one.
     """
     if m < 0:
         raise ValueError("moment degree must be nonnegative")
-    powers, moments = _MOMENTS[variety][0], _MOMENTS[variety][1 + m % 2]
-    if m // 2 < len(moments):
-        return moments[m // 2]
     z0, c, b, g0 = _WEIGHT[variety]
-    with _MOMENTS_LOCK:
-        while len(powers) < m + 2:
-            powers.append(powers[-1] * z0)
-        for n in range(2 * len(moments) + m % 2, m + 1, 2):
-            lead = powers[n + 1] * Fraction(c, n + 1)
-            moments.append(lead - (moments[-1] * (b * n * (n - 1)) if n > 1 else b * g0))
-    return moments[m // 2]
-
-
-def _polynomial_correction_limit(variety: TreeVariety, count: int, degree: int) -> ExactConst:
-    """Limit for a count series whose correction is count * z^degree / degree!."""
-    if count == 0:
-        return ExactConst.zero()
-    return weight_moment(variety, degree) * (KAPPA[variety] * Fraction(count, factorial(degree)))
+    ((a, s),) = z0.terms.values()  # z0 = (a + s sqrt3) pi with a or s zero
+    root, x = (3, s) if s else (1, a)
+    half, top = m // 2, m + 1
+    # c z0^(m+1)/(m+1), the pi^(m+1) term, without its pi and sqrt3 factors
+    lead = c * x**top * Fraction(root ** (top // 2), top)
+    rho = -b / (x * x * root)
+    tail = (-b) ** (half + 1) * g0 * factorial(m)
+    den = lead.denominator * tail.denominator * rho.denominator**half
+    num = {0: (tail.numerator * (den // tail.denominator), 0)}
+    term = lead.numerator * (den // lead.denominator)
+    for n in range(top, 0, -2):
+        num[n] = (0, term) if root == 3 and top % 2 else (term, 0)
+        if n > 2:  # each step uses one of den's half factors rho.denominator
+            term = term * rho.numerator * n * (n - 1) // rho.denominator
+    return ExactConst.reduced(num, den)
 
 
 @lru_cache(maxsize=None)
 def limit_subtree_prob(variety: TreeVariety, r: int) -> ExactConst:
-    """Limiting probability that a random vertex heads a subtree of size r."""
+    """Limiting probability that a random vertex heads a subtree of size r: v_r."""
     if r < 1:
         raise ValueError("subtree size must be at least 1")
     count_r = tree_counts(variety, r)[r]
-    return _polynomial_correction_limit(variety, count_r, r - 1)
+    return weight_moment(variety, r - 1) * (KAPPA[variety] * Fraction(count_r, factorial(r - 1)))
 
 
 def limit_joint_prob(
     variety: TreeVariety, k: int, i: int, table: RootRankTable | None = None
 ) -> ExactConst:
-    """Limiting probability of rank k together with subtree size i."""
+    """Limiting probability of rank k with subtree size i: w_{k,i} = v_i t[k][i]/T_i."""
     if k < 0:
         raise ValueError("rank must be nonnegative")
     if i < 1:
         raise ValueError("subtree size must be at least 1")
     if table is None:
         table = root_rank_counts(variety, max(i, 1))
-    return _polynomial_correction_limit(variety, table.count(k, i), i - 1)
+    return limit_subtree_prob(variety, i) * Fraction(table.count(k, i),
+                                                     tree_counts(variety, i)[i])
 
 
 # Closed-form numerators of the four solvable count series, evaluated at

@@ -1,5 +1,8 @@
 """Command-line contract: flags, formats, exit codes."""
 
+import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,17 +12,20 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import treerank.counting as counting
 from treerank import cli
 from treerank.cli import main
 from treerank.constants import MAX_DIGITS
-from treerank.counting import root_rank_counts
+from treerank.counting import RootRankTable, root_rank_counts
 from treerank.enumeration import census
 from treerank.series import InvariantError
 from treerank.variety import TreeVariety
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+TESTS = Path(__file__).resolve().parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -27,6 +33,31 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class CorruptedTable(RootRankTable):
+    """A root-rank table that reads t[1][3] as 999: a planted fault."""
+
+    def count(self, k, i):
+        return 999 if (k, i) == (1, 3) else super().count(k, i)
+
+    def column(self, i):
+        col = super().column(i)
+        if i == 3:
+            col[1] = 999
+        return col
+
+
+def corrupted_root_rank_counts(variety, max_size):
+    """`root_rank_counts` with the fault planted in the non-plane table."""
+    if variety is TreeVariety.NONPLANE:
+        return CorruptedTable(variety, max_size)
+    return root_rank_counts(variety, max_size)
+
+
+def root_table_failures(out):
+    return [line for line in out.splitlines()
+            if line.startswith("FAIL") and "root-rank-table" in line]
 
 
 def reference_root_output(variety, n_max, fmt):
@@ -231,6 +262,24 @@ class TestEnumerate:
         assert code == 2
         assert "1385" in err  # the exact count appears in the refusal
 
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--n", "600", "--enum-limit", "600"],
+        ["enumerate", "--n", "1", "--enum-limit", str(cli.MAX_ENUM_LIMIT + 1)],
+        ["verify", "--order", "80", "--enum-limit", str(cli.MAX_ENUM_LIMIT + 1)],
+    ])
+    def test_enum_limit_past_the_cap_is_a_usage_error(self, capsys, argv):
+        # A pass over every tree of such a size would not end, and at some
+        # hundreds of sizes it would recurse past the interpreter's limit.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert f"argument --enum-limit: must be <= {cli.MAX_ENUM_LIMIT}" in captured.err
+        args = cli.build_parser().parse_args(
+            ["enumerate", "--n", "1", "--enum-limit", str(cli.MAX_ENUM_LIMIT)])
+        assert args.enum_limit == cli.MAX_ENUM_LIMIT
+
     @pytest.mark.parametrize("variety", ["nonplane", "plane"])
     @pytest.mark.parametrize("n, quoted", [(11, "exactly"), (2000, "more than")])
     def test_refusal_is_one_line_and_quick_at_any_size(self, capsys, variety, n, quoted):
@@ -254,12 +303,15 @@ class TestVerify:
         assert code == 0
         assert "FAIL" not in out
 
-    def test_corrupted_table_detected(self, capsys):
+    @pytest.fixture
+    def corrupted(self, monkeypatch):
+        monkeypatch.setattr(cli, "root_rank_counts", corrupted_root_rank_counts)
+
+    def test_corrupted_table_detected(self, capsys, corrupted):
         code, out, _ = run(capsys, "verify", "--enum-limit", "5", "--order", "10",
-                           "--r", "4", "--corrupt-root-table")
+                           "--r", "4")
         assert code == 1
-        assert "FAIL" in out
-        assert "root-rank-table" in out
+        assert root_table_failures(out)
 
     def test_bracket_truncation_past_the_order(self, capsys):
         # The default --r 12 exceeds --order 7: the tables reach both.
@@ -268,20 +320,25 @@ class TestVerify:
         assert "FAIL" not in out
         assert "bracket nesting/anchoring plane" in out
 
-    def test_bracket_truncation_past_the_order_still_detects_corruption(self, capsys):
-        code, out, _ = run(capsys, "verify", "--order", "7", "--enum-limit", "5",
-                           "--corrupt-root-table")
+    def test_bracket_truncation_past_the_order_still_detects_corruption(self, capsys,
+                                                                         corrupted):
+        code, out, _ = run(capsys, "verify", "--order", "7", "--enum-limit", "5")
         assert code == 1
-        assert "root-rank-table" in out
+        assert root_table_failures(out)
 
     def test_corrupted_table_detected_under_python_O(self):
+        # Asserts are stripped under -O; the checks that catch the fault are not.
+        argv = ["verify", "--enum-limit", "4", "--order", "6", "--r", "3"]
+        script = (f"import sys; sys.path.insert(0, {str(TESTS)!r})\n"
+                  "import test_cli\n"
+                  "from treerank import cli\n"
+                  "cli.root_rank_counts = test_cli.corrupted_root_rank_counts\n"
+                  f"sys.exit(cli.main({argv!r}))\n")
         env = dict(os.environ, PYTHONPATH=str(SRC))
-        argv = ["verify", "--enum-limit", "4", "--order", "6", "--r", "3",
-                "--corrupt-root-table"]
-        proc = subprocess.run([sys.executable, "-O", "-m", "treerank.cli", *argv], env=env,
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 1, proc.stderr
-        assert any(line.startswith("FAIL") for line in proc.stdout.splitlines())
+        assert root_table_failures(proc.stdout)
 
     def test_one_census_pass_per_variety_and_size(self, capsys, monkeypatch):
         def no_second_walk(*args, **kwargs):
@@ -362,6 +419,73 @@ class TestConfig:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+# Values drawn for each numeric flag, as (in range, out of range): negative,
+# zero, non-numeric and past a cap where the flag has one.  --order and --r
+# stay at most 40 and --enum-limit at most 6 (or past its cap), so that
+# each argv takes well under a second.
+NUMERIC_POOLS = {
+    "--order": (["0", "1", "2", "5", "12", "40"], ["-1", "x"]),
+    "--digits": (["1", "12", "30"], ["-1", "0", str(MAX_DIGITS + 1), "x"]),
+    "--enum-limit": (["1", "3", "6"], ["-1", "0", str(cli.MAX_ENUM_LIMIT + 1), "x"]),
+    "--k": (["0", "1", "2", "4"], ["-1", "x"]),
+    "--r": (["1", "4", "12", "40"], ["-1", "0", "x"]),
+    "--i": (["1", "3", "16", "40"], ["-1", "0", "x"]),
+    "--n-max": (["0", "3", "40", "41"], ["-1", "x"]),
+    "--n": (["1", "3", "6", "7", "2000"], ["-1", "0", "x"]),
+}
+
+
+def flag_pools() -> dict[str, dict[str, tuple[list[str], list[str]]]]:
+    """Per subcommand, each flag the parser defines with the values to draw
+    for it: its choices and one that is not, or its numeric pools."""
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    pools = {}
+    for command, sub in subparsers.choices.items():
+        pools[command] = {
+            action.option_strings[-1]: ((list(action.choices), ["other"]) if action.choices
+                                        else NUMERIC_POOLS[action.option_strings[-1]])
+            for action in sub._actions
+            if action.option_strings and action.option_strings[-1] != "--help"
+        }
+    return pools
+
+
+FLAG_POOLS = flag_pools()
+
+
+@st.composite
+def argvs(draw) -> list[str]:
+    """A subcommand with a subset of its flags, at most one of them out of
+    range, so that in-range argvs reach the checks past the parser."""
+    command = draw(st.sampled_from(sorted(FLAG_POOLS)))
+    pools = FLAG_POOLS[command]
+    flags = draw(st.lists(st.sampled_from(sorted(pools)), unique=True))
+    bad = draw(st.none() | st.sampled_from(flags)) if flags else None
+    argv = [command]
+    for flag in flags:
+        valid, invalid = pools[flag]
+        argv += [flag, draw(st.sampled_from(invalid if flag == bad else valid))]
+    return argv
+
+
+class TestExitCodeContract:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(argvs())
+    def test_every_argv_exits_0_1_or_2_without_a_traceback(self, argv):
+        # Any exception but SystemExit leaves `main` and fails the example.
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err.getvalue(), argv
+        if code == 2:
+            assert out.getvalue() == "", argv
 
 
 class TestBenchmarkTracer:

@@ -19,7 +19,6 @@ from mpmath.libmp import to_rational
 
 import treerank.constants as constants
 import treerank.enumeration as enumeration
-import treerank.limits as limits
 from treerank.constants import (
     _GUARD_BITS,
     _LOG2_PI,
@@ -40,7 +39,7 @@ from treerank.constants import (
     iv_enclosure,
     sqrt_weighted_sum,
 )
-from treerank.limits import bound_interval, weight_moment
+from treerank.limits import _WEIGHT, bound_interval, weight_moment
 from treerank.variety import TreeVariety
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -988,6 +987,36 @@ def reference_weight_moment(variety: TreeVariety, m: int) -> ExactConst:
     return (_z0_power(m + 1) * Fraction(1, m + 1) + _plane_cos_theta_moment(m)) * Fraction(1, 2)
 
 
+# The prefix-list `weight_moment` that the unrolled sum replaced, kept
+# verbatim (under its own name, with its own lists) as the reference.
+_MOMENTS: dict[TreeVariety, tuple[list[ExactConst], list[ExactConst], list[ExactConst]]] = {
+    v: ([ExactConst.rational(1)], [], []) for v in TreeVariety
+}
+_MOMENTS_LOCK = threading.Lock()
+
+
+def prefix_list_weight_moment(variety: TreeVariety, m: int) -> ExactConst:
+    """W_m = int_0^{z0} t^m g(t) dt for the variety's weight g, exact.
+
+    The first call at a degree extends the prefix list of its parity
+    through it, bottom-up under the lock; entries are only ever appended,
+    so reads need no lock and no degree recurses.
+    """
+    if m < 0:
+        raise ValueError("moment degree must be nonnegative")
+    powers, moments = _MOMENTS[variety][0], _MOMENTS[variety][1 + m % 2]
+    if m // 2 < len(moments):
+        return moments[m // 2]
+    z0, c, b, g0 = _WEIGHT[variety]
+    with _MOMENTS_LOCK:
+        while len(powers) < m + 2:
+            powers.append(powers[-1] * z0)
+        for n in range(2 * len(moments) + m % 2, m + 1, 2):
+            lead = powers[n + 1] * Fraction(c, n + 1)
+            moments.append(lead - (moments[-1] * (b * n * (n - 1)) if n > 1 else b * g0))
+    return moments[m // 2]
+
+
 # The three plane moment families that the plane weight moment was built
 # from before its own recurrence; kept verbatim as the reference.
 # Upper endpoint u = 2 pi / 3 of the substituted plane integrals:
@@ -1152,63 +1181,33 @@ class TestPlaneMoments:
 
 class TestDeepMoments:
     def test_cold_degree_1500_at_the_default_recursion_limit(self):
-        # The moment lists are extended bottom-up in a loop, so a cold build
-        # of a high degree does not recurse per degree.
-        code = ("import sys\n"
+        # A degree is one sum over its own terms: no degree recurses, and
+        # nothing below it is kept.  The prefix lists this sum replaced
+        # peaked at about 500 MiB on this request.
+        code = ("import resource, sys\n"
                 "from treerank.limits import weight_moment\n"
                 "from treerank.variety import TreeVariety\n"
                 "for variety in TreeVariety:\n"
                 "    print(len(weight_moment(variety, 1500).terms))\n"
-                "print(sys.getrecursionlimit())\n")
+                "print(sys.getrecursionlimit())\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={"PYTHONPATH": str(SRC)}, timeout=120)
         assert proc.returncode == 0, proc.stderr[-2000:]
         # Degree 1500 in both varieties: pi^1501, pi^1499, ..., pi^1 and pi^0.
-        assert proc.stdout.split() == ["752", "752", "1000"]
-
+        *terms, peak_kib = proc.stdout.split()
+        assert terms == ["752", "752", "1000"]
+        assert int(peak_kib) < 100 * 1024
 
 
 class TestMomentPrefix:
-    @pytest.fixture
-    def cold(self, monkeypatch):
-        """Start every variety from empty moment lists."""
-        monkeypatch.setattr(limits, "_MOMENTS",
-                            {v: ([ExactConst.rational(1)], [], []) for v in TreeVariety})
-
     @pytest.mark.parametrize("variety", list(TreeVariety))
-    def test_call_order_does_not_matter(self, cold, variety):
+    def test_call_order_does_not_matter(self, variety):
         for m in (50, 10, 80, 0, 79):
             assert weight_moment(variety, m) == reference_weight_moment(variety, m), m
-        # z0^0..z0^81, W_0, W_2, ..., W_80 and W_1, W_3, ..., W_79
-        assert tuple(map(len, limits._MOMENTS[variety])) == (82, 41, 40)
-
-    def test_a_degree_builds_only_its_parity(self, cold):
-        weight_moment(TreeVariety.PLANE, 99)
-        assert tuple(map(len, limits._MOMENTS[TreeVariety.PLANE])) == (101, 0, 50)
 
     @pytest.mark.parametrize("variety", list(TreeVariety))
-    def test_concurrent_extensions_append_each_moment_once(self, cold, variety):
-        # Threads that start together, switching as often as the interpreter
-        # allows, must leave one entry per degree in every list.
-        start = threading.Barrier(4)
-
-        def extend():
-            start.wait(timeout=60)
-            weight_moment(variety, 60)
-            weight_moment(variety, 61)
-
-        threads = [threading.Thread(target=extend) for _ in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        powers, even, odd = limits._MOMENTS[variety]
-        assert (len(powers), len(even), len(odd)) == (63, 31, 31)
-        for m in range(62):
-            assert (even, odd)[m % 2][m // 2] == reference_weight_moment(variety, m), m
+    def test_sum_matches_the_prefix_lists(self, variety):
+        for m in range(400):
+            value, reference = weight_moment(variety, m), prefix_list_weight_moment(variety, m)
+            assert value == reference and value.render() == reference.render(), m

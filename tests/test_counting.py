@@ -263,13 +263,6 @@ class TestRootRankTable:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("raised: root-rank row 5 ")
 
-    def test_with_entry_breaks_row_sum(self):
-        table = root_rank_counts(NP, 6)
-        broken = table.with_entry(1, 3, 999)
-        assert broken.row_sum(3) != tree_counts(NP, 6)[3]
-        assert broken.count(1, 3) == 999 and broken.column(3)[1] == 999
-        assert table.count(1, 3) == 1 and table.row_sum(3) == tree_counts(NP, 6)[3]
-
     def test_validation(self):
         table = root_rank_counts(NP, 6)
         with pytest.raises(ValueError):

@@ -287,6 +287,15 @@ class TestAgainstReferenceChain:
                 assert limit_joint_prob(variety, k, i, table) == \
                     reference_joint_prob(variety, k, i, table)
 
+    def test_joint_limits_by_their_own_moment(self, variety):
+        # w_{k,i} is read off v_i; here it is kappa_v t[k][i] W_(i-1)/(i-1)!.
+        table = root_rank_counts(variety, 40)
+        for i in range(1, 41):
+            moment = weight_moment(variety, i - 1) * KAPPA[variety]
+            for k in range(5):
+                expected = moment * Fraction(table.count(k, i), factorial(i - 1))
+                assert limit_joint_prob(variety, k, i, table) == expected, (k, i)
+
     def test_rank_fractions(self, variety):
         for k in (0, 1):
             assert limit_rank_fraction(variety, k) == reference_rank_fraction(variety, k)
@@ -449,8 +458,6 @@ class TestBoundIntervals:
         """Empty every cache a bracket fills, and leave them empty."""
         caches = (limits.limit_subtree_prob, constants._pi_bounds, counting.root_rank_counts,
                   series._binomials, tree_counts)
-        monkeypatch.setattr(limits, "_MOMENTS",
-                            {v: ([ExactConst.rational(1)], [], []) for v in TreeVariety})
         monkeypatch.setattr(counting, "_SUFFIX_ROWS", {v: [[0]] for v in TreeVariety})
         monkeypatch.setattr(series, "_TREE_COUNTS", {v: [1] for v in TreeVariety})
         for cache in caches:
