@@ -1,24 +1,14 @@
 """Exact counting beyond brute-force reach.
 
-Two engines live here.  Suffix rows tabulate S_k[i], the number of trees
-on i labels whose root has rank k or more, so that t[k][i] = S_k[i] -
-S_{k+1}[i] counts the trees whose root has rank exactly k.  On top of
-them, first-order linear recurrences on exponential generating
-functions produce, for every n at once, the totals of vertices with a
-given rank, a given subtree size, or both.
+Two engines live here.  The root-rank table reads the suffix rows S_k[i],
+the number of trees on i labels whose root has rank k or more, so that
+t[k][i] = S_k[i] - S_{k+1}[i] counts the trees whose root has rank
+exactly k.  On top of it, first-order linear recurrences on exponential
+generating functions produce, for every n at once, the totals of
+vertices with a given rank, a given subtree size, or both.
 
-The rows follow the increasing-tree specification (Bergeron, Flajolet
-and Salvy, Varieties of increasing trees, 1992) restricted to roots of
-rank at least k.  A root has rank >= k >= 1 exactly when it has a child
-and every child has rank >= k-1, so with c = 1/2 for non-plane and c = 1
-for plane trees
-
-    S_k' = S_{k-1} + c S_{k-1}^2,    S_0 = T - 1,
-
-and with S_0 = T - 1 the right side of S_1' is T' - 1: S_1 counts every
-tree of two or more vertices.  Reading rank k needs rows 0..k+1 only,
-so a rank request costs O(k N^2) multiplications and the whole table
-O(N^3 / 24).
+The rows S_k' = S_{k-1} + c S_{k-1}^2 live in `series`, which reads the
+tree counts off rows 0 and 1; the table here is a view of them.
 
 The decomposition behind every count recurrence is the same: mark a
 vertex, delete the root.  Either the marked vertex survives in one of the
@@ -41,70 +31,17 @@ P is read straight off the t table:
 from __future__ import annotations
 
 import csv
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from operator import mul
 from typing import IO
 
 from .constants import decimal_string
-from .series import EgfSeries, InvariantError, _binomials, solve_linear_counts, tree_counts
+from .series import EgfSeries, _suffix_rows, solve_linear_counts, tree_counts
 from .variety import TreeVariety
 
 DEFAULT_MAX_SIZE = 80
-
-# Suffix rows S_0, S_1, ... per variety, row k holding S_k[0..len-1]; rows
-# are extended in place under the lock, never rebuilt, and row k is never
-# longer than row k-1.  An appended entry is final, so reads need no lock.
-_SUFFIX_ROWS: dict[TreeVariety, list[list[int]]] = {v: [[0]] for v in TreeVariety}
-_ROWS_LOCK = threading.Lock()
-
-
-def _suffix_rows(variety: TreeVariety, rank: int, size: int) -> list[list[int]]:
-    """The variety's rows S_0..S_rank, each extended through `size`.
-
-    n!-scaled, S_k' = S_{k-1} + c S_{k-1}^2 reads
-        S_k[i] = S_{k-1}[i-1] + c sum_j C(i-1, j) S_{k-1}[j] S_{k-1}[i-1-j],
-    where only k <= j <= i-1-k contributes (a root of rank >= k-1 heads at
-    least k vertices).  The square's terms pair up as j <-> i-1-j, so half
-    of them are summed and doubled.  Non-plane trees take half of the
-    square, which must be even.  S_1[i] = T_i for i >= 2 is checked as
-    row 1 grows.
-    """
-    rows = _SUFFIX_ROWS[variety]
-    if len(rows) > rank and len(rows[rank]) > size:
-        return rows
-    with _ROWS_LOCK:
-        counts = tree_counts(variety, size)
-        rows[0].extend(counts[len(rows[0]):])
-        while len(rows) <= rank:
-            rows.append([0])
-        plane = variety is TreeVariety.PLANE
-        for k in range(1, rank + 1):
-            prev, row = rows[k - 1], rows[k]
-            for i in range(len(row), size + 1):
-                n = i - 1
-                square = 0
-                if 2 * k <= n:
-                    # j in k..h-1 pairs with n-j in n-k..n-h+1
-                    binom, h = _binomials(n), (n + 1) // 2
-                    square = 2 * sum(map(mul, map(mul, binom[k:h], prev[k:h]),
-                                         prev[n - k:n - h:-1]))
-                    if n % 2 == 0:
-                        square += binom[h] * prev[h] ** 2
-                if not plane:
-                    square, rem = divmod(square, 2)
-                    if rem:
-                        raise InvariantError(f"ordered two-child count for S_{k}[{i}] is odd")
-                value = prev[n] + square
-                if k == 1 and i >= 2 and value != counts[i]:
-                    raise InvariantError(
-                        f"root-rank row {i} disagrees with the tree count: "
-                        f"{value} trees have a root of rank >= 1, not {counts[i]}")
-                row.append(value)
-    return rows
 
 
 class RootRankTable:
@@ -165,9 +102,8 @@ def root_rank_counts(variety: TreeVariety, max_size: int = DEFAULT_MAX_SIZE) -> 
     that both have rank >= k-1 (c = 1/2 for non-plane trees, whose two
     subtrees are unordered and always have different label sets; c = 1
     for plane trees).  So t[k][i] = S_k[i] - S_{k+1}[i], and the rows sum
-    by telescoping to S_0[i] = T_i.  What pins the recurrence down is
-    S_1[i] = T_i for i >= 2, checked as rows 0 and 1 are built here;
-    higher rows are built as a rank is first read.
+    by telescoping to S_0[i] = T_i.  Rows 0 and 1 are built here, higher
+    rows as a rank is first read.
     """
     if max_size < 1:
         raise ValueError("max_size must be at least 1")

@@ -204,16 +204,9 @@ class Census:
     def vertex_pairs(self) -> int:
         return self.n * self.tree_count
 
-    def rank_prob(self, k: int) -> Fraction:
-        total = self.rank_totals[k] if k < len(self.rank_totals) else 0
-        return Fraction(total, self.vertex_pairs)
-
     def size_prob(self, r: int) -> Fraction:
         total = self.size_totals[r] if r < len(self.size_totals) else 0
         return Fraction(total, self.vertex_pairs)
-
-    def joint_prob(self, k: int, r: int) -> Fraction:
-        return Fraction(self.joint_totals.get((k, r), 0), self.vertex_pairs)
 
     @property
     def mean_leaves(self) -> Fraction:

@@ -7,9 +7,25 @@ n!-scaled recurrence
 
     Y_{n+1} = sum_{i <= n} C(n, i) M_i Y_{n-i} + P_n,
 
-and the quadratic equations of the two base series become recurrences of
-the same shape on the tree counts T_n.  That integer kernel is what every
-count sequence is computed with.
+and the quadratic equations of the suffix rows below, the tree counts
+among them, become recurrences of the same shape.  That integer kernel is
+what every count sequence is computed with.
+
+The tree counts are one row of the root-rank suffix rows S_k[i], the
+number of trees on i labels whose root has rank k or more.  These follow
+the increasing-tree specification (Bergeron, Flajolet and Salvy,
+Varieties of increasing trees, 1992) restricted to roots of rank at least
+k.  A root has rank >= k >= 1 exactly when it has a child and every child
+has rank >= k-1, so with c = 1/2 for non-plane and c = 1 for plane trees
+
+    S_k' = S_{k-1} + c S_{k-1}^2,    S_0 = T - 1.
+
+The base equations T' = (1 + T^2)/2 (non-plane) and T' = 1 - T + T^2
+(plane) make the right side of S_1' equal to T' - 1, so S_1 = T - 1 - z
+counts every tree of two or more vertices: S_0[i] = S_1[i] = T_i for
+i >= 2.  Growing row 1 therefore grows row 0, and `tree_counts` reads T
+off row 0.  Reading rank k needs rows 0..k+1 only, so a rank request
+costs O(k N^2) multiplications and the whole table O(N^3 / 24).
 
 `EgfSeries` stores ordinary coefficients c_n = Y_n / n! as
 `fractions.Fraction`s.  It is the reference the integer kernel is tested
@@ -172,48 +188,61 @@ def _binomials(n: int) -> tuple[int, ...]:
     return tuple(accumulate(range(n // 2), lambda c, j: c * (n - j) // (j + 1), initial=1))
 
 
-# Tree counts T_0..T_N per variety; extended in place under the lock, never
-# rebuilt.
-_TREE_COUNTS: dict[TreeVariety, list[int]] = {v: [1] for v in TreeVariety}
-_TREE_COUNTS_LOCK = threading.Lock()
+# Suffix rows S_0, S_1, ... per variety, row k holding S_k[0..len-1]; rows
+# are extended in place under the lock, never rebuilt, and row k is never
+# longer than row k-1.  An appended entry is final, so reads need no lock.
+# Row 0 is T - 1, grown by row 1: S_0[i] = S_1[i] for i >= 2.
+_SUFFIX_ROWS: dict[TreeVariety, list[list[int]]] = {v: [[0, 1], [0, 0]] for v in TreeVariety}
+_ROWS_LOCK = threading.Lock()
 
 
-def _extend_tree_counts(variety: TreeVariety, order: int) -> list[int]:
-    """The variety's tree counts through `order`, extending the shared prefix.
+def _suffix_rows(variety: TreeVariety, rank: int, size: int) -> list[list[int]]:
+    """The variety's rows S_0..S_rank (rank >= 1), each extended through `size`.
 
-    n!-scaled forms of y' = (1 + y^2)/2 (non-plane) and y' = 1 - y + y^2
-    (plane), y(0) = 1:
-        non-plane  T_{n+1} = (d_n + sum_i C(n,i) T_i T_{n-i}) / 2
-        plane      T_{n+1} = d_n - T_n + sum_i C(n,i) T_i T_{n-i}
-    with d_n = 1 for n = 0 and 0 otherwise.  The square's terms pair up
-    as i <-> n-i, so half of them are summed and doubled.
+    n!-scaled, S_k' = S_{k-1} + c S_{k-1}^2 reads
+        S_k[i] = S_{k-1}[i-1] + c sum_j C(i-1, j) S_{k-1}[j] S_{k-1}[i-1-j],
+    where only k <= j <= i-1-k contributes (a root of rank >= k-1 heads at
+    least k vertices).  The square's terms pair up as j <-> i-1-j, so half
+    of them are summed and doubled.  Non-plane trees take half of the
+    square, which must be even.  Each entry of row 1 is also row 0's next
+    entry, appended to row 0 first so that no row outgrows the one before.
     """
-    t = _TREE_COUNTS[variety]
-    plane = variety is TreeVariety.PLANE
-    with _TREE_COUNTS_LOCK:
-        for n in range(len(t) - 1, order):
-            lo = (n + 1) // 2  # terms i < lo pair with n-i > n-lo
-            row = _binomials(n)
-            square = 2 * sum(map(mul, map(mul, row, t[:lo]), t[n:n - lo:-1]))
-            if n % 2 == 0:
-                square += row[lo] * t[lo] ** 2
-            rhs = (1 if n == 0 else 0) + square
-            if plane:
-                t.append(rhs - t[n])
-            else:
-                half, rem = divmod(rhs, 2)
-                if rem:
-                    raise InvariantError(f"non-plane tree count {n + 1} is not an integer")
-                t.append(half)
-    return t
+    rows = _SUFFIX_ROWS[variety]
+    if len(rows) > rank and len(rows[rank]) > size:
+        return rows
+    with _ROWS_LOCK:
+        while len(rows) <= rank:
+            rows.append([0])
+        plane = variety is TreeVariety.PLANE
+        for k in range(1, rank + 1):
+            prev, row = rows[k - 1], rows[k]
+            for i in range(len(row), size + 1):
+                n = i - 1
+                square = 0
+                if 2 * k <= n:
+                    # j in k..h-1 pairs with n-j in n-k..n-h+1
+                    binom, h = _binomials(n), (n + 1) // 2
+                    square = 2 * sum(map(mul, map(mul, binom[k:h], prev[k:h]),
+                                         prev[n - k:n - h:-1]))
+                    if n % 2 == 0:
+                        square += binom[h] * prev[h] ** 2
+                if not plane:
+                    square, rem = divmod(square, 2)
+                    if rem:
+                        raise InvariantError(f"ordered two-child count for S_{k}[{i}] is odd")
+                value = prev[n] + square
+                if k == 1:
+                    prev.append(value)
+                row.append(value)
+    return rows
 
 
 @lru_cache(maxsize=None)
 def tree_counts(variety: TreeVariety, order: int) -> tuple[int, ...]:
-    """Trees of each size 0..order of the given variety (T_0 = 1)."""
+    """Trees of each size 0..order of the given variety (T_0 = 1), off row 0."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    return tuple(_extend_tree_counts(variety, order)[: order + 1])
+    return (1,) + tuple(_suffix_rows(variety, 1, order)[0][1:order + 1])
 
 
 @lru_cache(maxsize=None)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import treerank.counting as counting
+import treerank.series as series
 from treerank import cli
 from treerank.cli import main
 from treerank.constants import MAX_DIGITS
@@ -147,7 +147,7 @@ class TestCounts:
 
     def test_rank_request_at_order_320_within_budget(self, capsys, monkeypatch):
         # ROADMAP aim 1's counts size, from empty rows as in a new process
-        monkeypatch.setattr(counting, "_SUFFIX_ROWS", {v: [[0]] for v in TreeVariety})
+        monkeypatch.setattr(series, "_SUFFIX_ROWS", {v: [[0, 1], [0, 0]] for v in TreeVariety})
         started = time.perf_counter()
         code, out, _ = run(capsys, "counts", "--variety", "nonplane", "--order", "320",
                            "--kind", "rank", "--k", "2")
@@ -312,6 +312,20 @@ class TestVerify:
                            "--r", "4")
         assert code == 1
         assert root_table_failures(out)
+
+    @pytest.mark.parametrize("order", [2, 3, 10, 80])
+    def test_rank_one_correction_holds_in_integers(self, capsys, order):
+        code, out, _ = run(capsys, "verify", "--enum-limit", "2", "--order", str(order),
+                           "--r", "2")
+        assert code == 0
+        assert "ok    rank-1 root correction z*E - z^2/2: series match\n" in out
+
+    def test_rank_one_correction_catches_the_planted_fault(self, capsys, corrupted):
+        # t[1][3] = 999, where 2 E_1 - 1 = 1 trees of size 3 have a rank-1 root
+        code, out, _ = run(capsys, "verify", "--enum-limit", "5", "--order", "10",
+                           "--r", "4")
+        assert code == 1
+        assert "FAIL  rank-1 root correction z*E - z^2/2: mismatch\n" in out
 
     def test_bracket_truncation_past_the_order(self, capsys):
         # The default --r 12 exceeds --order 7: the tables reach both.

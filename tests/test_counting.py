@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-import treerank.counting as counting
+import treerank.series as series
 from treerank.counting import (
     joint_vertex_counts,
     rank_vertex_counts,
@@ -24,6 +24,10 @@ from treerank.counting import (
 from treerank.enumeration import census
 from treerank.series import EgfSeries, InvariantError, base_series, tree_counts
 from treerank.variety import TreeVariety
+
+from test_series import fraction_tree_counts
+
+reference_tree_counts = lru_cache(maxsize=None)(fraction_tree_counts)
 
 NP = TreeVariety.NONPLANE
 PL = TreeVariety.PLANE
@@ -125,10 +129,15 @@ class ReferenceTable:
         return self.t[k][i] if k < len(self.t) else 0
 
 
+def start_cold(monkeypatch):
+    """The initial suffix rows and no cached tree counts, as a new process starts with."""
+    monkeypatch.setattr(series, "_SUFFIX_ROWS", {v: [[0, 1], [0, 0]] for v in TreeVariety})
+    tree_counts.cache_clear()
+
+
 @pytest.fixture
 def fresh_rows(monkeypatch):
-    """Empty suffix rows, as a new process starts with."""
-    monkeypatch.setattr(counting, "_SUFFIX_ROWS", {v: [[0]] for v in TreeVariety})
+    start_cold(monkeypatch)
 
 
 def assert_matches_band_table(variety, order):
@@ -203,7 +212,7 @@ class TestRootRankTable:
             got = rank_vertex_counts(variety, k, 150)
             assert got.counts == rank_vertex_counts(variety, k, 150, reference).counts
             # t[k][i] = S_k[i] - S_{k+1}[i]: rows 0..k+1 and no more
-            assert len(counting._SUFFIX_ROWS[variety]) == k + 2
+            assert len(series._SUFFIX_ROWS[variety]) == k + 2
 
     def test_concurrent_readers_extend_rows_once(self, fresh_rows):
         # Readers that start together and grow the rows in different orders,
@@ -239,21 +248,18 @@ class TestRootRankTable:
         # a row grown twice over would misplace every entry past order
         assert_matches_band_table(NP, 150)
 
-    def test_row_sum_check_survives_python_O(self):
-        # A wrong tree count must still be caught when asserts are stripped.
+    def test_parity_check_survives_python_O(self):
+        # A wrong binomial must still be caught when asserts are stripped:
+        # C(4, 2) read as 7 makes the ordered two-child count of S_1[5] odd.
         script = textwrap.dedent("""
-            import treerank.counting as counting
+            import treerank.series as series
             from treerank.series import InvariantError, tree_counts
             from treerank.variety import TreeVariety
 
-            def wrong_counts(variety, order):
-                counts = list(tree_counts(variety, order))
-                counts[5] += 1
-                return tuple(counts)
-
-            counting.tree_counts = wrong_counts
+            binomials = series._binomials
+            series._binomials = lambda n: (1, 4, 7) if n == 4 else binomials(n)
             try:
-                counting.root_rank_counts(TreeVariety.NONPLANE, 8)
+                tree_counts(TreeVariety.NONPLANE, 8)
             except InvariantError as exc:
                 print("raised:", exc)
         """)
@@ -261,7 +267,7 @@ class TestRootRankTable:
         proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.startswith("raised: root-rank row 5 ")
+        assert proc.stdout == "raised: ordered two-child count for S_1[5] is odd\n"
 
     def test_validation(self):
         table = root_rank_counts(NP, 6)
@@ -271,6 +277,104 @@ class TestRootRankTable:
             table.count(0, 0)
         with pytest.raises(ValueError):
             table.count(0, 7)
+
+
+class TestSharedRows:
+    """Tree counts and root-rank reads grow one store of rows, in any order."""
+
+    ORDERS = (3, 40, 12, 150, 90)
+
+    @staticmethod
+    def read_counts(variety, order):
+        return tree_counts(variety, order)
+
+    @staticmethod
+    def read_table(variety, order):
+        table = root_rank_counts(variety, order)
+        return ([table.column(i) for i in (1, order // 2 + 1, order)],
+                [table.count(2, i) for i in range(1, order + 1)])
+
+    @staticmethod
+    def expected(variety, kind, order):
+        if kind == "counts":
+            return reference_tree_counts(variety, 150)[:order + 1]
+        reference = band_root_rank_table(variety, 150)
+        return ([[reference[k][i] for k in range(i)] for i in (1, order // 2 + 1, order)],
+                [reference[2][i] for i in range(1, order + 1)])
+
+    @staticmethod
+    def assert_rows_well_formed(variety):
+        # row 0 grows with row 1, and no row outgrows the one before it
+        rows = series._SUFFIX_ROWS[variety]
+        lengths = [len(row) for row in rows]
+        assert lengths[0] == lengths[1] == max(TestSharedRows.ORDERS) + 1
+        assert lengths == sorted(lengths, reverse=True)
+        assert tuple(rows[0][1:]) == reference_tree_counts(variety, 150)[1:]
+
+    @pytest.mark.parametrize("variety", [NP, PL])
+    def test_each_entry_reaches_row_zero_first(self, monkeypatch, variety):
+        # A lock-free tree_counts read slices row 0 as soon as row 1 is long
+        # enough, so row 1 must never be longer than row 0, not even between
+        # the two appends of one entry.
+        start_cold(monkeypatch)
+        row0 = [0, 1]
+
+        class RowOne(list):
+            def append(self, value):
+                assert len(row0) == len(self) + 1, "row 1 grew before row 0"
+                super().append(value)
+
+        series._SUFFIX_ROWS[variety] = [row0, RowOne([0, 0])]
+        assert tree_counts(variety, 40) == reference_tree_counts(variety, 150)[:41]
+        reference = band_root_rank_table(variety, 150)
+        assert root_rank_counts(variety, 50).column(50) == [reference[k][50] for k in range(50)]
+
+    @pytest.mark.parametrize("variety", [NP, PL])
+    @pytest.mark.parametrize("kinds", [("counts", "table"), ("table", "counts")])
+    def test_interleaved_reads_from_cold_rows(self, monkeypatch, variety, kinds):
+        for kind in kinds:
+            self.expected(variety, kind, 150)  # fill the references first
+        start_cold(monkeypatch)
+        read = {"counts": self.read_counts, "table": self.read_table}
+        for order in self.ORDERS:
+            for kind in kinds:
+                assert read[kind](variety, order) == self.expected(variety, kind, order), \
+                    (kind, order)
+        self.assert_rows_well_formed(variety)
+
+    @pytest.mark.parametrize("variety", [NP, PL])
+    def test_concurrent_mixed_reads_from_cold_rows(self, monkeypatch, variety):
+        # Threads that start together, switching as often as the interpreter
+        # allows, each mixing tree-count and table reads in its own order.
+        plans = [[(kind, order) for order in orders for kind in kinds]
+                 for orders in (self.ORDERS, self.ORDERS[::-1])
+                 for kinds in (("counts", "table"), ("table", "counts"))]
+        for kind in ("counts", "table"):
+            self.expected(variety, kind, 150)
+        start_cold(monkeypatch)
+        read = {"counts": self.read_counts, "table": self.read_table}
+        start = threading.Barrier(len(plans))
+        results = {}
+
+        def run(name, plan):
+            start.wait(timeout=60)
+            results[name] = [read[kind](variety, order) for kind, order in plan]
+
+        threads = [threading.Thread(target=run, args=p) for p in enumerate(plans)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == len(plans)
+        for name, plan in enumerate(plans):
+            assert results[name] == [self.expected(variety, *step) for step in plan], name
+        self.assert_rows_well_formed(variety)
 
 
 class TestCountSequences:

@@ -458,8 +458,7 @@ class TestBoundIntervals:
         """Empty every cache a bracket fills, and leave them empty."""
         caches = (limits.limit_subtree_prob, constants._pi_bounds, counting.root_rank_counts,
                   series._binomials, tree_counts)
-        monkeypatch.setattr(counting, "_SUFFIX_ROWS", {v: [[0]] for v in TreeVariety})
-        monkeypatch.setattr(series, "_TREE_COUNTS", {v: [1] for v in TreeVariety})
+        monkeypatch.setattr(series, "_SUFFIX_ROWS", {v: [[0, 1], [0, 0]] for v in TreeVariety})
         for cache in caches:
             cache.cache_clear()
         yield

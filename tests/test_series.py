@@ -4,6 +4,7 @@ import sys
 import threading
 from fractions import Fraction
 from math import factorial
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,9 @@ from hypothesis import strategies as st
 from treerank import series
 from treerank.series import (
     EgfSeries,
+    InvariantError,
     SeriesOrderError,
+    _binomials,
     base_series,
     solve_linear_counts,
     solve_linear_ode,
@@ -175,20 +178,61 @@ def fraction_tree_counts(variety, order):
     return tuple(int(c * factorial(n)) for n, c in enumerate(cs))
 
 
-class TestTreeCountPrefix:
-    @pytest.fixture
-    def cold(self, monkeypatch):
-        """Start from empty prefixes and an empty cache, and leave them so."""
-        monkeypatch.setattr(series, "_TREE_COUNTS", {v: [1] for v in TreeVariety})
-        tree_counts.cache_clear()
-        yield
-        tree_counts.cache_clear()
+# The tree-count store that row 1 of the suffix rows replaced, kept
+# verbatim as the reference.
+_TREE_COUNTS: dict[TreeVariety, list[int]] = {v: [1] for v in TreeVariety}
+_TREE_COUNTS_LOCK = threading.Lock()
 
+
+def _extend_tree_counts(variety: TreeVariety, order: int) -> list[int]:
+    """The variety's tree counts through `order`, extending the shared prefix.
+
+    n!-scaled forms of y' = (1 + y^2)/2 (non-plane) and y' = 1 - y + y^2
+    (plane), y(0) = 1:
+        non-plane  T_{n+1} = (d_n + sum_i C(n,i) T_i T_{n-i}) / 2
+        plane      T_{n+1} = d_n - T_n + sum_i C(n,i) T_i T_{n-i}
+    with d_n = 1 for n = 0 and 0 otherwise.  The square's terms pair up
+    as i <-> n-i, so half of them are summed and doubled.
+    """
+    t = _TREE_COUNTS[variety]
+    plane = variety is TreeVariety.PLANE
+    with _TREE_COUNTS_LOCK:
+        for n in range(len(t) - 1, order):
+            lo = (n + 1) // 2  # terms i < lo pair with n-i > n-lo
+            row = _binomials(n)
+            square = 2 * sum(map(mul, map(mul, row, t[:lo]), t[n:n - lo:-1]))
+            if n % 2 == 0:
+                square += row[lo] * t[lo] ** 2
+            rhs = (1 if n == 0 else 0) + square
+            if plane:
+                t.append(rhs - t[n])
+            else:
+                half, rem = divmod(rhs, 2)
+                if rem:
+                    raise InvariantError(f"non-plane tree count {n + 1} is not an integer")
+                t.append(half)
+    return t
+
+
+@pytest.fixture
+def cold(monkeypatch):
+    """Start from the initial suffix rows and an empty cache, and leave them so."""
+    monkeypatch.setattr(series, "_SUFFIX_ROWS", {v: [[0, 1], [0, 0]] for v in TreeVariety})
+    tree_counts.cache_clear()
+    yield
+    tree_counts.cache_clear()
+
+
+class TestTreeCountPrefix:
     @pytest.mark.parametrize("variety", list(TreeVariety))
     def test_call_order_does_not_matter(self, cold, variety):
         expected = fraction_tree_counts(variety, 80)
         for order in (50, 10, 80, 0, 79):
             assert tree_counts(variety, order) == expected[: order + 1]
+
+    @pytest.mark.parametrize("variety", list(TreeVariety))
+    def test_matches_the_tree_count_recurrence_through_320(self, cold, variety):
+        assert tree_counts(variety, 320) == tuple(_extend_tree_counts(variety, 320))
 
     def test_concurrent_extensions_append_each_count_once(self, cold):
         # Threads that start together, switching as often as the interpreter
@@ -198,7 +242,7 @@ class TestTreeCountPrefix:
 
         def extend():
             start.wait(timeout=60)
-            series._extend_tree_counts(TreeVariety.NONPLANE, 120)
+            series._suffix_rows(TreeVariety.NONPLANE, 1, 120)
 
         threads = [threading.Thread(target=extend) for _ in range(4)]
         interval = sys.getswitchinterval()
@@ -212,7 +256,7 @@ class TestTreeCountPrefix:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert tree_counts(TreeVariety.NONPLANE, 120) == expected
-        assert len(series._TREE_COUNTS[TreeVariety.NONPLANE]) == 121
+        assert [len(row) for row in series._SUFFIX_ROWS[TreeVariety.NONPLANE]] == [121, 121]
 
     def test_base_series_is_a_view_of_the_counts(self, cold):
         for variety in TreeVariety:
