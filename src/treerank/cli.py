@@ -23,7 +23,7 @@ from .enumeration import (
     SizeLimitError,
     census,
     check_inequalities,
-    enumerate_trees,
+    enumerate_texts,
 )
 from .limits import (
     bound_interval,
@@ -236,8 +236,8 @@ def cmd_limits(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 def cmd_enumerate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     variety = parse_variety(args.variety)
     try:
-        for tree in enumerate_trees(variety, args.n, args.enum_limit):
-            print(tree.to_text())
+        for text in enumerate_texts(variety, args.n, args.enum_limit):
+            print(text)
     except SizeLimitError as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -1,8 +1,8 @@
 """Exhaustive generation of labeled 1-2 trees and exact census statistics.
 
 This module is the ground-truth oracle for everything else: it builds
-every tree of a given size explicitly and aggregates exact integer
-statistics over all of their vertices.  Sizes are capped (default 10)
+every tree of a given size explicitly, and its census tallies exact
+integer statistics over all of their vertices.  Sizes are capped (default 10)
 because the counts grow factorially; the refusal message quotes the
 exact count, or a lower bound when the count itself would be costly.
 
@@ -20,21 +20,29 @@ that the subtree containing the smaller minimum label comes first; the
 generator produces exactly one representative per unordered pair this
 way.
 
-The census visits each tree once, not each vertex.  Every canonical
-subtree's root rank and one-child count are computed once, size by size,
-so a generated tree reads its root's from its children's in O(1) and
-counts one occurrence per child.  At the end the occurrences are pushed
-down from the largest subtrees to the smallest, each subtree adding its
-count to its (rank, size) and degree slots and passing it on to its
-children.
+The census of size n visits each canonical tree of every size below n
+once, and no tree of size n at all.  Every canonical subtree's root rank
+and one-child count are computed once, size by size, from its children's.
+A tree of size n is a root over one child of size n-1, or over two
+children of sizes j and n-1-j whose label sets split the n-1 labels in
+one of C(n-1, j) ways (plane) or C(n-2, j-1) ways (non-plane, where the
+child holding label 1 comes first).  Trees with the same child subtrees
+differ only in that split, so the root statistics are tallied once per
+pair of child (rank, one-child count) classes and weighted by the number
+of splits, and each child subtree is credited with all the trees it
+occurs in.  At the end the occurrences are pushed down from the largest
+subtrees to the smallest, each subtree adding its count to its
+(rank, size) and degree slots and passing it on to its children.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations, count
+from math import comb
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
@@ -163,16 +171,48 @@ class LabeledTree:
         return f"LabeledTree({self.to_text()})"
 
 
-def enumerate_trees(
-    variety: TreeVariety, n: int, limit: int = DEFAULT_ENUM_LIMIT
-) -> Iterator[LabeledTree]:
-    """Every labeled 1-2 tree of the variety on 1..n, each exactly once."""
+def _check_size(variety: TreeVariety, n: int, limit: int) -> None:
     if n < 1:
         raise ValueError("tree size must be at least 1")
     if n > limit:
         raise SizeLimitError(variety, n, limit)
+
+
+def enumerate_trees(
+    variety: TreeVariety, n: int, limit: int = DEFAULT_ENUM_LIMIT
+) -> Iterator[LabeledTree]:
+    """Every labeled 1-2 tree of the variety on 1..n, each exactly once."""
+    _check_size(variety, n, limit)
     for node in _generate(variety, n):
         yield LabeledTree(node, n)
+
+
+def enumerate_texts(
+    variety: TreeVariety, n: int, limit: int = DEFAULT_ENUM_LIMIT
+) -> Iterator[str]:
+    """`to_text()` of each tree of `enumerate_trees`, in the same order.
+
+    No tree is materialized.  Each canonical subtree of size s < n gets
+    one format template, its text with "{l-1}" in place of local label l,
+    and a child's text is its template filled with the child's labels.
+    """
+    _check_size(variety, n, limit)
+    templates: list[list[str]] = [[]]  # templates[s][slot]
+    for s in range(1, n):
+        templates.append([
+            f"{{{s - 1}}}" + "".join(
+                "(" + templates[len(labels)][sub[0]].format(
+                    *[f"{{{label - 1}}}" for label in labels]) + ")"
+                for sub, labels in children
+            )
+            for _, children in _canonical_trees(variety, s)
+        ])
+    root = str(n)
+    for _, children in _generate(variety, n):
+        yield root + "".join([
+            "(" + templates[len(labels)][sub[0]].format(*labels) + ")"
+            for sub, labels in children
+        ])
 
 
 @dataclass(frozen=True)
@@ -205,7 +245,7 @@ class Census:
         return self.n * self.tree_count
 
     def size_prob(self, r: int) -> Fraction:
-        total = self.size_totals[r] if r < len(self.size_totals) else 0
+        total = self.size_totals[r] if 1 <= r <= self.n else 0
         return Fraction(total, self.vertex_pairs)
 
     @property
@@ -225,7 +265,7 @@ class Census:
 
     def size_tail_prob(self, threshold: int) -> Fraction:
         """Probability that a vertex's subtree exceeds the threshold size."""
-        tail = sum(self.size_totals[r] for r in range(threshold + 1, self.n + 1))
+        tail = sum(self.size_totals[r] for r in range(max(threshold, 0) + 1, self.n + 1))
         return Fraction(tail, self.vertex_pairs)
 
     def _validate(self) -> None:
@@ -271,21 +311,28 @@ def _root_stats(children: tuple, ranks: list[bytearray],
     return 1 + (ra if ra < rb else rb), ones[ja][ia] + ones[jb][ib]
 
 
+def _split_weight(variety: TreeVariety, m: int, j: int) -> int:
+    """Ways to give j of the m non-root labels to a root's first child.
+
+    These are the label subsets `_generate` picks: any j labels for plane
+    trees, and for non-plane trees any j that include label 1, since the
+    child holding label 1 comes first.
+    """
+    return comb(m, j) if variety is TreeVariety.PLANE else comb(m - 1, j - 1)
+
+
 def census(variety: TreeVariety, n: int, limit: int = DEFAULT_ENUM_LIMIT) -> Census:
     """Exact per-vertex rank and subtree-size statistics over every tree of size n.
 
-    Each tree is generated and counted once.  Each canonical subtree's
-    root rank and one-child count are computed once per size; a tree of
-    size n reads its root's from its children's and counts one
-    occurrence per child, and the occurrences are pushed down through
-    the subtrees at the end, so no vertex is walked.  `limit` only guards
-    the size: the result is cached per (variety, n), which `cache_info`
-    and `cache_clear` report and reset.
+    Only the trees of sizes below n are generated, each visited once to
+    read its root rank and one-child count off its children's.  The trees
+    of size n are tallied per pair of child classes, weighted by the
+    number of label splits, and the occurrences of every subtree are
+    pushed down through the subtrees at the end, so no vertex is walked.
+    `limit` only guards the size: the result is cached per (variety, n),
+    which `cache_info` and `cache_clear` report and reset.
     """
-    if n < 1:
-        raise ValueError("tree size must be at least 1")
-    if n > limit:
-        raise SizeLimitError(variety, n, limit)
+    _check_size(variety, n, limit)
     return _census(variety, n)
 
 
@@ -302,39 +349,48 @@ def _census(variety: TreeVariety, n: int) -> Census:
         ranks.append(rank_row)
         ones.append(one_row)
 
-    # One pass over the trees of size n: root statistics, and one
-    # occurrence for each child subtree.
-    occurrences = [[0] * len(row) for row in ranks]
+    # The trees of size n, tallied by the classes of the root's children.
+    # A root has one child of size m or two of sizes j and m - j, and the
+    # trees with given child subtrees differ only in their labels, so each
+    # pair of (root rank, one-child count) classes is counted once and
+    # weighted by the number of label splits.
+    m = n - 1
+    trees_of = [len(row) for row in ranks]  # trees_of[s]: the trees of size s
+    direct = [0] * n  # occurrences of each size-s subtree as a root child
     root_ranks = [0] * n
     one_child_trees = [0] * n
     by_degree = [0, 0, 0]  # vertices with zero, one and two children
-    trees = 0
-    for _, children in _generate(variety, n):
-        trees += 1
-        if len(children) == 2:  # nearly every tree, so `_root_stats` is inlined
-            (ta, la), (tb, lb) = children
-            ja, ia, jb, ib = len(la), ta[0], len(lb), tb[0]
-            occurrences[ja][ia] += 1
-            occurrences[jb][ib] += 1
-            ra, rb = ranks[ja][ia], ranks[jb][ib]
-            root_ranks[1 + (ra if ra < rb else rb)] += 1
-            one_child_trees[ones[ja][ia] + ones[jb][ib]] += 1
-            by_degree[2] += 1
-        else:
-            rank, one = _root_stats(children, ranks, ones)
-            root_ranks[rank] += 1
-            one_child_trees[one] += 1
-            by_degree[len(children)] += 1
-            for sub, labels in children:
-                occurrences[len(labels)][sub[0]] += 1
+    if m == 0:
+        root_ranks[0] = one_child_trees[0] = by_degree[0] = 1
+    else:
+        for rank, one in zip(ranks[m], ones[m]):
+            root_ranks[rank + 1] += 1
+            one_child_trees[one + 1] += 1
+        direct[m] = 1
+        by_degree[1] = trees_of[m]
+        classes = [Counter(zip(r, o)) for r, o in zip(ranks, ones)]
+        for j in range(1, m):
+            k = m - j
+            w = _split_weight(variety, m, j)
+            for (ra, oa), ca in classes[j].items():
+                for (rb, ob), cb in classes[k].items():
+                    c = w * ca * cb
+                    root_ranks[1 + (ra if ra < rb else rb)] += c
+                    one_child_trees[oa + ob] += c
+            direct[j] += w * trees_of[k]
+            direct[k] += w * trees_of[j]
+            by_degree[2] += w * trees_of[j] * trees_of[k]
+
+    trees = sum(by_degree)  # so far only the roots, one per tree
 
     # Push the occurrences down, largest subtrees first: a subtree's
     # count reaches its (rank, size) and degree slots and its children.
+    occurrences = [[c] * t for c, t in zip(direct, trees_of)]
     stride = n + 1
     joint = [0] * (n * stride)  # joint[rank * stride + size]
     for rank, c in enumerate(root_ranks):
         joint[rank * stride + n] += c
-    for s in range(n - 1, 0, -1):
+    for s in range(m, 0, -1):
         rank_row, counts = ranks[s], occurrences[s]
         for (_, children), rank, c in zip(_canonical_trees(variety, s), rank_row, counts):
             joint[rank * stride + s] += c

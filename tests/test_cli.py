@@ -356,9 +356,9 @@ class TestVerify:
 
     def test_one_census_pass_per_variety_and_size(self, capsys, monkeypatch):
         def no_second_walk(*args, **kwargs):
-            raise AssertionError("verify counts trees through census, not enumerate_trees")
+            raise AssertionError("verify counts trees through census, not enumerate_texts")
 
-        monkeypatch.setattr(cli, "enumerate_trees", no_second_walk)
+        monkeypatch.setattr(cli, "enumerate_texts", no_second_walk)
         census.cache_clear()
         code, out, _ = run(capsys, "verify", "--enum-limit", "6", "--order", "8", "--r", "3")
         assert code == 0
