@@ -38,8 +38,6 @@ from .series import (
     InvariantError,
     SeriesOrderError,
     base_series,
-    solve_linear_ode,
-    solve_plane_linear_ode,
 )
 from .variety import TreeVariety
 
@@ -73,8 +71,6 @@ __all__ = [
     "rank_vertex_counts",
     "root_rank_counts",
     "size_vertex_counts",
-    "solve_linear_ode",
-    "solve_plane_linear_ode",
     "weighted_onechild_mean",
     "__version__",
 ]

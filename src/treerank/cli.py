@@ -13,6 +13,7 @@ from typing import Callable, Sequence
 
 from .constants import MAX_DIGITS
 from .counting import (
+    _multiplier,
     joint_vertex_counts,
     rank_vertex_counts,
     root_rank_counts,
@@ -32,7 +33,7 @@ from .limits import (
     limit_rank_fraction,
     limit_subtree_prob,
 )
-from .series import DEFAULT_ORDER, InvariantError, tree_counts
+from .series import DEFAULT_ORDER, InvariantError, solve_linear_counts, tree_counts
 from .variety import TreeVariety, parse_variety
 
 
@@ -108,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--n", type=_at_least(1), required=True)
 
     p_verify = sub.add_parser("verify", help="run the cross-module oracle suite")
-    _add_shared(p_verify, "--order", "--digits", "--enum-limit")
+    _add_shared(p_verify, "--order", "--enum-limit")
     p_verify.add_argument("--r", type=_at_least(1), default=12, help="bracket truncation to check")
 
     return parser
@@ -248,7 +249,6 @@ def _verify_checks(args: argparse.Namespace):
     """Yield (name, passed, detail) for the whole cross-validation suite."""
     order = args.order
     limit = args.enum_limit
-    digits = args.digits
 
     for variety in TreeVariety:
         counts = tree_counts(variety, limit)
@@ -263,9 +263,14 @@ def _verify_checks(args: argparse.Namespace):
     # The bracket ladder reads sizes up to --r, which may exceed --order.
     table = {v: root_rank_counts(v, max(order, args.r)) for v in TreeVariety}
 
+    # T'' = m T' with T'(0) = 1, so the linear kernel's solution of
+    # y' = m y + m is T' - 1: U_n = T_(n+1) - [n = 0], a count of its own
+    # for each column of the table to sum to.
     for variety in TreeVariety:
-        counts = tree_counts(variety, order)
-        bad = [i for i in range(1, order + 1) if table[variety].row_sum(i) != counts[i]]
+        m = _multiplier(variety, order)
+        u = solve_linear_counts(m, m, order - 1)
+        bad = [i for i in range(1, order + 1)
+               if table[variety].row_sum(i) != u[i - 1] + (i == 1)]
         yield (
             f"root-rank-table row sums {variety}",
             not bad,
@@ -305,7 +310,7 @@ def _verify_checks(args: argparse.Namespace):
 
     for variety in TreeVariety:
         for n in range(1, limit + 1):
-            report = check_inequalities(variety, n, limit, digits)
+            report = check_inequalities(variety, n, limit)
             fails = report.failures()
             yield (
                 f"inequalities {variety} n={n}",
@@ -343,7 +348,7 @@ def _verify_checks(args: argparse.Namespace):
         detail = "brackets nested and anchored"
         ladder = sorted({max(1, args.r // 3), max(1, (2 * args.r) // 3), args.r})
         for r in ladder:
-            rep = bound_interval(variety, 1, r, table[variety], digits=digits)
+            rep = bound_interval(variety, 1, r, table[variety])
             a1 = limit_rank_fraction(variety, 1)
             inside = (rep.lower - a1).sign() <= 0 and (rep.upper - a1).sign() >= 0
             if not inside:

@@ -10,8 +10,11 @@ equality of representations.  A sum scales both sides to the lcm of the
 denominators, a product convolves the pairs over D1 D2 with sqrt3^2 = 3,
 and one gcd with D first reduces the result; `Fraction`s appear only in
 constructor input, in `.terms` and at the endpoints of rational
-enclosures.  Decimal output goes through `Enclosure`, an interval with
-exact rational endpoints certified to contain the true value.
+enclosures.  Every yes/no decision, the sign of a constant among them,
+runs on the precision ladder below through `iv_sign`, which stops as
+soon as the bounds exclude 0 and asks for no digits.  Decimal output
+alone goes through `Enclosure`, an interval with exact rational
+endpoints certified to contain the true value.
 
 Interval evaluation runs in integer fixed point, on a ladder of
 precisions that doubles from a start rung.  A round at precision p holds
@@ -48,7 +51,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import ceil, floor, gcd, isqrt, lcm, log10
-from typing import Callable, Mapping, Union
+from typing import Callable, Iterator, Mapping, Union
 
 Rational = Union[int, Fraction]
 
@@ -362,17 +365,17 @@ class ExactConst:
         return iv_enclosure(self._iv_value, digits, self._start_prec())
 
     def sign(self) -> int:
-        """Exact sign; terminates because a nonzero form has nonzero value."""
+        """Exact sign, decided on the precision ladder.
+
+        A nonzero form has a nonzero value, so the ladder decides it long
+        before its top rung; if it does not, that is an error.
+        """
         if not self._num:
             return 0
-        digits = 10
-        while True:
-            enc = self.enclosure(digits)
-            if enc.lo > 0:
-                return 1
-            if enc.hi < 0:
-                return -1
-            digits *= 2
+        sign = iv_sign(self._iv_value, self._start_prec())
+        if not sign:
+            raise RuntimeError(f"interval evaluation did not decide the sign of {self.render()}")
+        return sign
 
 
 def _coerce(value: Union[ExactConst, Rational]) -> ExactConst:
@@ -447,14 +450,6 @@ class Enclosure:
             return self.lo <= value.lo and value.hi <= self.hi
         return self.lo <= value <= self.hi
 
-    def certainly_le(self, other: Union[Rational, "Enclosure"]) -> bool:
-        bound = other.lo if isinstance(other, Enclosure) else Fraction(other)
-        return self.hi <= bound
-
-    def certainly_lt(self, other: Union[Rational, "Enclosure"]) -> bool:
-        bound = other.lo if isinstance(other, Enclosure) else Fraction(other)
-        return self.hi < bound
-
     def intersect(self, other: "Enclosure") -> "Enclosure":
         return Enclosure(max(self.lo, other.lo), min(self.hi, other.hi),
                          max(self.digits, other.digits))
@@ -487,8 +482,8 @@ def _log2_bound(n: int, d: int) -> int:
 class FixedPoint:
     """One interval round: a real x is held as integers lo <= x 2^prec <= hi.
 
-    A builder passed to `iv_enclosure` gets one and returns its value's
-    bounds as such a pair.
+    A builder passed to `iv_enclosure` or `iv_sign` gets one and returns
+    its value's bounds as such a pair.
     """
 
     __slots__ = ("prec",)
@@ -594,6 +589,31 @@ def _rounds_alike(lo: Fraction, hi: Fraction, digits: int) -> bool:
     return _round_half_up(lo * 10**places) == _round_half_up(hi * 10**places)
 
 
+def _ladder(builder: Callable, start_prec: int) -> Iterator[tuple[int, int, int]]:
+    """(prec, lo, hi) with lo <= value 2^prec <= hi, for prec doubling from
+    `start_prec` through `_MAX_PREC`."""
+    prec = start_prec
+    while prec <= _MAX_PREC:
+        lo, hi = builder(FixedPoint(prec))
+        yield prec, lo, hi
+        prec *= 2
+
+
+def iv_sign(builder: Callable, start_prec: int = _START_PREC) -> int:
+    """Sign of the value `builder(FixedPoint(prec))` bounds: 1, -1, or 0 if undecided.
+
+    The ladder stops at the first rung whose bounds exclude 0.  A value of
+    0 is never decided, nor one too small for the top rung, so 0 means
+    only that the ladder ran out.
+    """
+    for _, lo, hi in _ladder(builder, start_prec):
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+    return 0
+
+
 def iv_enclosure(builder: Callable, digits: int, start_prec: int = _START_PREC) -> Enclosure:
     """Evaluate `builder(FixedPoint(prec))` to an enclosure of width <= 10^-digits.
 
@@ -608,27 +628,10 @@ def iv_enclosure(builder: Callable, digits: int, start_prec: int = _START_PREC) 
     """
     _check_digits(digits)
     target = Fraction(1, 10**digits)
-    prec = start_prec
     best: Enclosure | None = None
-    while prec <= _MAX_PREC:
-        lo, hi = builder(FixedPoint(prec))
+    for prec, lo, hi in _ladder(builder, start_prec):
         enc = Enclosure(Fraction(lo, 1 << prec), Fraction(hi, 1 << prec), digits)
         best = enc if best is None else best.intersect(enc)
         if best.width <= target and _rounds_alike(best.lo, best.hi, digits):
             return Enclosure(best.lo, best.hi, digits)
-        prec *= 2
     raise RuntimeError(f"interval evaluation did not reach 10^-{digits}")
-
-
-def sqrt_weighted_sum(terms: Mapping[int, int], digits: int) -> Enclosure:
-    """Enclosure of sum over r of terms[r] * sqrt(r)."""
-
-    def build(ctx: FixedPoint) -> tuple[int, int]:
-        lo = hi = 0
-        for r, count in terms.items():
-            root_lo, root_hi = ctx.sqrt(r)
-            lo += count * (root_lo if count >= 0 else root_hi)
-            hi += count * (root_hi if count >= 0 else root_lo)
-        return lo, hi
-
-    return iv_enclosure(build, digits)

@@ -34,11 +34,10 @@ import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 from typing import IO
 
 from .constants import decimal_string
-from .series import EgfSeries, _suffix_rows, solve_linear_counts, tree_counts
+from .series import _suffix_rows, solve_linear_counts, tree_counts
 from .variety import TreeVariety
 
 DEFAULT_MAX_SIZE = 80
@@ -76,17 +75,6 @@ class RootRankTable:
 
     def row_sum(self, i: int) -> int:
         return sum(self.column(i))
-
-    def correction_series(self, k: int, order: int) -> EgfSeries:
-        """The generating function sum_i t[k][i] z^i / i! through `order`."""
-        if order > self.max_size:
-            raise ValueError(f"order {order} exceeds table size {self.max_size}")
-        coeffs = [Fraction(0)] * (order + 1)
-        for i in range(1, order + 1):
-            c = self.count(k, i)
-            if c:
-                coeffs[i] = Fraction(c, factorial(i))
-        return EgfSeries(coeffs)
 
     def __repr__(self) -> str:
         return f"RootRankTable({self.variety}, max_size={self.max_size})"
@@ -206,7 +194,8 @@ def size_vertex_counts(
     """Totals of vertices whose subtree has exactly r vertices."""
     if r < 1:
         raise ValueError("subtree size must be at least 1")
-    count_r = tree_counts(variety, r)[r]
+    # A correction at degree r-1 >= order lies past the truncation.
+    count_r = tree_counts(variety, r)[r] if r <= order else 0
     return _count_sequence(variety, _monomial(r - 1, count_r, order), order,
                            f"subtree size r={r}")
 

@@ -46,7 +46,7 @@ from math import comb
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
-from .constants import MAX_DIGITS, Enclosure, FixedPoint, iv_enclosure, sqrt_weighted_sum
+from .constants import FixedPoint, iv_sign
 from .series import DEFAULT_ORDER, InvariantError, tree_counts
 from .variety import TreeVariety
 
@@ -225,7 +225,8 @@ class Census:
     and shared.  root_rank_counts[k] counts whole trees by the
     rank of their root, and one_child_trees[s] counts whole trees with
     exactly s one-child vertices.  The sqrt-subtree-size data is
-    size_totals itself, kept exact and evaluated only through enclosures.
+    size_totals itself, kept exact; the inequality suite decides the
+    sqrt bound from it on the precision ladder.
     """
 
     variety: TreeVariety
@@ -255,13 +256,6 @@ class Census:
     @property
     def mean_one_child(self) -> Fraction:
         return Fraction(self.one_child_total, self.tree_count)
-
-    def sqrt_size_mean(self, digits: int = 15) -> Enclosure:
-        """Enclosure of the expected sqrt(subtree size) per vertex pair."""
-        terms = {r: self.size_totals[r] for r in range(1, self.n + 1)}
-        total = sqrt_weighted_sum(terms, min(digits + 6, MAX_DIGITS))
-        scale = Fraction(1, self.vertex_pairs)
-        return Enclosure(total.lo * scale, total.hi * scale, digits)
 
     def size_tail_prob(self, threshold: int) -> Fraction:
         """Probability that a vertex's subtree exceeds the threshold size."""
@@ -478,26 +472,33 @@ class InequalityReport:
         return [c for c in self.checks if not c.holds]
 
 
-def _sqrt_bound_rhs(n: int, ctx: FixedPoint) -> tuple[int, int]:
-    """Interval bounds on 100 - 90/sqrt(n) = 100 - 90 sqrt(n)/n."""
-    lo, hi = ctx.sqrt(n)
-    hundred = 100 << ctx.prec
-    # floor(90 lo / n) and ceil(90 hi / n) bound 90 sqrt(n) 2^prec / n.
-    return hundred + (-90 * hi // n), hundred - 90 * lo // n
+def _sqrt_margin(cen: Census, ctx: FixedPoint) -> tuple[int, int]:
+    """Bounds on P (100 n - 90 sqrt(n)) - n sum_r c_r sqrt(r), times 2^prec.
+
+    P is the vertex pairs and c_r >= 0 the size totals, so this is the
+    margin of E(sqrt(Z_n)) <= 100 - 90/sqrt(n) multiplied by n P > 0.
+    """
+    n, prec = cen.n, ctx.prec
+    root_lo, root_hi = ctx.sqrt(n)
+    hundred = (100 * n) << prec
+    lo = cen.vertex_pairs * (hundred - 90 * root_hi)
+    hi = cen.vertex_pairs * (hundred - 90 * root_lo)
+    for r in range(1, n + 1):
+        weight = n * cen.size_totals[r]
+        r_lo, r_hi = ctx.sqrt(r)
+        lo -= weight * r_hi
+        hi -= weight * r_lo
+    return lo, hi
 
 
-def _sqrt_bound_holds(cen: Census, digits: int) -> tuple[bool, str]:
-    """E(sqrt(Z_n)) <= 100 - 90/sqrt(n), via enclosures with widening retries."""
-    rhs_bounds = partial(_sqrt_bound_rhs, cen.n)
-    # The retries stop at the most digits an enclosure can certify.
-    for d in (min(d, MAX_DIGITS) for d in (digits, digits * 2, digits * 4)):
-        lhs = cen.sqrt_size_mean(d)
-        rhs = iv_enclosure(rhs_bounds, d)
-        if lhs.certainly_le(rhs):
-            return True, f"E(sqrt Z)={lhs.decimal(6)} <= {rhs.decimal(6)}"
-        if rhs.certainly_lt(lhs):
-            return False, f"E(sqrt Z)={lhs.decimal(6)} > {rhs.decimal(6)}"
-    return False, "enclosures never separated"
+def _sqrt_bound_holds(cen: Census) -> tuple[bool, str]:
+    """E(sqrt(Z_n)) <= 100 - 90/sqrt(n), as the sign of its scaled margin."""
+    sign = iv_sign(partial(_sqrt_margin, cen))
+    if sign > 0:
+        return True, "E(sqrt Z) < 100 - 90/sqrt(n)"
+    if sign < 0:
+        return False, "E(sqrt Z) > 100 - 90/sqrt(n)"
+    return False, "the precision ladder did not decide the sign of the margin"
 
 
 MARKOV_CONSTANT_CAP = 10
@@ -508,7 +509,6 @@ def check_inequalities(
     variety: TreeVariety,
     n: int,
     limit: int = DEFAULT_ENUM_LIMIT,
-    digits: int = 15,
 ) -> InequalityReport:
     """Verify the probabilistic inequalities exactly at one size.
 
@@ -517,7 +517,9 @@ def check_inequalities(
     bound Pr(Z_n > 10000 C^2) <= 1/C for C up to 10, and for the
     non-plane variety the root-degree ratio p_n = count(n-1)/count(n)
     (<= 1/2 and decreasing from n >= 3) plus the cross-variety one-child
-    mean comparison m_n <= M_n.
+    mean comparison m_n <= M_n.  Every check is a rational comparison
+    except the sqrt bound, which is the sign of one integer interval
+    builder; none takes a number of digits.
     """
     cen = census(variety, n, limit)
     checks: list[InequalityCheck] = []
@@ -536,7 +538,7 @@ def check_inequalities(
             f"E(one-child)={onechild} vs n/2={Fraction(n, 2)}",
         )
     )
-    ok, detail = _sqrt_bound_holds(cen, digits)
+    ok, detail = _sqrt_bound_holds(cen)
     checks.append(InequalityCheck("sqrt-subtree-mean<=100-90/sqrt(n)", n, ok, detail))
 
     for c in range(1, MARKOV_CONSTANT_CAP + 1):

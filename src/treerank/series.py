@@ -28,9 +28,9 @@ off row 0.  Reading rank k needs rows 0..k+1 only, so a rank request
 costs O(k N^2) multiplications and the whole table O(N^3 / 24).
 
 `EgfSeries` stores ordinary coefficients c_n = Y_n / n! as
-`fractions.Fraction`s.  It is the reference the integer kernel is tested
-against, not a path any count takes.  No floating point enters this
-module.
+`fractions.Fraction`s.  The reference solvers the integer kernel is
+tested against are written in it; no count takes that path.  No floating
+point enters this module.
 """
 
 from __future__ import annotations
@@ -277,30 +277,3 @@ def solve_linear_counts(m: Sequence[int], p: Sequence[int], order: int) -> list[
         weights = map(mul, half + half[n - len(half):0:-1], m)
         ys.append(sum(map(mul, weights, ys[:0:-1])) + p[n])
     return ys
-
-
-def solve_linear_ode(m: EgfSeries, p: EgfSeries, y0: Rational, order: int) -> EgfSeries:
-    """Unique series y with y(0)=y0 and y' = m*y + p, through the given order.
-
-    Forward recurrence: (n+1) y_{n+1} = [z^n](m*y) + p_n.  Both m and p
-    must carry coefficients at least through order-1.
-    """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    if order > 0 and (m.order < order - 1 or p.order < order - 1):
-        raise SeriesOrderError(
-            f"m and p must reach order {order - 1}; got {m.order} and {p.order}"
-        )
-    mc, pc = m.coeffs, p.coeffs
-    ys = [Fraction(y0)]
-    for n in range(order):
-        conv = sum(mc[i] * ys[n - i] for i in range(n + 1))
-        ys.append((conv + pc[n]) / (n + 1))
-    return EgfSeries(ys)
-
-
-def solve_plane_linear_ode(p: EgfSeries, y0: Rational, order: int) -> EgfSeries:
-    """Solve f' = 2*f*(B - 1) + f + p for the plane base series B."""
-    b = base_series(TreeVariety.PLANE, max(order - 1, 0))
-    m = b * 2 - EgfSeries.constant(1, b.order)
-    return solve_linear_ode(m, p, y0, order)

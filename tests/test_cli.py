@@ -2,6 +2,8 @@
 
 import argparse
 import contextlib
+import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import treerank.limits as limits
 import treerank.series as series
 from treerank import cli
 from treerank.cli import main
@@ -143,6 +146,26 @@ class TestCounts:
         assert len(far_lines) == len(near_lines)
         assert [(a, b) for a, b in zip(far_lines, near_lines) if a != b] == [
             ('  "selector": "rank k=1, size i=3000",', '  "selector": "rank k=1, size i=11",'),
+        ]
+
+    def test_size_past_order_reads_no_tree_count(self, capsys, monkeypatch):
+        # As for joint requests: T_r at degree r-1 >= order lies past the
+        # truncation, so r = 1500 must not grow the rows to 1500.
+        monkeypatch.setattr(series, "_SUFFIX_ROWS", {v: [[0, 1], [0, 0]] for v in TreeVariety})
+        series.tree_counts.cache_clear()
+        argv = ["counts", "--order", "5", "--kind", "size", "--format", "json"]
+        try:
+            code, far, _ = run(capsys, *argv, "--r", "1500")
+            grown = max(len(row) for row in series._SUFFIX_ROWS[TreeVariety.NONPLANE])
+            _, near, _ = run(capsys, *argv, "--r", "6")
+        finally:
+            series.tree_counts.cache_clear()
+        assert code == 0
+        assert grown == 6  # T_0..T_5, what order 5 needs
+        far_lines, near_lines = far.splitlines(), near.splitlines()
+        assert len(far_lines) == len(near_lines)
+        assert [(a, b) for a, b in zip(far_lines, near_lines) if a != b] == [
+            ('  "selector": "subtree size r=1500",', '  "selector": "subtree size r=6",'),
         ]
 
     def test_rank_request_at_order_320_within_budget(self, capsys, monkeypatch):
@@ -312,6 +335,7 @@ class TestVerify:
                            "--r", "4")
         assert code == 1
         assert root_table_failures(out)
+        assert "FAIL  root-rank-table row sums nonplane: mismatch at sizes [3]\n" in out
 
     @pytest.mark.parametrize("order", [2, 3, 10, 80])
     def test_rank_one_correction_holds_in_integers(self, capsys, order):
@@ -354,6 +378,27 @@ class TestVerify:
         assert proc.returncode == 1, proc.stderr
         assert root_table_failures(proc.stdout)
 
+    def test_row_sums_are_checked_against_the_linear_kernel(self, capsys, monkeypatch):
+        # T_5 off by one in rows 0 and 1 alike: the column sums and
+        # `tree_counts` both read it there, so only the kernel's own count
+        # of T_5, from T_0..T_4, exposes it.
+        monkeypatch.setattr(series, "_SUFFIX_ROWS", {v: [[0, 1], [0, 0]] for v in TreeVariety})
+        caches = (series.tree_counts, limits.limit_subtree_prob)
+        for cache in caches:
+            cache.cache_clear()
+        try:
+            rows = series._suffix_rows(TreeVariety.NONPLANE, 1, 10)
+            rows[0][5] += 1
+            rows[1][5] += 1
+            code, out, _ = run(capsys, "verify", "--enum-limit", "4", "--order", "10",
+                               "--r", "4")
+        finally:
+            for cache in caches:
+                cache.cache_clear()
+        assert code == 1
+        assert "FAIL  root-rank-table row sums nonplane: mismatch at sizes [5, " in out
+        assert "ok    root-rank-table row sums plane: all rows equal the tree counts\n" in out
+
     def test_one_census_pass_per_variety_and_size(self, capsys, monkeypatch):
         def no_second_walk(*args, **kwargs):
             raise AssertionError("verify counts trees through census, not enumerate_texts")
@@ -374,12 +419,16 @@ class TestConfig:
         ["limits", "--k", "1", "--enum-limit", "3"],
         ["enumerate", "--n", "3", "--digits", "5"],
         ["counts", "--kind", "root", "--enum-limit", "3"],
+        # Every verify check is a yes/no decision; none prints digits.
+        ["verify", "--digits", "12"],
     ])
     def test_flag_the_subcommand_does_not_read_is_rejected(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
+        captured = capsys.readouterr()
         assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
 
     @pytest.mark.parametrize("argv, flag", [
         (["counts", "--kind", "rank", "--k", "0", "--order", "3", "--digits", "-1"], "--digits"),
@@ -408,7 +457,6 @@ class TestConfig:
         ["limits", "--kind", "rank", "--k", "0"],
         ["bounds", "--k", "2"],
         ["counts", "--kind", "rank", "--k", "0", "--order", "3"],
-        ["verify", "--enum-limit", "3", "--order", "3"],
     ])
     def test_digits_past_what_an_enclosure_can_certify(self, capsys, argv):
         # Below 10^-MAX_DIGITS no interval the precision ladder reaches is
@@ -528,3 +576,22 @@ class TestBenchmarkTracer:
         result = json.loads(proc.stdout.splitlines()[-1])
         assert result["metrics"]["constants.enclosures"] > 0
         assert result["cached"] == result["expected"]
+
+
+class TestBenchmarkStdout:
+    def test_a_sample_of_benchmark_commands_matches_the_reference_digests(self):
+        # The benchmark rejects a command whose stdout hash differs from
+        # perfbench/reference.json; a cheap sample of its commands, run in
+        # process, catches such drift here first.
+        spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                      PERFBENCH / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        reference = json.loads((PERFBENCH / "reference.json").read_text())
+        rank = next(argv for argv in workloads.every_command("series") if "rank" in argv)
+        for argv in [*workloads.commands("oracle", 0), *workloads.ladder(2)[:3], rank]:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(argv) == 0, argv
+            digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+            assert digest == reference[workloads.key(argv)], argv

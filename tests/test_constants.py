@@ -37,7 +37,7 @@ from treerank.constants import (
     _sci_upper,
     decimal_string,
     iv_enclosure,
-    sqrt_weighted_sum,
+    iv_sign,
 )
 from treerank.limits import _WEIGHT, bound_interval, weight_moment
 from treerank.variety import TreeVariety
@@ -524,6 +524,31 @@ class TestArithmetic:
         assert (PI - Fraction(333, 106)).sign() == 1
         assert ExactConst.zero().sign() == 0
 
+    @staticmethod
+    def mpmath_sign(x: ExactConst) -> int:
+        lo, hi = mpmath_interval(partial(reference_iv_value, x))
+        assert lo > 0 or hi < 0 or x == 0, x  # 400 bits separate these from 0
+        return (lo > 0) - (hi < 0)
+
+    @pytest.mark.parametrize("x", [PI - Fraction(22, 7), PI - Fraction(355, 113),
+                                   PI - Fraction(333, 106), ExactConst.zero(),
+                                   ExactConst({1: (Fraction(1, 6), Fraction(-5, 18))}),
+                                   ExactConst.rational(Fraction(1, 10**40))],
+                             ids=["pi-22/7", "pi-355/113", "pi-333/106", "zero", "mixed-pair",
+                                  "tiny-rational"])
+    def test_sign_agrees_with_mpmath(self, x):
+        assert x.sign() == self.mpmath_sign(x)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_consts)
+    def test_sign_agrees_with_mpmath_on_a_sample(self, x):
+        assert x.sign() == self.mpmath_sign(x)
+
+    def test_undecided_sign_of_a_nonzero_form_raises(self, monkeypatch):
+        monkeypatch.setattr(constants, "iv_sign", lambda builder, start_prec: 0)
+        with pytest.raises(RuntimeError, match="did not decide the sign"):
+            PI.sign()
+
 
 class TestArithmeticMatchesReference:
     @settings(max_examples=150, deadline=None)
@@ -715,14 +740,6 @@ class TestEnclosures:
         narrow = Enclosure(Fraction(15, 100), Fraction(15, 100), digits=6)
         assert "±" not in narrow.decimal()
 
-    def test_comparisons(self):
-        a = Enclosure(Fraction(1), Fraction(2), 3)
-        b = Enclosure(Fraction(3), Fraction(4), 3)
-        assert a.certainly_le(b)
-        assert a.certainly_lt(b)
-        assert not b.certainly_le(a)
-        assert a.certainly_le(2) and not a.certainly_lt(2)
-
     def test_digits_validation(self):
         with pytest.raises(ValueError):
             PI.enclosure(0)
@@ -808,13 +825,6 @@ class TestEnclosures:
         enc = mpmath_iv_enclosure(partial(reference_iv_value, value), 6)
         assert value.enclosure(6).decimal() == enc.decimal() == expected
 
-    def test_sqrt_weighted_sum(self):
-        enc = sqrt_weighted_sum({1: 1, 2: 1}, 20)
-        with mpmath.workdps(40):
-            truth = mp_fraction(1 + mpmath.sqrt(2))
-        assert enc.contains(truth)
-        assert enc.width <= Fraction(1, 10**20)
-
     def test_decimals_past_the_int_to_str_cap(self):
         # 1/7 = 0.(142857); the digit after 5000 places is 2, so it rounds down.
         assert decimal_string(Fraction(1, 7), 5000) == "0." + "142857" * 833 + "14"
@@ -836,6 +846,25 @@ class TestFixedPointKernel:
             enc = Enclosure(Fraction(lo, 1 << prec), Fraction(hi, 1 << prec), 1)
             assert_holds(enc, mpmath_interval(lambda ctx: ctx.pi, prec + 64))
 
+    def test_sign_climbs_the_ladder_and_stops_at_a_decision(self):
+        rungs = []
+
+        def straddles_zero(ctx):
+            rungs.append(ctx.prec)
+            return -1, 1
+
+        assert iv_sign(straddles_zero, 100) == 0
+        assert rungs == [100 << k for k in range(16)] and rungs[-1] <= _MAX_PREC < 2 * rungs[-1]
+
+        def tiny(ctx):  # 2^-200
+            rungs.append(ctx.prec)
+            lo = (1 << ctx.prec) >> 200
+            return lo, lo + 1
+
+        rungs.clear()
+        assert iv_sign(tiny) == 1
+        assert rungs == [64, 128, 256]  # decided on the first rung that holds it
+
     def test_sqrt_bounds(self):
         for n in (0, 1, 2, 3, 4, 99, 100, 10**40 + 1):
             for prec in (1, 64, 129):
@@ -844,22 +873,26 @@ class TestFixedPointKernel:
                 assert hi - lo == (not exact)
                 assert lo * lo <= n << (2 * prec) <= hi * hi
 
-    def test_sqrt_weighted_sum_against_mpmath(self):
-        for n in range(1, 201):
-            # Mixed signs exercise both choices of bound.
-            terms = {r: (r * 7919 + n) % 13 - 4 for r in range(1, n + 1, max(1, n // 9))}
-            enc = sqrt_weighted_sum(terms, 20)
-            assert enc.width <= Fraction(1, 10**20)
-            assert_holds(enc, mpmath_interval(
-                lambda ctx: sum((ctx.mpf(c) * ctx.sqrt(r) for r, c in terms.items()),
-                                ctx.mpf(0))))
-
-    def test_sqrt_bound_rhs_against_mpmath(self):
-        for n in range(1, 201):
-            enc = iv_enclosure(partial(enumeration._sqrt_bound_rhs, n), 20)
-            assert enc.width <= Fraction(1, 10**20)
-            assert_holds(enc, mpmath_interval(
-                lambda ctx: ctx.mpf(100) - ctx.mpf(90) / ctx.sqrt(n)))
+    @pytest.mark.parametrize("variety", list(TreeVariety), ids=str)
+    def test_sqrt_margin_holds_the_mpmath_value_at_every_deciding_rung(self, variety):
+        # The E(sqrt Z_n) bound is decided as the sign of one builder; each
+        # rung up to and including the one that decides must hold the value.
+        for n in range(1, 11):
+            cen = enumeration.census(variety, n)
+            truth = mpmath_interval(lambda ctx: ctx.mpf(cen.vertex_pairs) * (
+                100 * n - 90 * ctx.sqrt(n)) - n * sum(
+                (ctx.mpf(c) * ctx.sqrt(r) for r, c in enumerate(cen.size_totals) if r),
+                ctx.mpf(0)))
+            prec = _START_PREC
+            while True:
+                lo, hi = enumeration._sqrt_margin(cen, FixedPoint(prec))
+                assert_holds(Enclosure(Fraction(lo, 1 << prec), Fraction(hi, 1 << prec), 1),
+                             truth)
+                if lo > 0 or hi < 0:
+                    break
+                prec *= 2
+            assert lo > 0  # the bound holds
+            assert iv_sign(partial(enumeration._sqrt_margin, cen)) == 1
 
 
 @lru_cache(maxsize=None)

@@ -14,12 +14,9 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterator
 
-import mpmath
 import pytest
-from mpmath.libmp import to_rational
 
 from treerank import enumeration
-from treerank.constants import MAX_DIGITS, Enclosure
 from treerank.enumeration import (
     DEFAULT_ENUM_LIMIT,
     Census,
@@ -527,27 +524,6 @@ class TestCensus:
     def test_mean_one_child_n3(self):
         assert census(NP, 3).mean_one_child == Fraction(1)
 
-    def test_sqrt_size_mean_n2(self):
-        enc = census(NP, 2).sqrt_size_mean(20)
-        with mpmath.workdps(40):
-            truth = Fraction(*to_rational(((1 + mpmath.sqrt(2)) / 2)._mpf_))
-        assert enc.contains(truth)
-
-    def test_sqrt_check_asks_for_no_more_digits_than_can_be_certified(self, monkeypatch):
-        # At --digits MAX_DIGITS the check's guard digits and widening retries
-        # would ask past what any enclosure can certify.
-        asked = []
-
-        def fake(_, digits):
-            asked.append(digits)
-            return Enclosure(Fraction(0), Fraction(1), digits)  # never separates
-
-        monkeypatch.setattr(enumeration, "sqrt_weighted_sum", fake)
-        monkeypatch.setattr(enumeration, "iv_enclosure", fake)
-        held, detail = enumeration._sqrt_bound_holds(census(NP, 3), MAX_DIGITS)
-        assert (held, detail) == (False, "enclosures never separated")
-        assert len(asked) == 6 and max(asked) == MAX_DIGITS
-
 
 class TestPlaneWeights:
     def test_weighted_mean_matches_plane_census(self):
@@ -569,6 +545,13 @@ class TestInequalities:
         for n in range(1, 9):
             report = check_inequalities(variety, n)
             assert report.all_hold, [c.name for c in report.failures()]
+
+    def test_undecided_sqrt_bound_fails_with_a_plain_detail(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "iv_sign", lambda builder: 0)
+        report = check_inequalities(NP, 4)
+        (failed,) = report.failures()
+        assert failed.name == "sqrt-subtree-mean<=100-90/sqrt(n)"
+        assert failed.detail == "the precision ladder did not decide the sign of the margin"
 
     def test_check_names_present(self):
         report = check_inequalities(NP, 5)

