@@ -1,13 +1,15 @@
 """Command-line front end: counting, enumeration, limits, bounds, verify.
 
 Exit codes are a stable contract: 0 success, 1 verification or internal
-invariant failure, 2 usage error.
+invariant failure, 2 usage error, 141 (128 + SIGPIPE) when stdout is
+closed before everything is printed, as by `treerank verify | head -1`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Callable, Sequence
 
@@ -277,25 +279,28 @@ def _verify_checks(args: argparse.Namespace):
             "all rows equal the tree counts" if not bad else f"mismatch at sizes {bad[:5]}",
         )
 
+    # One solve per selector at order --enum-limit: the recurrences are
+    # causal, so counts[n] is the same at every order >= n.
     for variety in TreeVariety:
         tbl = table[variety]
+        rank = [rank_vertex_counts(variety, k, limit, tbl).counts for k in range(limit)]
+        size = {r: size_vertex_counts(variety, r, limit).counts for r in range(1, limit + 1)}
+        joint = {(k, r): joint_vertex_counts(variety, k, r, limit, tbl).counts
+                 for r in range(1, limit + 1) for k in range(limit)}
         for n in range(1, limit + 1):
             cen = census(variety, n, limit)
             ok = True
             notes = []
             for k in range(n):
-                seq = rank_vertex_counts(variety, k, n, tbl)
-                if seq.counts[n] != cen.rank_totals[k]:
+                if rank[k][n] != cen.rank_totals[k]:
                     ok = False
                     notes.append(f"rank k={k}")
             for r in range(1, n + 1):
-                seq = size_vertex_counts(variety, r, n)
-                if seq.counts[n] != cen.size_totals[r]:
+                if size[r][n] != cen.size_totals[r]:
                     ok = False
                     notes.append(f"size r={r}")
                 for k in range(n):
-                    seq = joint_vertex_counts(variety, k, r, n, tbl)
-                    if seq.counts[n] != cen.joint_totals.get((k, r), 0):
+                    if joint[k, r][n] != cen.joint_totals.get((k, r), 0):
                         ok = False
                         notes.append(f"joint k={k} i={r}")
             for k in range(n):
@@ -392,10 +397,19 @@ def main(argv: Sequence[str] | None = None) -> int:
         "verify": cmd_verify,
     }
     try:
-        return handlers[args.command](args, parser)
+        code = handlers[args.command](args, parser)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
     except InvariantError as exc:
         print(f"treerank: internal invariant failed: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at devnull so that the flush at
+        # exit cannot raise again, and exit as a process killed by SIGPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+    return code
 
 
 if __name__ == "__main__":

@@ -20,19 +20,24 @@ that the subtree containing the smaller minimum label comes first; the
 generator produces exactly one representative per unordered pair this
 way.
 
-The census of size n visits each canonical tree of every size below n
-once, and no tree of size n at all.  Every canonical subtree's root rank
-and one-child count are computed once, size by size, from its children's.
-A tree of size n is a root over one child of size n-1, or over two
-children of sizes j and n-1-j whose label sets split the n-1 labels in
-one of C(n-1, j) ways (plane) or C(n-2, j-1) ways (non-plane, where the
-child holding label 1 comes first).  Trees with the same child subtrees
-differ only in that split, so the root statistics are tallied once per
+The census of size n visits each tree of every size below n once, and
+no tree of size n at all.  Every tree's root rank and one-child count are
+computed once, size by size, from its children's.  A tree of size n is a
+root over one child of size n-1, or over two children of sizes j and
+n-1-j whose label sets split the n-1 labels in one of C(n-1, j) ways
+(plane) or C(n-2, j-1) ways (non-plane, where the child holding label 1
+comes first).  Trees with the same child subtrees differ only in that
+split, so the root statistics of the two-child trees are tallied once per
 pair of child (rank, one-child count) classes and weighted by the number
 of splits, and each child subtree is credited with all the trees it
-occurs in.  At the end the occurrences are pushed down from the largest
-subtrees to the smallest, each subtree adding its count to its
-(rank, size) and degree slots and passing it on to its children.
+occurs in.  Only the canonical trees of sizes up to n-2 are kept, since
+only they occur as children of two-child roots; the trees of size n-1,
+by far the most numerous, are streamed from the generator in one pass
+that reads each one's statistics, tallies it under its one-child root
+and credits its children, and none of them is stored.  At the end the
+occurrences are pushed down from the largest kept subtrees to the
+smallest, each subtree adding its count to its (rank, size) and degree
+slots and passing it on to its children.
 """
 
 from __future__ import annotations
@@ -319,10 +324,13 @@ def census(variety: TreeVariety, n: int, limit: int = DEFAULT_ENUM_LIMIT) -> Cen
     """Exact per-vertex rank and subtree-size statistics over every tree of size n.
 
     Only the trees of sizes below n are generated, each visited once to
-    read its root rank and one-child count off its children's.  The trees
-    of size n are tallied per pair of child classes, weighted by the
-    number of label splits, and the occurrences of every subtree are
-    pushed down through the subtrees at the end, so no vertex is walked.
+    read its root rank and one-child count off its children's.  Those of
+    sizes up to n-2 stay cached as canonical subtrees; those of size n-1
+    are streamed in one pass and not kept, each being the only child of
+    one tree of size n.  The two-child trees of size n are tallied per
+    pair of child classes, weighted by the number of label splits, and
+    the occurrences of every subtree are pushed down through the kept
+    subtrees at the end, so no vertex is walked.
     `limit` only guards the size: the result is cached per (variety, n),
     which `cache_info` and `cache_clear` report and reset.
     """
@@ -332,9 +340,10 @@ def census(variety: TreeVariety, n: int, limit: int = DEFAULT_ENUM_LIMIT) -> Cen
 
 @lru_cache(maxsize=None)
 def _census(variety: TreeVariety, n: int) -> Census:
-    # ranks[s][slot], ones[s][slot]: the canonical subtrees of each size s < n.
+    # ranks[s][slot], ones[s][slot]: the canonical subtrees of each size s < n - 1.
+    m = n - 1
     ranks, ones = [bytearray()], [bytearray()]
-    for s in range(1, n):
+    for s in range(1, m):
         rank_row, one_row = bytearray(), bytearray()
         for _, children in _canonical_trees(variety, s):
             rank, one = _root_stats(children, ranks, ones)
@@ -343,48 +352,54 @@ def _census(variety: TreeVariety, n: int) -> Census:
         ranks.append(rank_row)
         ones.append(one_row)
 
-    # The trees of size n, tallied by the classes of the root's children.
-    # A root has one child of size m or two of sizes j and m - j, and the
-    # trees with given child subtrees differ only in their labels, so each
-    # pair of (root rank, one-child count) classes is counted once and
-    # weighted by the number of label splits.
-    m = n - 1
+    # The two-child trees of size n, tallied by the classes of the root's
+    # children of sizes j and m - j.  The trees with given child subtrees
+    # differ only in their labels, so each pair of (root rank, one-child
+    # count) classes is counted once and weighted by the number of label
+    # splits.
     trees_of = [len(row) for row in ranks]  # trees_of[s]: the trees of size s
-    direct = [0] * n  # occurrences of each size-s subtree as a root child
+    direct = [0] * len(ranks)  # occurrences of each size-s subtree as a root child
     root_ranks = [0] * n
     one_child_trees = [0] * n
     by_degree = [0, 0, 0]  # vertices with zero, one and two children
-    if m == 0:
-        root_ranks[0] = one_child_trees[0] = by_degree[0] = 1
-    else:
-        for rank, one in zip(ranks[m], ones[m]):
-            root_ranks[rank + 1] += 1
-            one_child_trees[one + 1] += 1
-        direct[m] = 1
-        by_degree[1] = trees_of[m]
-        classes = [Counter(zip(r, o)) for r, o in zip(ranks, ones)]
-        for j in range(1, m):
-            k = m - j
-            w = _split_weight(variety, m, j)
-            for (ra, oa), ca in classes[j].items():
-                for (rb, ob), cb in classes[k].items():
-                    c = w * ca * cb
-                    root_ranks[1 + (ra if ra < rb else rb)] += c
-                    one_child_trees[oa + ob] += c
-            direct[j] += w * trees_of[k]
-            direct[k] += w * trees_of[j]
-            by_degree[2] += w * trees_of[j] * trees_of[k]
+    classes = [Counter(zip(r, o)) for r, o in zip(ranks, ones)]
+    for j in range(1, m):
+        k = m - j
+        w = _split_weight(variety, m, j)
+        for (ra, oa), ca in classes[j].items():
+            for (rb, ob), cb in classes[k].items():
+                c = w * ca * cb
+                root_ranks[1 + (ra if ra < rb else rb)] += c
+                one_child_trees[oa + ob] += c
+        direct[j] += w * trees_of[k]
+        direct[k] += w * trees_of[j]
+        by_degree[2] += w * trees_of[j] * trees_of[k]
+    trees = by_degree[2]  # so far the two-child roots
 
-    trees = sum(by_degree)  # so far only the roots, one per tree
-
-    # Push the occurrences down, largest subtrees first: a subtree's
-    # count reaches its (rank, size) and degree slots and its children.
     occurrences = [[c] * t for c, t in zip(direct, trees_of)]
     stride = n + 1
     joint = [0] * (n * stride)  # joint[rank * stride + size]
+    if m == 0:  # the lone vertex
+        root_ranks[0] = one_child_trees[0] = by_degree[0] = trees = 1
+    else:
+        # The trees of size m, streamed once and never stored: each is the
+        # only child of one tree of size n, so it occurs exactly once.
+        for streamed, (_, children) in enumerate(_generate(variety, m), 1):
+            rank, one = _root_stats(children, ranks, ones)
+            root_ranks[rank + 1] += 1
+            one_child_trees[one + 1] += 1
+            joint[rank * stride + m] += 1
+            by_degree[len(children)] += 1
+            for sub, labels in children:
+                occurrences[len(labels)][sub[0]] += 1
+        by_degree[1] += streamed  # their one-child roots
+        trees += streamed
+
+    # Push the occurrences down, largest subtrees first: a subtree's
+    # count reaches its (rank, size) and degree slots and its children.
     for rank, c in enumerate(root_ranks):
         joint[rank * stride + n] += c
-    for s in range(m, 0, -1):
+    for s in range(m - 1, 0, -1):
         rank_row, counts = ranks[s], occurrences[s]
         for (_, children), rank, c in zip(_canonical_trees(variety, s), rank_row, counts):
             joint[rank * stride + s] += c

@@ -442,7 +442,6 @@ class TestConfig:
         (["limits", "--kind", "w", "--k", "0", "--i", "0"], "--i"),
         (["enumerate", "--n", "0"], "--n"),
         (["enumerate", "--n", "1", "--enum-limit", "0"], "--enum-limit"),
-        (["verify", "--enum-limit", "3", "--order", "3", "--digits", "0"], "--digits"),
         (["verify", "--enum-limit", "3", "--order", "3", "--r", "0"], "--r"),
         (["verify", "--enum-limit", "0"], "--enum-limit"),
         (["verify", "--enum-limit", "3", "--order", "1"], "--order"),
@@ -548,6 +547,24 @@ class TestExitCodeContract:
         assert "Traceback" not in err.getvalue(), argv
         if code == 2:
             assert out.getvalue() == "", argv
+
+    @pytest.mark.parametrize("argv", [
+        ["verify"],
+        ["enumerate", "--variety", "plane", "--n", "8"],
+    ], ids=["verify", "enumerate"])
+    def test_closed_stdout_exits_141_without_a_traceback(self, argv):
+        # As in `treerank verify | head -1`, but the reader is gone before the
+        # first write, so the outcome does not hang on timing.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "treerank.cli", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                  env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == ""
 
 
 class TestBenchmarkTracer:

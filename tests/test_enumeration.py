@@ -439,7 +439,7 @@ class TestCensus:
             })
 
     def test_all_censuses_to_10_within_budget_from_cold_caches(self):
-        # About 0.2 s of CPU on a 2-core Xeon with Python 3.11; generating
+        # About 0.12 s of CPU on a 2-core Xeon with Python 3.11; generating
         # every tree of size n, as the per-tree census did, took 0.84 s.
         census.cache_clear()
         enumeration._canonical_trees.cache_clear()
@@ -448,6 +448,23 @@ class TestCensus:
             for n in range(1, DEFAULT_ENUM_LIMIT + 1):
                 census(variety, n)
         assert time.process_time() - start < 0.5
+
+    def test_no_census_keeps_the_trees_of_size_n_minus_1(self, monkeypatch):
+        census.cache_clear()
+        enumeration._canonical_trees.cache_clear()
+        asked = []
+        original = enumeration._canonical_trees
+
+        def recording(variety, size):
+            asked.append(size)
+            return original(variety, size)
+
+        monkeypatch.setattr(enumeration, "_canonical_trees", recording)
+        for variety in (NP, PL):
+            for n in range(1, DEFAULT_ENUM_LIMIT + 1):
+                asked.clear()
+                census(variety, n)
+                assert all(s <= n - 2 for s in asked), (variety, n, sorted(set(asked)))
 
     def test_size_prob_is_zero_below_size_one(self):
         cen = census(NP, 4)
@@ -477,10 +494,25 @@ class TestCensus:
 
     @pytest.mark.parametrize("variety", [NP, PL])
     def test_a_planted_leaf_among_larger_subtrees_is_caught(self, variety, monkeypatch):
+        # Size 3 is kept by the census of size 5; that of size 4 streams it.
         _plant_a_leaf_among_size_3(monkeypatch)
         census.cache_clear()
         with pytest.raises(InvariantError, match=r"^rank 0 for a subtree of size 3$"):
-            census(variety, 4)
+            census(variety, 5)
+
+    @pytest.mark.parametrize("variety", [NP, PL])
+    def test_a_planted_leaf_in_the_streamed_layer_is_caught(self, variety, monkeypatch):
+        original = enumeration._generate
+
+        def planted(v, n):
+            if n == 5:
+                yield (0, ())
+            yield from original(v, n)
+
+        monkeypatch.setattr(enumeration, "_generate", planted)
+        census.cache_clear()
+        with pytest.raises(InvariantError, match=r"^rank 0 for a subtree of size 5$"):
+            census(variety, 6)
 
     def test_a_planted_leaf_is_caught_under_python_O(self):
         script = textwrap.dedent("""
@@ -497,7 +529,7 @@ class TestCensus:
             enumeration._canonical_trees = planted
             for variety in TreeVariety:
                 try:
-                    enumeration.census(variety, 4)
+                    enumeration.census(variety, 5)
                 except InvariantError as exc:
                     print("raised:", exc)
         """)
