@@ -188,18 +188,17 @@ def cmd_counts(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 def cmd_bounds(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     variety = parse_variety(args.variety)
-    report = bound_interval(variety, args.k, args.r, digits=args.digits)
+    report = bound_interval(variety, args.k, args.r)
     if args.format == "json":
-        print(bound_report_json(report))
+        print(bound_report_json(report, args.digits))
         return 0
     print(f"variety: {report.variety}")
     print(f"k = {report.k}, truncation r = {report.r}")
     print(f"lower = {report.lower.render()}")
-    print(f"      ≈ {report.lower_enc.decimal()}")
+    print(f"      ≈ {report.lower.enclosure(args.digits).decimal()}")
     print(f"upper = {report.upper.render()}")
-    print(f"      ≈ {report.upper_enc.decimal()}")
-    gap = report.gap.enclosure(args.digits)
-    print(f"gap (unassigned subtree mass) ≈ {gap.decimal()}")
+    print(f"      ≈ {report.upper.enclosure(args.digits).decimal()}")
+    print(f"gap (unassigned subtree mass) ≈ {report.gap.enclosure(args.digits).decimal()}")
     return 0
 
 
@@ -262,8 +261,7 @@ def _verify_checks(args: argparse.Namespace):
                 f"enumerated {got}, series says {counts[n]}",
             )
 
-    # The bracket ladder reads sizes up to --r, which may exceed --order.
-    table = {v: root_rank_counts(v, max(order, args.r)) for v in TreeVariety}
+    table = {v: root_rank_counts(v, order) for v in TreeVariety}
 
     # T'' = m T' with T'(0) = 1, so the linear kernel's solution of
     # y' = m y + m is T' - 1: U_n = T_(n+1) - [n = 0], a count of its own
@@ -353,7 +351,7 @@ def _verify_checks(args: argparse.Namespace):
         detail = "brackets nested and anchored"
         ladder = sorted({max(1, args.r // 3), max(1, (2 * args.r) // 3), args.r})
         for r in ladder:
-            rep = bound_interval(variety, 1, r, table[variety])
+            rep = bound_interval(variety, 1, r)
             a1 = limit_rank_fraction(variety, 1)
             inside = (rep.lower - a1).sign() <= 0 and (rep.upper - a1).sign() >= 0
             if not inside:

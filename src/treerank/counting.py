@@ -30,11 +30,9 @@ P is read straight off the t table:
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import IO
 
 from .constants import decimal_string
 from .series import _suffix_rows, solve_linear_counts, tree_counts
@@ -140,10 +138,6 @@ class CountSequences:
                          decimal_string(p, digits)])
         return rows
 
-    def write_csv(self, fh: IO[str], digits: int = 12) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerows(self.csv_rows(digits))
-
 
 def _multiplier(variety: TreeVariety, order: int) -> list[int]:
     """n!-scaled m of y' = m*y + p through index order-1: T, or 2T - 1 for plane."""
@@ -171,6 +165,15 @@ def _monomial(degree: int, value: int, order: int) -> list[int]:
     return correction
 
 
+def rank_correction(table: RootRankTable, k: int, order: int) -> list[int]:
+    """n!-scaled rank-k correction P_0..P_{order-1}, P_n = t[k][n+1].
+
+    The count series solve it at finite n and `limits` sums it against the
+    weight moments, cut at the truncation r, for the rank-k bracket.
+    """
+    return [table.count(k, i) for i in range(1, order + 1)]
+
+
 def rank_vertex_counts(
     variety: TreeVariety,
     k: int,
@@ -184,8 +187,7 @@ def rank_vertex_counts(
         table = root_rank_counts(variety, max(order, 1))
     if order > table.max_size:
         raise ValueError(f"order {order} exceeds table size {table.max_size}")
-    correction = [table.count(k, i) for i in range(1, order + 1)]
-    return _count_sequence(variety, correction, order, f"rank k={k}")
+    return _count_sequence(variety, rank_correction(table, k, order), order, f"rank k={k}")
 
 
 def size_vertex_counts(

@@ -39,21 +39,32 @@ where at m = 0 the boundary term -g'(0) equals g(0) in both varieties:
   from pi/3 at t = 0 to pi at z0, so g'' = -(3/2) cos(theta),
   (c, b) = (1/2, 1/3) and g(0) = 3/4.
 
-Unrolled, the recurrence is a sum of floor(m/2) + 2 terms:
+Divided by m!, the recurrence reads w_m = e_m - b w_(m-2) for m >= 2 and
+w_m = e_m - b g(0) for m = 0, 1, with w_m = W_m/m! and
+e_m = c z0^(m+1)/(m+1)!.  A limit is kappa_v sum_n P_n w_n for the
+n!-scaled integer correction P of its count series, the same P that
+`counting` solves at finite n.  The sum has an adjoint form: with
+Q_n = P_n - b Q_(n+2), and Q_n = 0 past the end of P, substituting
+P_n = Q_n + b Q_(n+2) gives
 
-    W_m = c sum_{j=0}^{floor(m/2)} (-b)^j m!/(m+1-2j)! z0^(m+1-2j)
-          + (-b)^(floor(m/2)+1) g(0) m!,
+    sum_n P_n w_n = sum_n Q_n w_n + b sum_(n>=2) Q_n w_(n-2)
+                  = c sum_n Q_n z0^(n+1)/(n+1)! - b g(0) (Q_0 + Q_1)
 
-so `weight_moment` builds any degree directly, with no table of lower
-ones.  The count series of subtree size i has the correction
-T_i z^(i-1)/(i-1)!, so its limit is v_i = kappa_v T_i W_(i-1)/(i-1)!; that
-of rank k with size i has t[k][i] in place of T_i, so its limit is
-w_{k,i} = v_i t[k][i]/T_i.
+by the two cases of the recurrence.  So no moment is built: `moment_sum`
+runs Q down from the end of P and adds one power of pi per n.  Its sums
+give
+
+* v_r = kappa_v T_r W_(r-1)/(r-1)!, the correction T_r at degree r-1;
+* w_{k,i} = v_i t[k][i]/T_i, the correction t[k][i] at degree i-1, read
+  off v_i;
+* the rank-k mass over subtree sizes <= r, whose correction is the
+  rank-k correction P_n = t[k][n+1] cut at n < r.
 
 Higher ranks admit no closed form; they get two-sided brackets instead:
-the rank-k mass restricted to subtree sizes <= r is a certified lower
-bound, and adding the limiting probability of a subtree larger than r
-gives the upper bound.
+that truncated rank-k mass is a certified lower bound, and adding the
+limiting probability of a subtree larger than r, one minus kappa_v times
+the moment sum of [T_1, ..., T_r], gives the upper bound.  Both bounds
+are exact; only printed values are enclosed.
 """
 
 from __future__ import annotations
@@ -62,15 +73,14 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from typing import Sequence
 
-from .constants import Enclosure, ExactConst
-from .counting import RootRankTable, root_rank_counts
+from .constants import ExactConst
+from .counting import RootRankTable, rank_correction, root_rank_counts
 from .series import InvariantError, tree_counts
 from .variety import TreeVariety
 
 DEFAULT_BOUND_TERMS = 12
-DEFAULT_DIGITS = 12
 
 # kappa_v = 2/(g''(z0) z0^2 l): every limit is kappa_v times f(z0).
 KAPPA = {
@@ -91,32 +101,41 @@ class ClosedFormUnavailableError(ValueError):
     """Ranks beyond 1 have no elementary closed form; use bound_interval."""
 
 
-def weight_moment(variety: TreeVariety, m: int) -> ExactConst:
-    """W_m = int_0^{z0} t^m g(t) dt for the variety's weight g, exact.
+def moment_sum(variety: TreeVariety, p: Sequence[int]) -> ExactConst:
+    """sum_n P_n W_n/n! for an n!-scaled integer correction P, exact.
 
-    The unrolled sum of the module docstring, on integer numerators over
-    one denominator, reduced once.  With z0 = x sqrt(root) pi, each pi^n
-    term is the one before it times rho n(n-1), rho = -b pi^2/z0^2, and
-    all of them take the sqrt3 slot or all the rational one.
+    The adjoint sum of the module docstring, on integer numerators over one
+    denominator, reduced once.  For P of length L, B = den(b)^floor((L-1)/2)
+    keeps every q_n = B Q_n an integer.  With z0 = x sqrt(root) pi and
+    x = xn/xd, the pi^(n+1) term is c q_n f_n/(B xd^L L!), times sqrt3 when
+    root = 3 and n is even, for the integer
+    f_n = xn^(n+1) xd^(L-1-n) root^floor((n+1)/2) L!/(n+1)!; one exact
+    step takes f_n to f_(n-1), and f_(-1) = xd^L L!.
     """
-    if m < 0:
-        raise ValueError("moment degree must be nonnegative")
     z0, c, b, g0 = _WEIGHT[variety]
     ((a, s),) = z0.terms.values()  # z0 = (a + s sqrt3) pi with a or s zero
     root, x = (3, s) if s else (1, a)
-    half, top = m // 2, m + 1
-    # c z0^(m+1)/(m+1), the pi^(m+1) term, without its pi and sqrt3 factors
-    lead = c * x**top * Fraction(root ** (top // 2), top)
-    rho = -b / (x * x * root)
-    tail = (-b) ** (half + 1) * g0 * factorial(m)
-    den = lead.denominator * tail.denominator * rho.denominator**half
-    num = {0: (tail.numerator * (den // tail.denominator), 0)}
-    term = lead.numerator * (den // lead.denominator)
-    for n in range(top, 0, -2):
-        num[n] = (0, term) if root == 3 and top % 2 else (term, 0)
-        if n > 2:  # each step uses one of den's half factors rho.denominator
-            term = term * rho.numerator * n * (n - 1) // rho.denominator
-    return ExactConst.reduced(num, den)
+    xn, xd = x.numerator, x.denominator
+    bn, bd = b.numerator, b.denominator
+    # over den(c) den(b) den(g(0)), every pi^(n+1) numerator carries this
+    lead = c.numerator * bd * g0.denominator
+    length = len(p)
+    scale = bd ** (max(length - 1, 0) // 2)
+    f = xn**length * root ** (length // 2)
+    num = {}
+    q1 = q2 = 0  # q_(n+1), q_(n+2)
+    for n in range(length - 1, -1, -1):
+        q = scale * p[n]
+        if q2:  # q_(n+2) = B Q_(n+2) has a factor bd to spare, so b q_(n+2) is whole
+            q -= bn * (q2 // bd)
+        if q:
+            t = lead * q * f
+            num[n + 1] = (0, t) if root == 3 and n % 2 == 0 else (t, 0)
+        f = f * (n + 1) * xd // (xn * root if n % 2 else xn)
+        q1, q2 = q, q1
+    if q1 + q2:  # - b g(0) (Q_0 + Q_1)
+        num[0] = (-bn * g0.numerator * c.denominator * f * (q1 + q2), 0)
+    return ExactConst.reduced(num, c.denominator * bd * g0.denominator * scale * f)
 
 
 @lru_cache(maxsize=None)
@@ -124,21 +143,17 @@ def limit_subtree_prob(variety: TreeVariety, r: int) -> ExactConst:
     """Limiting probability that a random vertex heads a subtree of size r: v_r."""
     if r < 1:
         raise ValueError("subtree size must be at least 1")
-    count_r = tree_counts(variety, r)[r]
-    return weight_moment(variety, r - 1) * (KAPPA[variety] * Fraction(count_r, factorial(r - 1)))
+    return KAPPA[variety] * moment_sum(variety, [0] * (r - 1) + [tree_counts(variety, r)[r]])
 
 
-def limit_joint_prob(
-    variety: TreeVariety, k: int, i: int, table: RootRankTable | None = None
-) -> ExactConst:
+def limit_joint_prob(variety: TreeVariety, k: int, i: int) -> ExactConst:
     """Limiting probability of rank k with subtree size i: w_{k,i} = v_i t[k][i]/T_i."""
     if k < 0:
         raise ValueError("rank must be nonnegative")
     if i < 1:
         raise ValueError("subtree size must be at least 1")
-    if table is None:
-        table = root_rank_counts(variety, max(i, 1))
-    return limit_subtree_prob(variety, i) * Fraction(table.count(k, i),
+    # A bare view of the shared rows: t[k][i] needs no cached table per size i.
+    return limit_subtree_prob(variety, i) * Fraction(RootRankTable(variety, i).count(k, i),
                                                      tree_counts(variety, i)[i])
 
 
@@ -180,107 +195,74 @@ def limit_rank_fraction(variety: TreeVariety, k: int) -> ExactConst:
 
 
 @dataclass(frozen=True)
-class BoundTerm:
-    i: int
-    t_ki: int
-    w: ExactConst
-    v: ExactConst
-
-
-@dataclass(frozen=True)
 class BoundReport:
-    """Certified bracket: lower <= a_k <= upper, with the truncation data."""
+    """Certified bracket: lower <= a_k <= upper, exact, with the truncated v sum."""
 
     variety: TreeVariety
     k: int
     r: int
     lower: ExactConst
     upper: ExactConst
-    lower_enc: Enclosure
-    upper_enc: Enclosure
     partial_v_sum: ExactConst
-    terms: tuple[BoundTerm, ...]
 
     @property
     def gap(self) -> ExactConst:
         return self.upper - self.lower
 
 
-def bound_interval(
-    variety: TreeVariety,
-    k: int,
-    r: int = DEFAULT_BOUND_TERMS,
-    table: RootRankTable | None = None,
-    digits: int = DEFAULT_DIGITS,
-) -> BoundReport:
+def bound_interval(variety: TreeVariety, k: int, r: int = DEFAULT_BOUND_TERMS) -> BoundReport:
     """Two-sided bracket for the limiting rank-k fraction at truncation r.
 
-    lower = sum of the joint limits over subtree sizes 1..r; the upper
-    bound adds the limiting mass of subtrees larger than r, which the
-    truncated subtree-size limits determine exactly.
+    lower = sum of the joint limits over subtree sizes 1..r, the moment
+    sum of the rank-k correction cut at r; the upper bound adds the
+    limiting mass of subtrees larger than r, 1 - (v_1 + ... + v_r).
     """
     if k < 0:
         raise ValueError("rank must be nonnegative")
     if r < 1:
         raise ValueError("truncation must be at least 1")
-    if table is None:
-        table = root_rank_counts(variety, max(r, 1))
-    terms = []
-    w_sum = ExactConst.zero()
-    v_sum = ExactConst.zero()
-    for i in range(1, r + 1):
-        w = limit_joint_prob(variety, k, i, table)
-        v = limit_subtree_prob(variety, i)
-        w_sum = w_sum + w
-        v_sum = v_sum + v
-        terms.append(BoundTerm(i=i, t_ki=table.count(k, i), w=w, v=v))
-    upper = w_sum + (ExactConst.rational(1) - v_sum)
-    report = BoundReport(
-        variety=variety,
-        k=k,
-        r=r,
-        lower=w_sum,
-        upper=upper,
-        lower_enc=w_sum.enclosure(digits),
-        upper_enc=upper.enclosure(digits),
-        partial_v_sum=v_sum,
-        terms=tuple(terms),
-    )
-    if report.lower_enc.lo > report.upper_enc.hi:
+    kappa = KAPPA[variety]
+    lower = kappa * moment_sum(variety, rank_correction(root_rank_counts(variety, r), k, r))
+    v_sum = kappa * moment_sum(variety, tree_counts(variety, r)[1:])
+    report = BoundReport(variety, k, r, lower, lower + (1 - v_sum), v_sum)
+    if report.gap.sign() < 0:
         raise InvariantError(f"bracket for k={k}, r={r} has lower above upper")
     return report
 
 
-def bound_report_dict(report: BoundReport) -> dict:
+def bound_report_dict(report: BoundReport, digits: int) -> dict:
     """Canonical JSON-ready form of a bound report (stable key order).
 
-    Decimals carry the digits the report's enclosures were made with.
+    Decimals carry `digits` places; the per-size terms are the joint and
+    subtree limits themselves.
     """
-    digits = report.lower_enc.digits
+    variety, k = report.variety, report.k
+    table = root_rank_counts(variety, report.r)
 
-    def pair(value: ExactConst, enc: Enclosure) -> dict:
-        return {"exact": value.render(), "decimal": enc.decimal()}
+    def pair(value: ExactConst) -> dict:
+        return {"exact": value.render(), "decimal": value.enclosure(digits).decimal()}
+
+    def term(i: int) -> dict:
+        w, v = limit_joint_prob(variety, k, i), limit_subtree_prob(variety, i)
+        return {
+            "i": i,
+            "t_ki": table.count(k, i),
+            "w_exact": w.render(),
+            "w_decimal": w.enclosure(digits).decimal(),
+            "v_exact": v.render(),
+            "v_decimal": v.enclosure(digits).decimal(),
+        }
 
     return {
-        "variety": str(report.variety),
-        "k": report.k,
+        "variety": str(variety),
+        "k": k,
         "r": report.r,
-        "lower": pair(report.lower, report.lower_enc),
-        "upper": pair(report.upper, report.upper_enc),
-        "v_partial_sum": pair(report.partial_v_sum, report.partial_v_sum.enclosure(digits)),
-        "per_i_terms": [
-            {
-                "i": term.i,
-                "t_ki": term.t_ki,
-                "w_exact": term.w.render(),
-                "w_decimal": term.w.enclosure(digits).decimal(),
-                "v_exact": term.v.render(),
-                "v_decimal": term.v.enclosure(digits).decimal(),
-            }
-            for term in report.terms
-        ],
+        "lower": pair(report.lower),
+        "upper": pair(report.upper),
+        "v_partial_sum": pair(report.partial_v_sum),
+        "per_i_terms": [term(i) for i in range(1, report.r + 1)],
     }
 
 
-def bound_report_json(report: BoundReport) -> str:
-    return json.dumps(bound_report_dict(report), indent=2)
+def bound_report_json(report: BoundReport, digits: int) -> str:
+    return json.dumps(bound_report_dict(report, digits), indent=2)

@@ -168,9 +168,10 @@ def _quadrature_rank2_lower(table, r=12) -> Fraction:
 def test_criterion_3_bound_reproduction():
     started = time.monotonic()
     table = root_rank_counts(NP, 12)
-    reports = {k: bound_interval(NP, k, 12, table, digits=10) for k in (2, 3, 4)}
+    reports = {k: bound_interval(NP, k, 12) for k in (2, 3, 4)}
+    enc = {k: (rep.lower.enclosure(10), rep.upper.enclosure(10)) for k, rep in reports.items()}
 
-    low2, up2 = reports[2].lower_enc, reports[2].upper_enc
+    low2, up2 = enc[2]
     # The bracket certifies the quoted bound and the independent estimate.
     assert low2.hi <= QUOTED_RANK2_LOWER <= up2.lo
     assert low2.hi <= RANK2_ESTIMATE <= up2.lo
@@ -179,8 +180,8 @@ def test_criterion_3_bound_reproduction():
     # Its true six-place value, frozen from both routes.
     assert low2.decimal(6) == "0.148337"
 
-    assert reports[3].lower_enc.hi <= RANK3_ESTIMATE <= reports[3].upper_enc.lo
-    assert reports[4].lower_enc.hi <= RANK4_ESTIMATE <= reports[4].upper_enc.lo
+    assert enc[3][0].hi <= RANK3_ESTIMATE <= enc[3][1].lo
+    assert enc[4][0].hi <= RANK4_ESTIMATE <= enc[4][1].lo
 
     elapsed = time.monotonic() - started
     assert elapsed < 60.0
@@ -196,8 +197,8 @@ def test_criterion_3_bound_reproduction():
     "r=30 to 0.188317 at r=31); the bracket at r=12 does contain 0.188285",
 )
 def test_criterion_3_literal_quoted_rank2_lower():
-    report = bound_interval(NP, 2, 12, digits=10)
-    assert report.lower_enc.decimal(6) == "0.188285"
+    report = bound_interval(NP, 2, 12)
+    assert report.lower.enclosure(10).decimal(6) == "0.188285"
 
 
 def test_criterion_4_oracle_equivalence():
@@ -245,11 +246,10 @@ def test_criterion_5_identity_suite():
             assert table.row_sum(i) == counts[i], (variety, i)
 
     for variety in (NP, PL):
-        table = root_rank_counts(variety, 12)
         for i in range(1, 13):
             total = ExactConst.zero()
             for k in range(i):
-                total = total + limit_joint_prob(variety, k, i, table)
+                total = total + limit_joint_prob(variety, k, i)
             assert total == limit_subtree_prob(variety, i), (variety, i)
 
     assert time.monotonic() - started < 60.0
@@ -322,7 +322,7 @@ def test_criterion_7_convergence_properties():
             assert gaps[2] < tolerance, (variety, "v", r)
         for k in range(5):
             for i in range(1, 13):
-                enc = limit_joint_prob(variety, k, i, table).enclosure(30)
+                enc = limit_joint_prob(variety, k, i).enclosure(30)
                 gaps = [gap(enc, sequences[("w", k, i, order)].prob_next(order))
                         for order in ladder]
                 assert gaps[0] >= gaps[1] >= gaps[2], (variety, "w", k, i, gaps)

@@ -598,15 +598,18 @@ class TestBenchmarkTracer:
 class TestBenchmarkStdout:
     def test_a_sample_of_benchmark_commands_matches_the_reference_digests(self):
         # The benchmark rejects a command whose stdout hash differs from
-        # perfbench/reference.json; a cheap sample of its commands, run in
-        # process, catches such drift here first.
+        # perfbench/reference.json; a sample of its commands, run in
+        # process, catches such drift here first: the default verify, one
+        # rank count, and all 18 bracket commands (both varieties, every K,
+        # the text rungs and the JSON one).
         spec = importlib.util.spec_from_file_location("perfbench_workloads",
                                                       PERFBENCH / "workloads.py")
         workloads = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(workloads)
         reference = json.loads((PERFBENCH / "reference.json").read_text())
         rank = next(argv for argv in workloads.every_command("series") if "rank" in argv)
-        for argv in [*workloads.commands("oracle", 0), *workloads.ladder(2)[:3], rank]:
+        for argv in [*workloads.commands("oracle", 0), *workloads.every_command("bracket"),
+                     rank]:
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
                 assert main(argv) == 0, argv

@@ -39,8 +39,10 @@ from treerank.constants import (
     iv_enclosure,
     iv_sign,
 )
-from treerank.limits import _WEIGHT, bound_interval, weight_moment
+from treerank.limits import _WEIGHT, bound_interval, limit_joint_prob, limit_subtree_prob
 from treerank.variety import TreeVariety
+
+from reference_solvers import kernel_weight_moment, unrolled_weight_moment
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -652,9 +654,8 @@ class TestMatchesFractionReference:
     def test_bracket_terms_render_alike(self):
         for variety in TreeVariety:
             for k in (2, 3, 4):
-                report = bound_interval(variety, k, 100)
-                for term in report.terms:
-                    for value in (term.w, term.v):
+                for i in range(1, 101):
+                    for value in (limit_joint_prob(variety, k, i), limit_subtree_prob(variety, i)):
                         assert_canonical(value)
                         assert FractionConst(value.terms).render() == value.render()
 
@@ -812,16 +813,15 @@ class TestEnclosures:
         naive = all(decimal_string(lo, p) == decimal_string(hi, p) for p in range(1, digits + 1))
         assert _rounds_alike(lo, hi, digits) == naive
 
-    @pytest.mark.parametrize("variety, r, pick, expected", [
-        (TreeVariety.NONPLANE, 60, lambda rep: rep.terms[59].v, "0.000528"),
-        (TreeVariety.PLANE, 20, lambda rep: rep.upper, "0.481671"),
+    @pytest.mark.parametrize("build, expected", [
+        (lambda: limit_subtree_prob(TreeVariety.NONPLANE, 60), "0.000528"),
+        (lambda: bound_interval(TreeVariety.PLANE, 0, 20).upper, "0.481671"),
     ], ids=["nonplane-v60", "plane-upper"])
-    def test_decimals_from_the_lowest_rung_are_correctly_rounded(self, variety, r, pick,
-                                                                   expected):
+    def test_decimals_from_the_lowest_rung_are_correctly_rounded(self, build, expected):
         # The term-by-term evaluator, climbing from 64 bits, reaches an
         # interval under 10^-6 wide whose midpoint lies across a rounding
         # boundary from the value; the stop rule climbs on past it.
-        value = pick(bound_interval(variety, 0, r, digits=6))
+        value = build()
         enc = mpmath_iv_enclosure(partial(reference_iv_value, value), 6)
         assert value.enclosure(6).decimal() == enc.decimal() == expected
 
@@ -898,8 +898,8 @@ class TestFixedPointKernel:
 @lru_cache(maxsize=None)
 def bracket_ladder_rounds() -> tuple[list[ExactConst], list[int]]:
     """The w and v terms of both rank-2 brackets at r = 100, and the number
-    of interval rounds each enclosure took while the brackets were built and
-    every term was enclosed at 12 digits."""
+    of interval rounds each enclosure took when both brackets and every term
+    were enclosed at 12 digits."""
     rounds: list[int] = []
     original = constants.iv_enclosure
 
@@ -920,11 +920,12 @@ def bracket_ladder_rounds() -> tuple[list[ExactConst], list[int]]:
     try:
         for variety in TreeVariety:
             report = bound_interval(variety, 2, 100)
-            report.partial_v_sum.enclosure(12)
-            for term in report.terms:
-                values += [term.w, term.v]
-                term.w.enclosure(12)
-                term.v.enclosure(12)
+            for value in (report.lower, report.upper, report.partial_v_sum):
+                value.enclosure(12)
+            for i in range(1, 101):
+                for value in (limit_joint_prob(variety, 2, i), limit_subtree_prob(variety, i)):
+                    values.append(value)
+                    value.enclosure(12)
     finally:
         constants.iv_enclosure = original
     return values, rounds
@@ -960,8 +961,8 @@ class TestHornerEvaluation:
         self._check(value)
 
 
-# The two moment recurrences that `weight_moment` replaced, one per variety,
-# kept verbatim as the reference.
+# The two moment recurrences that the unrolled weight moment replaced, one
+# per variety, kept verbatim as references for `moment_sum`.
 
 
 def sqrt3_power(exponent: int) -> ExactConst:
@@ -1020,8 +1021,8 @@ def reference_weight_moment(variety: TreeVariety, m: int) -> ExactConst:
     return (_z0_power(m + 1) * Fraction(1, m + 1) + _plane_cos_theta_moment(m)) * Fraction(1, 2)
 
 
-# The prefix-list `weight_moment` that the unrolled sum replaced, kept
-# verbatim (under its own name, with its own lists) as the reference.
+# The prefix-list weight moment that the unrolled sum replaced, kept
+# verbatim (under its own name, with its own lists) as a reference.
 _MOMENTS: dict[TreeVariety, tuple[list[ExactConst], list[ExactConst], list[ExactConst]]] = {
     v: ([ExactConst.rational(1)], [], []) for v in TreeVariety
 }
@@ -1114,20 +1115,20 @@ class TestHalfPiMoments:
     """The non-plane weight moment, and the reference recurrence beside it."""
 
     def test_base_cases(self):
-        for moment in (partial(weight_moment, TreeVariety.NONPLANE), halfpi_moment):
+        for moment in (partial(kernel_weight_moment, TreeVariety.NONPLANE), halfpi_moment):
             assert moment(0) == ExactConst.pi_power(1, Fraction(1, 2)) - 1
             assert moment(1) == ExactConst.pi_power(2, Fraction(1, 8)) - 1
 
     def test_against_quadrature(self):
         for m in range(21):
             truth = quad_oracle(lambda t, m=m: t**m * (1 - mpmath.sin(t)), mpmath.pi / 2)
-            for moment in (weight_moment(TreeVariety.NONPLANE, m), halfpi_moment(m)):
+            for moment in (kernel_weight_moment(TreeVariety.NONPLANE, m), halfpi_moment(m)):
                 enc = moment.enclosure(30)
                 assert abs(enc.midpoint - truth) < Fraction(1, 10**25), f"m={m}"
 
     def test_positive(self):
         for m in range(21):
-            assert weight_moment(TreeVariety.NONPLANE, m).sign() == 1
+            assert kernel_weight_moment(TreeVariety.NONPLANE, m).sign() == 1
             assert halfpi_moment(m).sign() == 1
 
     def test_closed_sum_formula_matches_recurrence(self):
@@ -1146,7 +1147,7 @@ class TestHalfPiMoments:
             assert total == _halfpi_sin_moment(m), f"m={m}"
             # W_m = (pi/2)^(m+1)/(m+1) - int_0^{pi/2} t^m sin t dt
             power = ExactConst.pi_power(m + 1, Fraction(1, (m + 1) * 2 ** (m + 1)))
-            assert weight_moment(TreeVariety.NONPLANE, m) == power - total, f"m={m}"
+            assert kernel_weight_moment(TreeVariety.NONPLANE, m) == power - total, f"m={m}"
 
 
 class TestPlaneMoments:
@@ -1192,18 +1193,19 @@ class TestPlaneMoments:
         # The plane moment against the three families and against its earlier
         # recurrence; the non-plane moment against its earlier recurrence.
         for m in range(150):
-            plane = weight_moment(TreeVariety.PLANE, m)
+            plane = kernel_weight_moment(TreeVariety.PLANE, m)
             assert plane == reference_plane_weight_moment(m), m
             for variety in TreeVariety:
-                value, reference = weight_moment(variety, m), reference_weight_moment(variety, m)
+                value = kernel_weight_moment(variety, m)
+                reference = reference_weight_moment(variety, m)
                 assert value == reference and value.render() == reference.render(), (variety, m)
         for variety in TreeVariety:
             with pytest.raises(ValueError):
-                weight_moment(variety, -1)
+                kernel_weight_moment(variety, -1)
 
     def test_weight_moment_against_quadrature(self):
         for m in (0, 1, 2, 7, 20):
-            enc = weight_moment(TreeVariety.PLANE, m).enclosure(30)
+            enc = kernel_weight_moment(TreeVariety.PLANE, m).enclosure(30)
             with mpmath.workdps(60):
                 upper = 2 * mpmath.sqrt(3) * mpmath.pi / 9
             truth = quad_oracle(lambda t, m=m: t**m * (1 + mpmath.cos(mpmath.sqrt(3) * t
@@ -1214,14 +1216,15 @@ class TestPlaneMoments:
 
 class TestDeepMoments:
     def test_cold_degree_1500_at_the_default_recursion_limit(self):
-        # A degree is one sum over its own terms: no degree recurses, and
-        # nothing below it is kept.  The prefix lists this sum replaced
-        # peaked at about 500 MiB on this request.
+        # W_1500 is the moment sum of one monomial, taken in one pass down
+        # its 1501 degrees: nothing recurses, and no lower moment is kept.
+        # The prefix lists of moments peaked at about 500 MiB on this request.
         code = ("import resource, sys\n"
-                "from treerank.limits import weight_moment\n"
+                "from math import factorial\n"
+                "from treerank.limits import moment_sum\n"
                 "from treerank.variety import TreeVariety\n"
                 "for variety in TreeVariety:\n"
-                "    print(len(weight_moment(variety, 1500).terms))\n"
+                "    print(len(moment_sum(variety, [0] * 1500 + [factorial(1500)]).terms))\n"
                 "print(sys.getrecursionlimit())\n"
                 "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -1237,10 +1240,13 @@ class TestMomentPrefix:
     @pytest.mark.parametrize("variety", list(TreeVariety))
     def test_call_order_does_not_matter(self, variety):
         for m in (50, 10, 80, 0, 79):
-            assert weight_moment(variety, m) == reference_weight_moment(variety, m), m
+            assert kernel_weight_moment(variety, m) == reference_weight_moment(variety, m), m
 
     @pytest.mark.parametrize("variety", list(TreeVariety))
     def test_sum_matches_the_prefix_lists(self, variety):
+        # The kernel's monomials and the unrolled sum against the prefix lists.
         for m in range(400):
-            value, reference = weight_moment(variety, m), prefix_list_weight_moment(variety, m)
+            value = kernel_weight_moment(variety, m)
+            reference = prefix_list_weight_moment(variety, m)
             assert value == reference and value.render() == reference.render(), m
+            assert unrolled_weight_moment(variety, m) == reference, m

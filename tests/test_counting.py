@@ -1,6 +1,5 @@
 """Root-rank suffix rows and the recurrence-driven count sequences."""
 
-import io
 import os
 import subprocess
 import sys
@@ -487,10 +486,3 @@ class TestCsvExport:
         assert rows[0] == ["n", "count", "prob_numerator", "prob_denominator", "prob_decimal"]
         assert rows[1] == ["0", "0", "", "", ""]
         assert rows[4] == ["3", "3", "1", "2", "0.500000"]
-
-    def test_write_csv(self):
-        buffer = io.StringIO()
-        rank_vertex_counts(NP, 0, 3).write_csv(buffer, digits=4)
-        lines = buffer.getvalue().strip().split("\n")
-        assert lines[0] == "n,count,prob_numerator,prob_denominator,prob_decimal"
-        assert lines[-1] == "3,3,1,2,0.5000"

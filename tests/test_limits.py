@@ -2,15 +2,21 @@
 earlier pole-data chain kept here as the reference."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from pathlib import Path
 from typing import Union
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath.libmp import to_rational
 
 import treerank.constants as constants
@@ -28,13 +34,21 @@ from treerank.limits import (
     limit_joint_prob,
     limit_rank_fraction,
     limit_subtree_prob,
-    weight_moment,
+    moment_sum,
 )
-from treerank.series import tree_counts
+from treerank.series import InvariantError, tree_counts
 from treerank.variety import TreeVariety
+
+from reference_solvers import (
+    kernel_weight_moment,
+    reference_bracket,
+    reference_moment_sum,
+    unrolled_weight_moment,
+)
 
 NP = TreeVariety.NONPLANE
 PL = TreeVariety.PLANE
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 Rational = Union[int, Fraction]
 
@@ -154,7 +168,7 @@ def probability_limit(variety: TreeVariety, f_at_z0: ExactConst) -> ExactConst:
 def reference_correction_limit(variety: TreeVariety, count: int, degree: int) -> ExactConst:
     if count == 0:
         return ExactConst.zero()
-    f_at_z0 = weight_moment(variety, degree) * Fraction(count, factorial(degree))
+    f_at_z0 = unrolled_weight_moment(variety, degree) * Fraction(count, factorial(degree))
     return probability_limit(variety, f_at_z0)
 
 
@@ -284,17 +298,17 @@ class TestAgainstReferenceChain:
         table = root_rank_counts(variety, 30)
         for i in range(1, 31):
             for k in range(i):
-                assert limit_joint_prob(variety, k, i, table) == \
-                    reference_joint_prob(variety, k, i, table)
+                expected = reference_joint_prob(variety, k, i, table)
+                assert limit_joint_prob(variety, k, i) == expected
 
     def test_joint_limits_by_their_own_moment(self, variety):
         # w_{k,i} is read off v_i; here it is kappa_v t[k][i] W_(i-1)/(i-1)!.
         table = root_rank_counts(variety, 40)
         for i in range(1, 41):
-            moment = weight_moment(variety, i - 1) * KAPPA[variety]
+            moment = kernel_weight_moment(variety, i - 1) * KAPPA[variety]
             for k in range(5):
                 expected = moment * Fraction(table.count(k, i), factorial(i - 1))
-                assert limit_joint_prob(variety, k, i, table) == expected, (k, i)
+                assert limit_joint_prob(variety, k, i) == expected, (k, i)
 
     def test_rank_fractions(self, variety):
         for k in (0, 1):
@@ -310,6 +324,21 @@ class TestAgainstReferenceChain:
         report = bound_interval(variety, 2, 12)
         assert report.lower == lower
         assert report.upper == lower + (ExactConst.rational(1) - v_sum)
+
+
+class TestMomentSum:
+    """`moment_sum` against sum_n P_n W_n/n! from the unrolled moments."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(list(TreeVariety)),
+           st.lists(st.integers(-10**30, 10**30), max_size=40))
+    def test_random_integer_corrections(self, variety, p):
+        assert moment_sum(variety, p) == reference_moment_sum(variety, p)
+
+    def test_zero_corrections(self):
+        for variety in TreeVariety:
+            assert moment_sum(variety, []) == ExactConst.zero()
+            assert moment_sum(variety, [0] * 7) == ExactConst.zero()
 
 
 EXPECTED_CLOSED_FORMS = {
@@ -363,20 +392,18 @@ class TestSubtreeAndJointLimits:
 
     @pytest.mark.parametrize("variety", [NP, PL])
     def test_joint_sums_to_subtree_limit(self, variety):
-        table = root_rank_counts(variety, 12)
         for i in range(1, 13):
             total = ExactConst.zero()
             for k in range(i):
-                total = total + limit_joint_prob(variety, k, i, table)
+                total = total + limit_joint_prob(variety, k, i)
             assert total == limit_subtree_prob(variety, i)
 
     @pytest.mark.parametrize("variety", [NP, PL])
     def test_joint_between_zero_and_subtree_limit(self, variety):
-        table = root_rank_counts(variety, 8)
         for i in range(1, 9):
             v = limit_subtree_prob(variety, i)
             for k in range(i):
-                w = limit_joint_prob(variety, k, i, table)
+                w = limit_joint_prob(variety, k, i)
                 assert w.sign() >= 0
                 assert (v - w).sign() >= 0
 
@@ -421,6 +448,11 @@ class TestConvergenceToFiniteSizes:
         assert abs(a0.midpoint - seq.prob_next(order)) < Fraction(1, 10**8)
 
 
+def inflated_tree_counts(variety: TreeVariety, order: int) -> tuple[int, ...]:
+    """`tree_counts` with every count doubled: a planted fault."""
+    return tuple(2 * count for count in tree_counts(variety, order))
+
+
 class TestBoundIntervals:
     def test_gap_is_unassigned_mass(self):
         report = bound_interval(NP, 2, 8)
@@ -455,23 +487,64 @@ class TestBoundIntervals:
 
     @pytest.fixture
     def cold(self, monkeypatch):
-        """Empty every cache a bracket fills, and leave them empty."""
+        """A function that empties every cache a bracket fills; it runs once
+        before the test, and the caches are left empty after it."""
         caches = (limits.limit_subtree_prob, constants._pi_bounds, counting.root_rank_counts,
                   series._binomials, tree_counts)
-        monkeypatch.setattr(series, "_SUFFIX_ROWS", {v: [[0, 1], [0, 0]] for v in TreeVariety})
-        for cache in caches:
-            cache.cache_clear()
-        yield
+
+        def empty():
+            monkeypatch.setattr(series, "_SUFFIX_ROWS",
+                                {v: [[0, 1], [0, 0]] for v in TreeVariety})
+            for cache in caches:
+                cache.cache_clear()
+
+        empty()
+        yield empty
         for cache in caches:
             cache.cache_clear()
 
     def test_r200_budget_from_cold_caches(self, cold):
-        # Both r = 200 brackets take about 0.55 s of CPU on a 2-core Xeon
-        # with Python 3.11 (1.3 s with Fraction coefficient pairs).
-        start = time.process_time()
+        # From cold caches, both r = 200 brackets take about 0.05 s of CPU on
+        # a 2-core Xeon with Python 3.11 (0.5 s summed term by term), and
+        # both r = 400 brackets about 0.55 s (4.8 s term by term).
+        for r, budget in ((200, 1.5), (400, 2.0)):
+            cold()
+            start = time.process_time()
+            for variety in (NP, PL):
+                bound_interval(variety, 2, r)
+            assert time.process_time() - start < budget, r
+
+    def test_brackets_equal_the_term_by_term_sums(self):
         for variety in (NP, PL):
-            bound_interval(variety, 2, 200)
-        assert time.process_time() - start < 1.5
+            for k in range(5):
+                for r in (1, 2, 3, 12, 48, 100):
+                    report = bound_interval(variety, k, r)
+                    got = (report.lower, report.upper, report.partial_v_sum)
+                    assert got == reference_bracket(variety, k, r), (variety, k, r)
+
+    def test_a_v_sum_above_one_is_caught(self, monkeypatch):
+        # Planted fault: every tree count in the v sum doubled, so that
+        # v_1 + ... + v_12 exceeds 1 and the upper bound falls below the lower.
+        monkeypatch.setattr(limits, "tree_counts", inflated_tree_counts)
+        for variety in (NP, PL):
+            with pytest.raises(InvariantError, match="k=2, r=12 has lower above upper"):
+                bound_interval(variety, 2, 12)
+
+    def test_a_v_sum_above_one_is_caught_under_python_O(self):
+        # Asserts are stripped under -O; the invariant check is not.
+        script = ("import sys\n"
+                  f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+                  "import test_limits\n"
+                  "from treerank import cli, limits\n"
+                  "limits.tree_counts = test_limits.inflated_tree_counts\n"
+                  "sys.exit(cli.main(['bounds', '--k', '2', '--r', '12']))\n")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr == ("treerank: internal invariant failed: "
+                               "bracket for k=2, r=12 has lower above upper\n")
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -482,22 +555,25 @@ class TestBoundIntervals:
 
 class TestReportSerialization:
     def test_schema_keys(self):
-        report = bound_interval(NP, 2, 4, digits=8)
-        payload = bound_report_dict(report)
+        report = bound_interval(NP, 2, 4)
+        payload = bound_report_dict(report, 8)
         assert list(payload) == ["variety", "k", "r", "lower", "upper",
                                  "v_partial_sum", "per_i_terms"]
         assert payload["variety"] == "nonplane"
-        # Decimals carry the report's own digits; the bounds reuse its enclosures.
-        assert payload["lower"]["decimal"] == report.lower_enc.decimal()
-        assert payload["upper"]["decimal"] == report.upper_enc.decimal()
+        # Decimals carry the digits asked for.
+        assert payload["lower"]["decimal"] == report.lower.enclosure(8).decimal()
+        assert payload["upper"]["decimal"] == report.upper.enclosure(8).decimal()
         assert len(payload["v_partial_sum"]["decimal"].split(".")[1]) == 8
         assert list(payload["lower"]) == ["exact", "decimal"]
         term = payload["per_i_terms"][0]
         assert list(term) == ["i", "t_ki", "w_exact", "w_decimal", "v_exact", "v_decimal"]
         assert term["i"] == 1 and term["t_ki"] == 0  # no rank-2 root at size 1
         assert payload["per_i_terms"][2]["t_ki"] == 1  # the size-3 balanced tree
+        # The per-size rows are the joint and subtree limits themselves.
+        for i, term in enumerate(payload["per_i_terms"], start=1):
+            assert term["w_exact"] == limit_joint_prob(NP, 2, i).render()
+            assert term["v_exact"] == limit_subtree_prob(NP, i).render()
 
     def test_json_round_trip_is_byte_identical(self):
-        report = bound_interval(PL, 1, 5, digits=10)
-        text = bound_report_json(report)
+        text = bound_report_json(bound_interval(PL, 1, 5), 10)
         assert json.dumps(json.loads(text), indent=2) == text
