@@ -40,7 +40,10 @@ sit exactly on a rounding boundary, is its own point enclosure.  The
 start rung depends on the value alone, and an interval that meets the
 stop rule at some digits meets it at fewer too, so an enclosure at more
 digits stops on the same rung or a later one and nests inside one at
-fewer.
+fewer.  The ladder bounds a list of values at once (`iv_enclosures`):
+the builder returns one interval per value on each rung, and each value's
+intervals are intersected across rungs and stop on their own; a single
+value is the list of one.
 """
 
 from __future__ import annotations
@@ -346,10 +349,7 @@ class ExactConst:
             max(_log2_bound(a, den), _log2_bound(b, den) + 1) + 1 + ceil(j * _LOG2_PI)
             for j, (a, b) in self._num.items()
         )
-        prec = _START_PREC
-        while prec < top + _GUARD_BITS:
-            prec *= 2
-        return prec
+        return start_rung(top)
 
     def enclosure(self, digits: int) -> "Enclosure":
         """Interval with rational endpoints of width <= 10^-digits.
@@ -390,14 +390,15 @@ def _coerce(value: Union[ExactConst, Rational]) -> ExactConst:
 # Enclosures
 
 
-def _round_half_up(x: Fraction) -> int:
-    if x >= 0:
-        return floor(x + Fraction(1, 2))
-    return -floor(-x + Fraction(1, 2))
+def _round_half_up(x: Fraction, places: int) -> int:
+    """x 10^places rounded to an integer, halves away from zero."""
+    n, d = x.numerator, x.denominator
+    q = (2 * abs(n) * 10**places + d) // (2 * d)
+    return q if n >= 0 else -q
 
 
 def decimal_string(x: Fraction, places: int) -> str:
-    scaled = _round_half_up(x * 10**places)
+    scaled = _round_half_up(x, places)
     sign = "-" if scaled < 0 else ""
     # Decimal converts without the interpreter's cap on int -> str digits.
     digits = str(Decimal(abs(scaled))).rjust(places + 1, "0")
@@ -577,8 +578,8 @@ def _rounds_alike(lo: Fraction, hi: Fraction, digits: int) -> bool:
     places exactly when n = (10m + 5) 10^(digits-p-1), so comparing the
     roundings at that one p settles every coarser place.
     """
-    n = _round_half_up(lo * 10**digits)
-    if n != _round_half_up(hi * 10**digits):
+    n = _round_half_up(lo, digits)
+    if n != _round_half_up(hi, digits):
         return False
     zeros, head = 0, abs(n)
     while head and head % 10 == 0:
@@ -586,16 +587,27 @@ def _rounds_alike(lo: Fraction, hi: Fraction, digits: int) -> bool:
     places = digits - 1 - zeros
     if head % 10 != 5 or places < 1:
         return True
-    return _round_half_up(lo * 10**places) == _round_half_up(hi * 10**places)
+    return _round_half_up(lo, places) == _round_half_up(hi, places)
 
 
-def _ladder(builder: Callable, start_prec: int) -> Iterator[tuple[int, int, int]]:
-    """(prec, lo, hi) with lo <= value 2^prec <= hi, for prec doubling from
-    `start_prec` through `_MAX_PREC`."""
+def start_rung(bits: int) -> int:
+    """Lowest rung of the precision ladder with `bits` bits plus `_GUARD_BITS`.
+
+    A builder whose bounds are about 2^bits units of the last place wide
+    starts here, so about 15 decimal places certify in its first round.
+    """
+    prec = _START_PREC
+    while prec < bits + _GUARD_BITS:
+        prec *= 2
+    return prec
+
+
+def _ladder(builder: Callable, start_prec: int) -> Iterator[tuple[int, object]]:
+    """(prec, builder(FixedPoint(prec))) for prec doubling from `start_prec`
+    through `_MAX_PREC`."""
     prec = start_prec
     while prec <= _MAX_PREC:
-        lo, hi = builder(FixedPoint(prec))
-        yield prec, lo, hi
+        yield prec, builder(FixedPoint(prec))
         prec *= 2
 
 
@@ -606,7 +618,7 @@ def iv_sign(builder: Callable, start_prec: int = _START_PREC) -> int:
     0 is never decided, nor one too small for the top rung, so 0 means
     only that the ladder ran out.
     """
-    for _, lo, hi in _ladder(builder, start_prec):
+    for _, (lo, hi) in _ladder(builder, start_prec):
         if lo > 0:
             return 1
         if hi < 0:
@@ -614,24 +626,45 @@ def iv_sign(builder: Callable, start_prec: int = _START_PREC) -> int:
     return 0
 
 
-def iv_enclosure(builder: Callable, digits: int, start_prec: int = _START_PREC) -> Enclosure:
-    """Evaluate `builder(FixedPoint(prec))` to an enclosure of width <= 10^-digits.
+def iv_enclosures(builder: Callable, digits: int, start_prec: int = _START_PREC) -> list[Enclosure]:
+    """Evaluate `builder(FixedPoint(prec))` to enclosures of width <= 10^-digits.
 
-    Precision starts at `start_prec` and doubles until the interval is
-    narrow enough and its endpoints round alike at every number of places
-    up to `digits`, so `decimal()` prints the correctly rounded value.  Every
-    narrower interval also meets the rule at fewer places, and successive
-    intervals are intersected; as the ladder does not depend on `digits`,
-    an enclosure requested at more digits is always nested inside one
-    requested at fewer.  The builder returns integers (lo, hi) with
-    lo <= value 2^prec <= hi.
+    The builder returns one pair of integers (lo, hi) per value, with
+    lo <= value 2^prec <= hi, in the same order at every rung.  Precision
+    starts at `start_prec` and doubles until every interval is narrow
+    enough and its endpoints round alike at every number of places up to
+    `digits`, so `decimal()` prints the correctly rounded value.  Each
+    value's intervals are intersected across rungs, and each value stops
+    on the first rung that meets the rule for it.  Every narrower interval
+    also meets the rule at fewer places; as the ladder does not depend on
+    `digits`, an enclosure requested at more digits is always nested
+    inside one requested at fewer.
     """
     _check_digits(digits)
-    target = Fraction(1, 10**digits)
-    best: Enclosure | None = None
-    for prec, lo, hi in _ladder(builder, start_prec):
-        enc = Enclosure(Fraction(lo, 1 << prec), Fraction(hi, 1 << prec), digits)
-        best = enc if best is None else best.intersect(enc)
-        if best.width <= target and _rounds_alike(best.lo, best.hi, digits):
-            return Enclosure(best.lo, best.hi, digits)
+    scale = 10**digits
+    best: dict[int, tuple[int, int]] = {}  # the open values' intervals, at the last rung
+    done: dict[int, Enclosure] = {}
+    last = start_prec
+    for prec, bounds in _ladder(builder, start_prec):
+        shift, last = prec - last, prec
+        for j, (lo, hi) in enumerate(bounds):
+            if j in done:
+                continue
+            if j in best:
+                old_lo, old_hi = best[j]
+                lo, hi = max(lo, old_lo << shift), min(hi, old_hi << shift)
+            if (hi - lo) * scale <= 1 << prec:
+                enc = Enclosure(Fraction(lo, 1 << prec), Fraction(hi, 1 << prec), digits)
+                if _rounds_alike(enc.lo, enc.hi, digits):
+                    done[j] = enc
+                    continue
+            best[j] = lo, hi
+        if len(done) == len(bounds):
+            return [done[j] for j in range(len(bounds))]
     raise RuntimeError(f"interval evaluation did not reach 10^-{digits}")
+
+
+def iv_enclosure(builder: Callable, digits: int, start_prec: int = _START_PREC) -> Enclosure:
+    """`iv_enclosures` of the one value whose bounds `builder` returns."""
+    (enc,) = iv_enclosures(lambda ctx: [builder(ctx)], digits, start_prec)
+    return enc

@@ -65,6 +65,19 @@ that truncated rank-k mass is a certified lower bound, and adding the
 limiting probability of a subtree larger than r, one minus kappa_v times
 the moment sum of [T_1, ..., T_r], gives the upper bound.  Both bounds
 are exact; only printed values are enclosed.
+
+A bracket's JSON report also prints every per-size row, v_i and w_{k,i},
+each kappa_v N_i w_(i-1) for an integer N_i (T_i or t[k][i]).
+`row_enclosures` bounds all rows of one list from a single forward pass
+of the recurrence per rung of the precision ladder (`constants`): e_m is
+kept as e_(m-1) z0/(m+1), then w_m = e_m - b w_(m-2), in integer fixed
+point with lower bounds rounded down and upper bounds up.  As z0 < 2,
+every step of e multiplies by less than 1, so e_m's width stays a few
+units of the last place; and as 0 < b <= 1, w_m's width is at most e_m's
+plus b times w_(m-2)'s plus two roundings, which grows at most linearly
+in m.  Row i is therefore about N_i i units wide, and the pass starts on
+the rung that holds the bit length of the largest N_i plus that of the
+row count, plus the ladder's guard bits.
 """
 
 from __future__ import annotations
@@ -75,7 +88,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .constants import ExactConst
+from .constants import Enclosure, ExactConst, FixedPoint, iv_enclosures, start_rung
 from .counting import RootRankTable, rank_correction, root_rank_counts
 from .series import InvariantError, tree_counts
 from .variety import TreeVariety
@@ -157,6 +170,49 @@ def limit_joint_prob(variety: TreeVariety, k: int, i: int) -> ExactConst:
                                                      tree_counts(variety, i)[i])
 
 
+def row_enclosures(variety: TreeVariety, weights: Sequence[int], digits: int) -> list[Enclosure]:
+    """Enclosures of the rows kappa_v N_i W_(i-1)/(i-1)! for N_1, N_2, ... >= 0.
+
+    With N_i = T_i the rows are v_1, v_2, ...; with N_i = t[k][i] they are
+    w_{k,1}, w_{k,2}, ....  Each rung of the ladder runs the moment
+    recurrence forward once for every row (module docstring).
+    """
+    z0, c, b, g0 = _WEIGHT[variety]
+    kappa = KAPPA[variety]
+    cn, cd = c.numerator, c.denominator
+    bn, bd = b.numerator, b.denominator
+    bg = Fraction(b) * g0
+
+    def rows(ctx: FixedPoint) -> list[tuple[int, int]]:
+        prec = ctx.prec
+        zl, zh = z0._iv_value(ctx)
+        kl, kh = kappa._iv_value(ctx)
+        gl = (bg.numerator << prec) // bg.denominator  # b g(0) 2^prec, rounded out
+        gh = -((-bg.numerator << prec) // bg.denominator)
+        el, eh = cn * zl // cd, -(-cn * zh // cd)  # e_0 = c z0
+        w1 = w2 = (0, 0)  # w_(m-1), w_(m-2)
+        out = []
+        for m, n in enumerate(weights):
+            if m < 2:
+                wl, wh = el - gh, eh - gl
+            else:  # b w_(m-2) rounded up for the lower bound, down for the upper
+                wl, wh = el + (-bn * w2[1] // bd), eh - bn * w2[0] // bd
+            if n:
+                lo, hi = n * wl, n * wh
+                out.append((lo * (kl if lo >= 0 else kh) >> prec,
+                            -(-hi * (kh if hi >= 0 else kl) >> prec)))
+            else:
+                out.append((0, 0))
+            # e_(m+1) = e_m z0/(m+2); both bounds stay nonnegative
+            el = (el * zl >> prec) // (m + 2)
+            eh = -((-eh * zh >> prec) // (m + 2))
+            w1, w2 = (wl, wh), w1
+        return out
+
+    bits = max(weights, default=0).bit_length() + len(weights).bit_length()
+    return iv_enclosures(rows, digits, start_rung(bits))
+
+
 # Closed-form numerators of the four solvable count series, evaluated at
 # the singularity where sin(pi/2) = 1, cos(pi/2) = 0, and respectively
 # sin(sqrt3 z0) = sqrt3/2, cos(sqrt3 z0) = -1/2.  Each solved form is
@@ -236,31 +292,33 @@ def bound_report_dict(report: BoundReport, digits: int) -> dict:
     Decimals carry `digits` places; the per-size terms are the joint and
     subtree limits themselves.
     """
-    variety, k = report.variety, report.k
-    table = root_rank_counts(variety, report.r)
+    variety, k, r = report.variety, report.k, report.r
+    table = root_rank_counts(variety, r)
+    t_k = [table.count(k, i) for i in range(1, r + 1)]
+    w_rows = row_enclosures(variety, t_k, digits)
+    v_rows = row_enclosures(variety, tree_counts(variety, r)[1:], digits)
 
     def pair(value: ExactConst) -> dict:
         return {"exact": value.render(), "decimal": value.enclosure(digits).decimal()}
 
     def term(i: int) -> dict:
-        w, v = limit_joint_prob(variety, k, i), limit_subtree_prob(variety, i)
         return {
             "i": i,
-            "t_ki": table.count(k, i),
-            "w_exact": w.render(),
-            "w_decimal": w.enclosure(digits).decimal(),
-            "v_exact": v.render(),
-            "v_decimal": v.enclosure(digits).decimal(),
+            "t_ki": t_k[i - 1],
+            "w_exact": limit_joint_prob(variety, k, i).render(),
+            "w_decimal": w_rows[i - 1].decimal(),
+            "v_exact": limit_subtree_prob(variety, i).render(),
+            "v_decimal": v_rows[i - 1].decimal(),
         }
 
     return {
         "variety": str(variety),
         "k": k,
-        "r": report.r,
+        "r": r,
         "lower": pair(report.lower),
         "upper": pair(report.upper),
         "v_partial_sum": pair(report.partial_v_sum),
-        "per_i_terms": [term(i) for i in range(1, report.r + 1)],
+        "per_i_terms": [term(i) for i in range(1, r + 1)],
     }
 
 

@@ -203,6 +203,29 @@ class TestCounts:
         assert exc.value.code == 2
 
 
+# JSON brackets at 40 and 60 digits, whose enclosures stop above the
+# precision ladder's lowest rung, and one whose w-rows are all 0 (no rank-6
+# root below size 7).  The digests were recorded when every per-size row
+# had its own enclosure.
+PINNED_BOUNDS = {
+    "nonplane-k2-r100-d40": (
+        ["bounds", "--variety", "nonplane", "--k", "2", "--r", "100", "--format", "json",
+         "--digits", "40"],
+        "b3de77ff44df220cb57a5d3e6d9138b617d231ad67fbcf4fe741ea64f9575a82"),
+    "plane-k5-r60-d60": (
+        ["bounds", "--variety", "plane", "--k", "5", "--r", "60", "--format", "json",
+         "--digits", "60"],
+        "08c734a5b85ed9ae0d123b6e93d244ace02e2842e1a456a42a76912dc76675d1"),
+    "nonplane-k6-r6": (
+        ["bounds", "--variety", "nonplane", "--k", "6", "--r", "6", "--format", "json"],
+        "49bc8c73d3560ee84db1a064defcd3412c6b1857114c4f573ab8de660be18328"),
+}
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 class TestBounds:
     def test_table_output(self, capsys):
         code, out, _ = run(capsys, "bounds", "--variety", "nonplane", "--k", "2",
@@ -230,6 +253,21 @@ class TestBounds:
         code, out, _ = run(capsys, "bounds", *argv, "--digits", "6", "--format", "json")
         assert code == 0
         assert field(json.loads(out)) == expected
+
+    @pytest.mark.parametrize("name", list(PINNED_BOUNDS))
+    def test_json_stdout_matches_the_pinned_digest(self, capsys, name):
+        argv, digest = PINNED_BOUNDS[name]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert sha256(out) == digest
+
+    def test_pinned_digest_holds_under_python_O(self):
+        argv, digest = PINNED_BOUNDS["plane-k5-r60-d60"]
+        script = f"import sys\nfrom treerank import cli\nsys.exit(cli.main({argv!r}))\n"
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert sha256(proc.stdout) == digest
 
     def test_rejects_bad_flags(self):
         for argv in (["bounds", "--k", "-2"], ["bounds", "--k", "0", "--r", "0"]):

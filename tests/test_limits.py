@@ -15,7 +15,7 @@ from typing import Union
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import to_rational
 
@@ -35,6 +35,7 @@ from treerank.limits import (
     limit_rank_fraction,
     limit_subtree_prob,
     moment_sum,
+    row_enclosures,
 )
 from treerank.series import InvariantError, tree_counts
 from treerank.variety import TreeVariety
@@ -339,6 +340,53 @@ class TestMomentSum:
         for variety in TreeVariety:
             assert moment_sum(variety, []) == ExactConst.zero()
             assert moment_sum(variety, [0] * 7) == ExactConst.zero()
+
+
+def assert_same_row(row: constants.Enclosure, reference: constants.Enclosure) -> None:
+    """Same printed decimal, and intervals that overlap."""
+    assert row.decimal() == reference.decimal()
+    row.intersect(reference)  # raises ValueError when the two are disjoint
+
+
+class TestRowEnclosures:
+    """`row_enclosures` against the Horner path of `ExactConst.enclosure`."""
+
+    @pytest.mark.parametrize("variety", list(TreeVariety), ids=str)
+    def test_bracket_rows_match_the_horner_path(self, variety):
+        size = 150
+        table = root_rank_counts(variety, size)
+        weights = {"v": tree_counts(variety, size)[1:]}
+        values = {"v": [limit_subtree_prob(variety, i) for i in range(1, size + 1)]}
+        for k in (0, 1, 2, 5):
+            weights[k] = [table.count(k, i) for i in range(1, size + 1)]
+            values[k] = [limit_joint_prob(variety, k, i) for i in range(1, size + 1)]
+        for digits in (1, 6, 12, 30, 60):
+            for key, row_weights in weights.items():
+                rows = row_enclosures(variety, row_weights, digits)
+                assert len(rows) == size
+                for row, value in zip(rows, values[key]):
+                    assert_same_row(row, value.enclosure(digits))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(list(TreeVariety)),
+           st.lists(st.one_of(st.just(0), st.integers(0, 2**3000)), min_size=1, max_size=60),
+           st.integers(1, 60))
+    # Small weights start on a low rung, which 60 digits outgrow.
+    @example(NP, [1, 0, 3], 60)
+    @example(PL, [0], 1)
+    def test_drawn_weights_match_the_horner_path(self, variety, weights, digits):
+        rows = row_enclosures(variety, weights, digits)
+        assert len(rows) == len(weights)
+        for i, (n, row) in enumerate(zip(weights, rows), start=1):
+            value = KAPPA[variety] * moment_sum(variety, [0] * (i - 1) + [n])
+            assert_same_row(row, value.enclosure(digits))
+
+    def test_ladder_that_runs_out_raises(self, monkeypatch):
+        # The stop rule is checked in code, not by an assert, so this also
+        # holds under python -O.
+        monkeypatch.setattr(constants, "_MAX_PREC", 128)
+        with pytest.raises(RuntimeError):
+            row_enclosures(PL, tree_counts(PL, 10)[1:], 60)
 
 
 EXPECTED_CLOSED_FORMS = {
