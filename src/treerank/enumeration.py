@@ -20,21 +20,20 @@ that the subtree containing the smaller minimum label comes first; the
 generator produces exactly one representative per unordered pair this
 way.
 
-The census of size n visits each tree of every size below n once, and
-no tree of size n at all.  Every tree's root rank and one-child count are
-computed once, size by size, from its children's.  A tree of size n is a
-root over one child of size n-1, or over two children of sizes j and
-n-1-j whose label sets split the n-1 labels in one of C(n-1, j) ways
-(plane) or C(n-2, j-1) ways (non-plane, where the child holding label 1
-comes first).  Trees with the same child subtrees differ only in that
-split, so the root statistics of the two-child trees are tallied once per
-pair of child (rank, one-child count) classes and weighted by the number
-of splits, and each child subtree is credited with all the trees it
-occurs in.  Only the canonical trees of sizes up to n-2 are kept, since
-only they occur as children of two-child roots; the trees of size n-1,
-by far the most numerous, are streamed from the generator in one pass
-that reads each one's statistics, tallies it under its one-child root
-and credits its children, and none of them is stored.  At the end the
+The census of size n generates only the trees of sizes up to n-2, and
+visits each of them once to read its root rank and one-child count off
+its children's.  A tree of size m is a root over one child of size
+m-1, or over two children of sizes j and m-1-j whose label sets split
+the m-1 labels below the root in one of C(m-1, j) ways (plane) or
+C(m-2, j-1) ways (non-plane, where the child holding label 1 comes
+first).  Trees with
+the same child subtrees differ only in that split.  So the trees of
+sizes n-1 and n, by far the most numerous, are tallied instead of
+generated: per (rank, one-child count) class of a one-child root's
+child, and per pair of child classes of a two-child root, weighted by
+the number of splits.  The classes of size n-1 tallied that way feed
+the tally of size n, and each kept subtree is credited with all the
+trees of those two sizes it occurs in as a root child.  At the end the
 occurrences are pushed down from the largest kept subtrees to the
 smallest, each subtree adding its count to its (rank, size) and degree
 slots and passing it on to its children.
@@ -46,7 +45,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import combinations, count
+from itertools import chain, combinations, count
 from math import comb
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
@@ -94,17 +93,23 @@ def _canonical_trees(variety: TreeVariety, size: int) -> tuple[Node, ...]:
 
 
 def _generate(variety: TreeVariety, n: int) -> Iterator[Node]:
-    """Stream every tree on labels 1..n in the lazy form, in slot order."""
-    m = n - 1
-    if m == 0:
+    """Stream every tree on labels 1..n in the lazy form, in slot order.
+
+    The one-child trees come first, in the slot order of their only
+    child, then the two-child trees in the order of `_child_pairs`.
+    """
+    if n == 1:
         yield (0, ())
         return
-    slot = count()
     rest = tuple(range(1, n))
-    for sub in _canonical_trees(variety, m):
-        yield (next(slot), ((sub, rest),))
-    if m < 2:
-        return
+    one_child = (((sub, rest),) for sub in _canonical_trees(variety, n - 1))
+    yield from zip(count(), chain(one_child, _child_pairs(variety, n)))
+
+
+def _child_pairs(variety: TreeVariety, n: int) -> Iterator[tuple]:
+    """The children of every two-child tree on labels 1..n, in slot order."""
+    m = n - 1
+    rest = tuple(range(1, n))
     if variety is TreeVariety.PLANE:
         # Ordered sibling pairs: the first child takes any nonempty proper
         # label subset, the second takes the complement.
@@ -123,7 +128,7 @@ def _generate(variety: TreeVariety, n: int) -> Iterator[Node]:
         for ta in _canonical_trees(variety, j):
             a_child = (ta, a_set)
             for b_child in b_children:
-                yield (next(slot), (a_child, b_child))
+                yield (a_child, b_child)
 
 
 def _materialize(node: Node, labels: Sequence[int]) -> PlainNode:
@@ -197,13 +202,18 @@ def enumerate_texts(
 ) -> Iterator[str]:
     """`to_text()` of each tree of `enumerate_trees`, in the same order.
 
-    No tree is materialized.  Each canonical subtree of size s < n gets
-    one format template, its text with "{l-1}" in place of local label l,
-    and a child's text is its template filled with the child's labels.
+    No tree is materialized.  Each canonical subtree of size s < n - 1
+    gets one format template, its text with "{l-1}" in place of local
+    label l, and a child's text is its template filled with the child's
+    labels.  The trees of size n - 1 are not kept: each is the only child
+    of one tree of size n, so they are streamed and written out once.
     """
     _check_size(variety, n, limit)
+    if n == 1:
+        yield "1"
+        return
     templates: list[list[str]] = [[]]  # templates[s][slot]
-    for s in range(1, n):
+    for s in range(1, n - 1):
         templates.append([
             f"{{{s - 1}}}" + "".join(
                 "(" + templates[len(labels)][sub[0]].format(
@@ -212,12 +222,19 @@ def enumerate_texts(
             )
             for _, children in _canonical_trees(variety, s)
         ])
-    root = str(n)
-    for _, children in _generate(variety, n):
-        yield root + "".join([
+
+    def texts(children: tuple) -> str:
+        return "".join([
             "(" + templates[len(labels)][sub[0]].format(*labels) + ")"
             for sub, labels in children
         ])
+
+    one_child = f"{n}({n - 1}"
+    for _, children in _generate(variety, n - 1):
+        yield one_child + texts(children) + ")"
+    root = str(n)
+    for children in _child_pairs(variety, n):
+        yield root + texts(children)
 
 
 @dataclass(frozen=True)
@@ -313,7 +330,7 @@ def _root_stats(children: tuple, ranks: list[bytearray],
 def _split_weight(variety: TreeVariety, m: int, j: int) -> int:
     """Ways to give j of the m non-root labels to a root's first child.
 
-    These are the label subsets `_generate` picks: any j labels for plane
+    These are the label subsets `_child_pairs` picks: any j labels for plane
     trees, and for non-plane trees any j that include label 1, since the
     child holding label 1 comes first.
     """
@@ -323,14 +340,13 @@ def _split_weight(variety: TreeVariety, m: int, j: int) -> int:
 def census(variety: TreeVariety, n: int, limit: int = DEFAULT_ENUM_LIMIT) -> Census:
     """Exact per-vertex rank and subtree-size statistics over every tree of size n.
 
-    Only the trees of sizes below n are generated, each visited once to
-    read its root rank and one-child count off its children's.  Those of
-    sizes up to n-2 stay cached as canonical subtrees; those of size n-1
-    are streamed in one pass and not kept, each being the only child of
-    one tree of size n.  The two-child trees of size n are tallied per
-    pair of child classes, weighted by the number of label splits, and
-    the occurrences of every subtree are pushed down through the kept
-    subtrees at the end, so no vertex is walked.
+    Only the trees of sizes up to n-2 are generated and cached as
+    canonical subtrees, each visited once to read its root rank and
+    one-child count off its children's.  The trees of sizes n-1 and n are
+    tallied per child class and per pair of child classes, weighted by
+    the number of label splits, and the occurrences of every subtree are
+    pushed down through the kept subtrees at the end, so no vertex is
+    walked.
     `limit` only guards the size: the result is cached per (variety, n),
     which `cache_info` and `cache_clear` report and reset.
     """
@@ -352,51 +368,57 @@ def _census(variety: TreeVariety, n: int) -> Census:
         ranks.append(rank_row)
         ones.append(one_row)
 
-    # The two-child trees of size n, tallied by the classes of the root's
-    # children of sizes j and m - j.  The trees with given child subtrees
-    # differ only in their labels, so each pair of (root rank, one-child
-    # count) classes is counted once and weighted by the number of label
-    # splits.
     trees_of = [len(row) for row in ranks]  # trees_of[s]: the trees of size s
-    direct = [0] * len(ranks)  # occurrences of each size-s subtree as a root child
-    root_ranks = [0] * n
-    one_child_trees = [0] * n
-    by_degree = [0, 0, 0]  # vertices with zero, one and two children
     classes = [Counter(zip(r, o)) for r, o in zip(ranks, ones)]
-    for j in range(1, m):
-        k = m - j
-        w = _split_weight(variety, m, j)
-        for (ra, oa), ca in classes[j].items():
-            for (rb, ob), cb in classes[k].items():
-                c = w * ca * cb
-                root_ranks[1 + (ra if ra < rb else rb)] += c
-                one_child_trees[oa + ob] += c
-        direct[j] += w * trees_of[k]
-        direct[k] += w * trees_of[j]
-        by_degree[2] += w * trees_of[j] * trees_of[k]
-    trees = by_degree[2]  # so far the two-child roots
+    direct = [0] * n  # occurrences of each size-s subtree as a root child
+    by_degree = [0, 0, 0]  # vertices with zero, one and two children
 
-    occurrences = [[c] * t for c, t in zip(direct, trees_of)]
+    def tally(s: int) -> Counter:
+        """The trees of size s by (root rank, one-child count) class.
+
+        They are tallied from the classes of the smaller sizes, each tree
+        occurring once: its root is counted in `by_degree` and its
+        children in `direct`.  A root over two children of sizes j and
+        s-1-j stands for one tree per label split, so each pair of child
+        classes is counted once and weighted by the number of splits.
+        """
+        if s == 1:  # the lone leaf
+            by_degree[0] += 1
+            return Counter({(0, 0): 1})
+        k = s - 1
+        layer = Counter({(r + 1, o + 1): c for (r, o), c in classes[k].items()})
+        direct[k] += 1
+        by_degree[1] += trees_of[k]
+        for j in range(1, k):
+            i = k - j
+            w = _split_weight(variety, k, j)
+            for (ra, oa), ca in classes[j].items():
+                for (rb, ob), cb in classes[i].items():
+                    layer[1 + (ra if ra < rb else rb), oa + ob] += w * ca * cb
+            direct[j] += w * trees_of[i]
+            direct[i] += w * trees_of[j]
+            by_degree[2] += w * trees_of[j] * trees_of[i]
+        return layer
+
+    # The trees of size m are tallied, not generated: each is the only
+    # child of one tree of size n, so it occurs once.
     stride = n + 1
     joint = [0] * (n * stride)  # joint[rank * stride + size]
-    if m == 0:  # the lone vertex
-        root_ranks[0] = one_child_trees[0] = by_degree[0] = trees = 1
-    else:
-        # The trees of size m, streamed once and never stored: each is the
-        # only child of one tree of size n, so it occurs exactly once.
-        for streamed, (_, children) in enumerate(_generate(variety, m), 1):
-            rank, one = _root_stats(children, ranks, ones)
-            root_ranks[rank + 1] += 1
-            one_child_trees[one + 1] += 1
-            joint[rank * stride + m] += 1
-            by_degree[len(children)] += 1
-            for sub, labels in children:
-                occurrences[len(labels)][sub[0]] += 1
-        by_degree[1] += streamed  # their one-child roots
-        trees += streamed
+    if m:
+        layer = tally(m)
+        for (rank, _), c in layer.items():
+            joint[rank * stride + m] += c
+        classes.append(layer)
+        trees_of.append(sum(layer.values()))
+    root_ranks = [0] * n
+    one_child_trees = [0] * n
+    for (rank, one), c in tally(n).items():
+        root_ranks[rank] += c
+        one_child_trees[one] += c
 
-    # Push the occurrences down, largest subtrees first: a subtree's
+    # Push the occurrences down, largest kept subtrees first: a subtree's
     # count reaches its (rank, size) and degree slots and its children.
+    occurrences = [[c] * t for c, t in zip(direct, trees_of[:m])]
     for rank, c in enumerate(root_ranks):
         joint[rank * stride + n] += c
     for s in range(m - 1, 0, -1):
@@ -415,7 +437,7 @@ def _census(variety: TreeVariety, n: int) -> Census:
     result = Census(
         variety=variety,
         n=n,
-        tree_count=trees,
+        tree_count=sum(root_ranks),
         rank_totals=tuple(sum(joint[k * stride:(k + 1) * stride]) for k in range(n)),
         size_totals=tuple(sum(joint[r::stride]) for r in range(stride)),
         joint_totals=MappingProxyType({

@@ -402,6 +402,18 @@ class TestVerify:
         assert code == 1
         assert root_table_failures(out)
 
+    def test_enum_limit_11_matches_the_pinned_digest(self):
+        # Past the reach of the per-tree reference census (n <= 10); the
+        # digest was recorded while the census still generated the trees
+        # of size n - 1.
+        argv = ["verify", "--enum-limit", "11", "--order", "80"]
+        script = f"import sys\nfrom treerank import cli\nsys.exit(cli.main({argv!r}))\n"
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert sha256(proc.stdout) == (
+            "255a0cd3d62c1ae8c9c9e1929abae53b809432c85047b1a71feefebe9f6e5b25")
+
     def test_corrupted_table_detected_under_python_O(self):
         # Asserts are stripped under -O; the checks that catch the fault are not.
         argv = ["verify", "--enum-limit", "4", "--order", "6", "--r", "3"]

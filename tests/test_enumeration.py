@@ -16,7 +16,7 @@ from typing import Iterator
 
 import pytest
 
-from treerank import enumeration
+from treerank import cli, enumeration
 from treerank.enumeration import (
     DEFAULT_ENUM_LIMIT,
     Census,
@@ -343,6 +343,24 @@ class TestEnumeration:
             texts = list(enumerate_texts(variety, n))
             assert texts == [t.to_text() for t in enumerate_trees(variety, n)]
 
+    @pytest.mark.parametrize("variety", [NP, PL])
+    def test_texts_keep_no_tree_of_size_n_minus_1(self, variety, monkeypatch):
+        enumeration._canonical_trees.cache_clear()
+        asked = []
+        original = enumeration._canonical_trees
+
+        def recording(v, size):
+            asked.append(size)
+            return original(v, size)
+
+        monkeypatch.setattr(enumeration, "_canonical_trees", recording)
+        for n in range(1, 9):
+            assert sum(1 for _ in enumerate_texts(variety, n)) == tree_counts(variety, 8)[n]
+            assert all(s <= n - 2 for s in asked), (n, sorted(set(asked)))
+            assert original.cache_info().currsize == max(n - 2, 0)
+            asked.clear()
+            original.cache_clear()
+
     def test_texts_refuse_like_the_trees(self):
         with pytest.raises(SizeLimitError):
             next(enumerate_texts(PL, 11))
@@ -439,8 +457,9 @@ class TestCensus:
             })
 
     def test_all_censuses_to_10_within_budget_from_cold_caches(self):
-        # About 0.12 s of CPU on a 2-core Xeon with Python 3.11; generating
-        # every tree of size n, as the per-tree census did, took 0.84 s.
+        # About 0.03 s of CPU on a 2-core Xeon with Python 3.11; streaming
+        # every tree of size n - 1 took 0.14 s, and generating every tree of
+        # size n, as the per-tree census did, 0.84 s.
         census.cache_clear()
         enumeration._canonical_trees.cache_clear()
         start = time.process_time()
@@ -452,19 +471,26 @@ class TestCensus:
     def test_no_census_keeps_the_trees_of_size_n_minus_1(self, monkeypatch):
         census.cache_clear()
         enumeration._canonical_trees.cache_clear()
-        asked = []
-        original = enumeration._canonical_trees
+        asked, generated = [], []
+        original, original_generate = enumeration._canonical_trees, enumeration._generate
 
         def recording(variety, size):
             asked.append(size)
             return original(variety, size)
 
+        def recording_generate(variety, size):
+            generated.append(size)
+            return original_generate(variety, size)
+
         monkeypatch.setattr(enumeration, "_canonical_trees", recording)
+        monkeypatch.setattr(enumeration, "_generate", recording_generate)
         for variety in (NP, PL):
             for n in range(1, DEFAULT_ENUM_LIMIT + 1):
                 asked.clear()
+                generated.clear()
                 census(variety, n)
                 assert all(s <= n - 2 for s in asked), (variety, n, sorted(set(asked)))
+                assert all(s <= n - 2 for s in generated), (variety, n, sorted(set(generated)))
 
     def test_size_prob_is_zero_below_size_one(self):
         cen = census(NP, 4)
@@ -494,25 +520,33 @@ class TestCensus:
 
     @pytest.mark.parametrize("variety", [NP, PL])
     def test_a_planted_leaf_among_larger_subtrees_is_caught(self, variety, monkeypatch):
-        # Size 3 is kept by the census of size 5; that of size 4 streams it.
+        # Size 3 is kept by the census of size 5; that of size 4 tallies it.
         _plant_a_leaf_among_size_3(monkeypatch)
         census.cache_clear()
         with pytest.raises(InvariantError, match=r"^rank 0 for a subtree of size 3$"):
             census(variety, 5)
 
-    @pytest.mark.parametrize("variety", [NP, PL])
-    def test_a_planted_leaf_in_the_streamed_layer_is_caught(self, variety, monkeypatch):
-        original = enumeration._generate
+    def test_a_split_weight_off_by_one_in_the_tallied_layer_is_caught(self, capsys,
+                                                                       monkeypatch):
+        # The census of size 8 reads the weight at (6, 2) only where it
+        # tallies its trees of size 7 from their children's classes.
+        original = enumeration._split_weight
 
-        def planted(v, n):
-            if n == 5:
-                yield (0, ())
-            yield from original(v, n)
+        def planted(variety, m, j):
+            return original(variety, m, j) + ((m, j) == (6, 2))
 
-        monkeypatch.setattr(enumeration, "_generate", planted)
+        monkeypatch.setattr(enumeration, "_split_weight", planted)
         census.cache_clear()
-        with pytest.raises(InvariantError, match=r"^rank 0 for a subtree of size 5$"):
-            census(variety, 6)
+        try:
+            for variety in (NP, PL):
+                assert census(variety, 8) != per_tree_census(variety, 8)
+            code = cli.main(["verify", "--enum-limit", "8", "--order", "10", "--r", "4"])
+        finally:
+            census.cache_clear()
+        out = capsys.readouterr().out
+        assert code == 1
+        for variety in (NP, PL):
+            assert f"FAIL  enumeration-count {variety} n=8: enumerated " in out
 
     def test_a_planted_leaf_is_caught_under_python_O(self):
         script = textwrap.dedent("""
