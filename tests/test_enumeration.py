@@ -526,6 +526,31 @@ class TestCensus:
         with pytest.raises(InvariantError, match=r"^rank 0 for a subtree of size 3$"):
             census(variety, 5)
 
+    @pytest.mark.parametrize("variety", [NP, PL])
+    def test_a_planted_leaf_in_the_streamed_layer_is_caught(self, variety, monkeypatch):
+        # The census of size 6 tallies its trees of size 5 and never reads
+        # the stream; that of size 7 keeps them, so it meets the leaf.
+        census.cache_clear()
+        enumeration._canonical_trees.cache_clear()
+        expected = census(variety, 6)
+        original = enumeration._generate
+
+        def planted(v, n):
+            if n == 5:
+                yield (0, ())
+            yield from original(v, n)
+
+        monkeypatch.setattr(enumeration, "_generate", planted)
+        census.cache_clear()
+        enumeration._canonical_trees.cache_clear()
+        try:
+            assert census(variety, 6) == expected
+            with pytest.raises(InvariantError, match=r"^rank 0 for a subtree of size 5$"):
+                census(variety, 7)
+        finally:
+            census.cache_clear()
+            enumeration._canonical_trees.cache_clear()
+
     def test_a_split_weight_off_by_one_in_the_tallied_layer_is_caught(self, capsys,
                                                                        monkeypatch):
         # The census of size 8 reads the weight at (6, 2) only where it
