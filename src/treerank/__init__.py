@@ -8,10 +8,9 @@ all in exact arithmetic with certified decimal enclosures.
 from .constants import Enclosure, ExactConst
 from .counting import (
     CountSequences,
-    RootRankTable,
     joint_vertex_counts,
     rank_vertex_counts,
-    root_rank_counts,
+    root_ranks,
     size_vertex_counts,
 )
 from .enumeration import (
@@ -33,12 +32,7 @@ from .limits import (
     limit_rank_fraction,
     limit_subtree_prob,
 )
-from .series import (
-    EgfSeries,
-    InvariantError,
-    SeriesOrderError,
-    base_series,
-)
+from .series import EgfSeries, InvariantError, SeriesOrderError
 from .variety import TreeVariety
 
 __version__ = "0.1.0"
@@ -53,11 +47,9 @@ __all__ = [
     "ExactConst",
     "InvariantError",
     "LabeledTree",
-    "RootRankTable",
     "SeriesOrderError",
     "SizeLimitError",
     "TreeVariety",
-    "base_series",
     "bound_interval",
     "bound_report_json",
     "census",
@@ -69,7 +61,7 @@ __all__ = [
     "limit_subtree_prob",
     "plane_multiplicity_total",
     "rank_vertex_counts",
-    "root_rank_counts",
+    "root_ranks",
     "size_vertex_counts",
     "weighted_onechild_mean",
     "__version__",

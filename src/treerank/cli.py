@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from operator import add
 from typing import Callable, Sequence
 
 from .constants import MAX_DIGITS
@@ -18,7 +19,7 @@ from .counting import (
     _multiplier,
     joint_vertex_counts,
     rank_vertex_counts,
-    root_rank_counts,
+    root_ranks,
     size_vertex_counts,
 )
 from .enumeration import (
@@ -123,9 +124,8 @@ def _print_root_rows(variety: TreeVariety, n_max: int, fmt: str) -> None:
     JSON comes out byte for byte as `json.dumps(payload, indent=2)` would
     print it, without building the payload.
     """
-    table = root_rank_counts(variety, max(n_max, 1))
-    cells = [(i, k, c) for i in range(1, n_max + 1)
-             for k, c in enumerate(table.column(i)) if c]
+    columns = zip(*[root_ranks(variety, k, n_max) for k in range(n_max)])
+    cells = [(i, k, c) for i, column in enumerate(columns, 1) for k, c in enumerate(column) if c]
     if fmt == "json":
         rows = ",\n".join(f'    {{\n      "i": {i},\n      "k": {k},\n      "count": {c}\n    }}'
                           for i, k, c in cells)
@@ -261,16 +261,17 @@ def _verify_checks(args: argparse.Namespace):
                 f"enumerated {got}, series says {counts[n]}",
             )
 
-    table = {v: root_rank_counts(v, order) for v in TreeVariety}
-
     # T'' = m T' with T'(0) = 1, so the linear kernel's solution of
     # y' = m y + m is T' - 1: U_n = T_(n+1) - [n = 0], a count of its own
-    # for each column of the table to sum to.
+    # for each column of the table to sum to.  The columns are summed one
+    # row t[k] at a time, so that no more than one row is held.
     for variety in TreeVariety:
+        sums = [0] * order
+        for k in range(order):
+            sums = list(map(add, sums, root_ranks(variety, k, order)))
         m = _multiplier(variety, order)
         u = solve_linear_counts(m, m, order - 1)
-        bad = [i for i in range(1, order + 1)
-               if table[variety].row_sum(i) != u[i - 1] + (i == 1)]
+        bad = [i for i in range(1, order + 1) if sums[i - 1] != u[i - 1] + (i == 1)]
         yield (
             f"root-rank-table row sums {variety}",
             not bad,
@@ -280,10 +281,10 @@ def _verify_checks(args: argparse.Namespace):
     # One solve per selector at order --enum-limit: the recurrences are
     # causal, so counts[n] is the same at every order >= n.
     for variety in TreeVariety:
-        tbl = table[variety]
-        rank = [rank_vertex_counts(variety, k, limit, tbl).counts for k in range(limit)]
+        roots = [root_ranks(variety, k, limit) for k in range(limit)]
+        rank = [rank_vertex_counts(variety, k, limit).counts for k in range(limit)]
         size = {r: size_vertex_counts(variety, r, limit).counts for r in range(1, limit + 1)}
-        joint = {(k, r): joint_vertex_counts(variety, k, r, limit, tbl).counts
+        joint = {(k, r): joint_vertex_counts(variety, k, r, limit).counts
                  for r in range(1, limit + 1) for k in range(limit)}
         for n in range(1, limit + 1):
             cen = census(variety, n, limit)
@@ -302,7 +303,7 @@ def _verify_checks(args: argparse.Namespace):
                         ok = False
                         notes.append(f"joint k={k} i={r}")
             for k in range(n):
-                if tbl.count(k, n) != cen.root_rank_counts[k]:
+                if roots[k][n - 1] != cen.root_rank_counts[k]:
                     ok = False
                     notes.append(f"root-rank k={k} (root-rank-table)")
             yield (
@@ -323,7 +324,7 @@ def _verify_checks(args: argparse.Namespace):
 
     # Leaf-count identity: total(n) = (n+1) count(n) - count(n+1), non-plane.
     e = tree_counts(TreeVariety.NONPLANE, order + 1)
-    leaf_seq = rank_vertex_counts(TreeVariety.NONPLANE, 0, order, table[TreeVariety.NONPLANE])
+    leaf_seq = rank_vertex_counts(TreeVariety.NONPLANE, 0, order)
     bad = [n for n in range(order) if leaf_seq.counts[n] != (n + 1) * e[n] - e[n + 1]]
     yield (
         "leaf-count identity (n+1)E_n - E_(n+1)",
@@ -333,8 +334,8 @@ def _verify_checks(args: argparse.Namespace):
 
     # Rank-1 root correction: d/dz of the rank-1 root series is z*E - z^2/2,
     # which n!-scaled reads t[1][n+1] = n E_(n-1) - [n = 2].
-    tbl = table[TreeVariety.NONPLANE]
-    ok = all(tbl.count(1, n + 1) == n * e[max(n - 1, 0)] - (n == 2) for n in range(order))
+    t1 = root_ranks(TreeVariety.NONPLANE, 1, order)
+    ok = all(t1[n] == n * e[max(n - 1, 0)] - (n == 2) for n in range(order))
     yield ("rank-1 root correction z*E - z^2/2", ok, "series match" if ok else "mismatch")
 
     for variety in TreeVariety:

@@ -1,14 +1,15 @@
 """Exact counting beyond brute-force reach.
 
-Two engines live here.  The root-rank table reads the suffix rows S_k[i],
-the number of trees on i labels whose root has rank k or more, so that
+Two engines live here.  `root_ranks` reads the suffix rows S_k[i], the
+number of trees on i labels whose root has rank k or more, so that
 t[k][i] = S_k[i] - S_{k+1}[i] counts the trees whose root has rank
 exactly k.  On top of it, first-order linear recurrences on exponential
 generating functions produce, for every n at once, the totals of
 vertices with a given rank, a given subtree size, or both.
 
 The rows S_k' = S_{k-1} + c S_{k-1}^2 live in `series`, which reads the
-tree counts off rows 0 and 1; the table here is a view of them.
+tree counts off rows 0 and 1; every other module reads t through
+`root_ranks`.
 
 The decomposition behind every count recurrence is the same: mark a
 vertex, delete the root.  Either the marked vertex survives in one of the
@@ -32,69 +33,36 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from operator import sub
 
 from .constants import decimal_string
-from .series import _suffix_rows, solve_linear_counts, tree_counts
+from .series import DEFAULT_ORDER, _suffix_rows, solve_linear_counts, tree_counts
 from .variety import TreeVariety
 
-DEFAULT_MAX_SIZE = 80
 
-
-class RootRankTable:
-    """t[k][i]: trees on i labels whose root has rank exactly k, i <= max_size.
-
-    A view of the variety's shared suffix rows, t[k][i] = S_k[i] -
-    S_{k+1}[i]; reading rank k extends rows 0..k+1 through max_size.
-    """
-
-    def __init__(self, variety: TreeVariety, max_size: int):
-        self.variety = variety
-        self.max_size = max_size
-
-    def _check(self, k: int, i: int) -> None:
-        if k < 0:
-            raise ValueError("rank must be nonnegative")
-        if not 1 <= i <= self.max_size:
-            raise ValueError(f"size {i} outside table range 1..{self.max_size}")
-
-    def count(self, k: int, i: int) -> int:
-        self._check(k, i)
-        if k >= i:  # rank k needs a leaf path of length k below the root
-            return 0
-        rows = _suffix_rows(self.variety, k + 1, self.max_size)
-        return rows[k][i] - rows[k + 1][i]
-
-    def column(self, i: int) -> list[int]:
-        """t[0][i], ..., t[i-1][i]: the trees on i labels by root rank."""
-        self._check(0, i)
-        rows = _suffix_rows(self.variety, i, self.max_size)
-        return [rows[k][i] - rows[k + 1][i] for k in range(i)]
-
-    def row_sum(self, i: int) -> int:
-        return sum(self.column(i))
-
-    def __repr__(self) -> str:
-        return f"RootRankTable({self.variety}, max_size={self.max_size})"
-
-
-@lru_cache(maxsize=None)
-def root_rank_counts(variety: TreeVariety, max_size: int = DEFAULT_MAX_SIZE) -> RootRankTable:
-    """t[k][i] for 1 <= i <= max_size, as a view of the shared suffix rows.
+def root_ranks(variety: TreeVariety, k: int, size: int) -> list[int]:
+    """t[k][1], ..., t[k][size]: the trees on i labels whose root has rank exactly k.
 
     S_k[i], the trees on i labels whose root has rank >= k, satisfies
     S_k' = S_{k-1} + c S_{k-1}^2 with S_0 = T - 1: a root has rank >= k
     >= 1 exactly when it has one child of rank >= k-1, or two children
     that both have rank >= k-1 (c = 1/2 for non-plane trees, whose two
     subtrees are unordered and always have different label sets; c = 1
-    for plane trees).  So t[k][i] = S_k[i] - S_{k+1}[i], and the rows sum
-    by telescoping to S_0[i] = T_i.  Rows 0 and 1 are built here, higher
-    rows as a rank is first read.
+    for plane trees).  So t[k][i] = S_k[i] - S_{k+1}[i], read off rows k
+    and k+1 of `series`, and the t[k][i] sum over k by telescoping to
+    S_0[i] = T_i.  The list is also the n!-scaled rank-k correction
+    P_0..P_{size-1}, P_n = t[k][n+1]: the count series solve it at finite
+    n and `limits` sums it against the weight moments for the rank-k
+    bracket.
     """
-    if max_size < 1:
-        raise ValueError("max_size must be at least 1")
-    _suffix_rows(variety, 1, max_size)
-    return RootRankTable(variety, max_size)
+    if k < 0:
+        raise ValueError("rank must be nonnegative")
+    if size < 0:
+        raise ValueError("size must be nonnegative")
+    if k >= size:  # rank k needs a leaf path of length k below the root
+        return [0] * size
+    rows = _suffix_rows(variety, k + 1, size)
+    return list(map(sub, rows[k][1:size + 1], rows[k + 1][1:size + 1]))
 
 
 @dataclass(frozen=True)
@@ -165,34 +133,12 @@ def _monomial(degree: int, value: int, order: int) -> list[int]:
     return correction
 
 
-def rank_correction(table: RootRankTable, k: int, order: int) -> list[int]:
-    """n!-scaled rank-k correction P_0..P_{order-1}, P_n = t[k][n+1].
-
-    The count series solve it at finite n and `limits` sums it against the
-    weight moments, cut at the truncation r, for the rank-k bracket.
-    """
-    return [table.count(k, i) for i in range(1, order + 1)]
-
-
-def rank_vertex_counts(
-    variety: TreeVariety,
-    k: int,
-    order: int = DEFAULT_MAX_SIZE,
-    table: RootRankTable | None = None,
-) -> CountSequences:
+def rank_vertex_counts(variety: TreeVariety, k: int, order: int = DEFAULT_ORDER) -> CountSequences:
     """Totals of rank-k vertices over all trees of each size up to order."""
-    if k < 0:
-        raise ValueError("rank must be nonnegative")
-    if table is None:
-        table = root_rank_counts(variety, max(order, 1))
-    if order > table.max_size:
-        raise ValueError(f"order {order} exceeds table size {table.max_size}")
-    return _count_sequence(variety, rank_correction(table, k, order), order, f"rank k={k}")
+    return _count_sequence(variety, root_ranks(variety, k, order), order, f"rank k={k}")
 
 
-def size_vertex_counts(
-    variety: TreeVariety, r: int, order: int = DEFAULT_MAX_SIZE
-) -> CountSequences:
+def size_vertex_counts(variety: TreeVariety, r: int, order: int = DEFAULT_ORDER) -> CountSequences:
     """Totals of vertices whose subtree has exactly r vertices."""
     if r < 1:
         raise ValueError("subtree size must be at least 1")
@@ -203,21 +149,14 @@ def size_vertex_counts(
 
 
 def joint_vertex_counts(
-    variety: TreeVariety,
-    k: int,
-    i: int,
-    order: int = DEFAULT_MAX_SIZE,
-    table: RootRankTable | None = None,
+    variety: TreeVariety, k: int, i: int, order: int = DEFAULT_ORDER
 ) -> CountSequences:
     """Totals of vertices of rank k whose subtree has exactly i vertices."""
     if k < 0:
         raise ValueError("rank must be nonnegative")
     if i < 1:
         raise ValueError("subtree size must be at least 1")
-    t_ki = 0
-    if i <= order:  # a correction at degree i-1 >= order lies past the truncation
-        if table is None:
-            table = root_rank_counts(variety, i)
-        t_ki = table.count(k, i)
+    # A correction at degree i-1 >= order lies past the truncation.
+    t_ki = root_ranks(variety, k, i)[-1] if i <= order else 0
     return _count_sequence(variety, _monomial(i - 1, t_ki, order), order,
                            f"rank k={k}, size i={i}")

@@ -106,6 +106,22 @@ def _generate(variety: TreeVariety, n: int) -> Iterator[Node]:
     yield from zip(count(), chain(one_child, _child_pairs(variety, n)))
 
 
+def _top_layer(variety: TreeVariety, n: int) -> Iterator[tuple]:
+    """The children of every tree on labels 1..n, in the slot order of `_generate`.
+
+    The one-child trees come from `_generate(variety, n - 1)` rather than
+    from the cache: each tree of size n - 1 is the only child of one tree
+    of size n, so none of them is kept.
+    """
+    if n == 1:
+        yield ()
+        return
+    rest = tuple(range(1, n))
+    for sub in _generate(variety, n - 1):
+        yield ((sub, rest),)
+    yield from _child_pairs(variety, n)
+
+
 def _child_pairs(variety: TreeVariety, n: int) -> Iterator[tuple]:
     """The children of every two-child tree on labels 1..n, in slot order."""
     m = n - 1
@@ -191,9 +207,12 @@ def _check_size(variety: TreeVariety, n: int, limit: int) -> None:
 def enumerate_trees(
     variety: TreeVariety, n: int, limit: int = DEFAULT_ENUM_LIMIT
 ) -> Iterator[LabeledTree]:
-    """Every labeled 1-2 tree of the variety on 1..n, each exactly once."""
+    """Every labeled 1-2 tree of the variety on 1..n, each exactly once.
+
+    Only the canonical trees of sizes up to n - 2 are kept; see `_top_layer`.
+    """
     _check_size(variety, n, limit)
-    for node in _generate(variety, n):
+    for node in enumerate(_top_layer(variety, n)):
         yield LabeledTree(node, n)
 
 
@@ -205,13 +224,10 @@ def enumerate_texts(
     No tree is materialized.  Each canonical subtree of size s < n - 1
     gets one format template, its text with "{l-1}" in place of local
     label l, and a child's text is its template filled with the child's
-    labels.  The trees of size n - 1 are not kept: each is the only child
-    of one tree of size n, so they are streamed and written out once.
+    labels.  The trees of size n - 1 are streamed by `_top_layer` and
+    written out once, from their own children.
     """
     _check_size(variety, n, limit)
-    if n == 1:
-        yield "1"
-        return
     templates: list[list[str]] = [[]]  # templates[s][slot]
     for s in range(1, n - 1):
         templates.append([
@@ -229,12 +245,12 @@ def enumerate_texts(
             for sub, labels in children
         ])
 
-    one_child = f"{n}({n - 1}"
-    for _, children in _generate(variety, n - 1):
-        yield one_child + texts(children) + ")"
-    root = str(n)
-    for children in _child_pairs(variety, n):
-        yield root + texts(children)
+    root, one_child = str(n), f"{n}({n - 1}"
+    for children in _top_layer(variety, n):
+        if len(children) == 1:  # the child is on labels 1..n-1, as are its children
+            yield one_child + texts(children[0][0][1]) + ")"
+        else:
+            yield root + texts(children)
 
 
 @dataclass(frozen=True)

@@ -89,7 +89,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .constants import Enclosure, ExactConst, FixedPoint, iv_enclosures, start_rung
-from .counting import RootRankTable, rank_correction, root_rank_counts
+from .counting import root_ranks
 from .series import InvariantError, tree_counts
 from .variety import TreeVariety
 
@@ -165,8 +165,7 @@ def limit_joint_prob(variety: TreeVariety, k: int, i: int) -> ExactConst:
         raise ValueError("rank must be nonnegative")
     if i < 1:
         raise ValueError("subtree size must be at least 1")
-    # A bare view of the shared rows: t[k][i] needs no cached table per size i.
-    return limit_subtree_prob(variety, i) * Fraction(RootRankTable(variety, i).count(k, i),
+    return limit_subtree_prob(variety, i) * Fraction(root_ranks(variety, k, i)[-1],
                                                      tree_counts(variety, i)[i])
 
 
@@ -278,7 +277,7 @@ def bound_interval(variety: TreeVariety, k: int, r: int = DEFAULT_BOUND_TERMS) -
     if r < 1:
         raise ValueError("truncation must be at least 1")
     kappa = KAPPA[variety]
-    lower = kappa * moment_sum(variety, rank_correction(root_rank_counts(variety, r), k, r))
+    lower = kappa * moment_sum(variety, root_ranks(variety, k, r))
     v_sum = kappa * moment_sum(variety, tree_counts(variety, r)[1:])
     report = BoundReport(variety, k, r, lower, lower + (1 - v_sum), v_sum)
     if report.gap.sign() < 0:
@@ -293,8 +292,7 @@ def bound_report_dict(report: BoundReport, digits: int) -> dict:
     subtree limits themselves.
     """
     variety, k, r = report.variety, report.k, report.r
-    table = root_rank_counts(variety, r)
-    t_k = [table.count(k, i) for i in range(1, r + 1)]
+    t_k = root_ranks(variety, k, r)
     w_rows = row_enclosures(variety, t_k, digits)
     v_rows = row_enclosures(variety, tree_counts(variety, r)[1:], digits)
 

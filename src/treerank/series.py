@@ -28,9 +28,12 @@ off row 0.  Reading rank k needs rows 0..k+1 only, so a rank request
 costs O(k N^2) multiplications and the whole table O(N^3 / 24).
 
 `EgfSeries` stores ordinary coefficients c_n = Y_n / n! as
-`fractions.Fraction`s.  The reference solvers the integer kernel is
-tested against are written in it; no count takes that path.  No floating
-point enters this module.
+`fractions.Fraction`s.  No count takes that path: the reference solvers
+the integer kernel is tested against are written in it, and they live in
+`tests/reference_solvers.py` with the tree-count series `base_series`.
+The type stays here because the benchmark tracer (`perfbench/spans.py`)
+looks it up in this module by name.  No floating point enters this
+module.
 """
 
 from __future__ import annotations
@@ -243,18 +246,6 @@ def tree_counts(variety: TreeVariety, order: int) -> tuple[int, ...]:
     if order < 0:
         raise ValueError("order must be nonnegative")
     return (1,) + tuple(_suffix_rows(variety, 1, order)[0][1:order + 1])
-
-
-@lru_cache(maxsize=None)
-def base_series(variety: TreeVariety, order: int) -> EgfSeries:
-    """Tree-count series of the given variety through the given order.
-
-    The ordinary coefficients T_n / n! of `tree_counts`: the solution of
-    y' = (1 + y^2)/2 for non-plane and y' = 1 - y + y^2 for plane trees,
-    with y(0) = 1.
-    """
-    counts = tree_counts(variety, order)
-    return EgfSeries(Fraction(c, factorial(n)) for n, c in enumerate(counts))
 
 
 def solve_linear_counts(m: Sequence[int], p: Sequence[int], order: int) -> list[int]:

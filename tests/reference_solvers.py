@@ -3,17 +3,31 @@
 No count or limit path uses them: `series.solve_linear_counts` and the
 suffix rows are compared against the `EgfSeries` solvers, and
 `limits.moment_sum` against the unrolled weight moment and the per-term
-bracket sum.
+bracket sum.  The tree-count series `base_series` lives here too, since
+only these solvers and the tests read it.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from treerank.constants import ExactConst
-from treerank.counting import RootRankTable, root_rank_counts
+from treerank.counting import root_ranks
 from treerank.limits import _WEIGHT, KAPPA, limit_joint_prob, limit_subtree_prob, moment_sum
-from treerank.series import EgfSeries, Rational, SeriesOrderError, base_series
+from treerank.series import EgfSeries, Rational, SeriesOrderError, tree_counts
 from treerank.variety import TreeVariety
+
+
+@lru_cache(maxsize=None)
+def base_series(variety: TreeVariety, order: int) -> EgfSeries:
+    """Tree-count series of the given variety through the given order.
+
+    The ordinary coefficients T_n / n! of `tree_counts`: the solution of
+    y' = (1 + y^2)/2 for non-plane and y' = 1 - y + y^2 for plane trees,
+    with y(0) = 1.
+    """
+    counts = tree_counts(variety, order)
+    return EgfSeries(Fraction(c, factorial(n)) for n, c in enumerate(counts))
 
 
 def solve_linear_ode(m: EgfSeries, p: EgfSeries, y0: Rational, order: int) -> EgfSeries:
@@ -43,16 +57,10 @@ def solve_plane_linear_ode(p: EgfSeries, y0: Rational, order: int) -> EgfSeries:
     return solve_linear_ode(m, p, y0, order)
 
 
-def correction_series(table: RootRankTable, k: int, order: int) -> EgfSeries:
+def correction_series(variety: TreeVariety, k: int, order: int) -> EgfSeries:
     """The generating function sum_i t[k][i] z^i / i! through `order`."""
-    if order > table.max_size:
-        raise ValueError(f"order {order} exceeds table size {table.max_size}")
-    coeffs = [Fraction(0)] * (order + 1)
-    for i in range(1, order + 1):
-        c = table.count(k, i)
-        if c:
-            coeffs[i] = Fraction(c, factorial(i))
-    return EgfSeries(coeffs)
+    ranks = root_ranks(variety, k, order)
+    return EgfSeries([0] + [Fraction(c, factorial(i)) for i, c in enumerate(ranks, 1)])
 
 
 def kernel_weight_moment(variety: TreeVariety, m: int) -> ExactConst:

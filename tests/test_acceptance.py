@@ -20,7 +20,7 @@ from treerank.constants import ExactConst
 from treerank.counting import (
     joint_vertex_counts,
     rank_vertex_counts,
-    root_rank_counts,
+    root_ranks,
     size_vertex_counts,
 )
 from treerank.enumeration import (
@@ -35,10 +35,10 @@ from treerank.limits import (
     limit_rank_fraction,
     limit_subtree_prob,
 )
-from treerank.series import EgfSeries, base_series, tree_counts
+from treerank.series import EgfSeries, tree_counts
 from treerank.variety import TreeVariety
 
-from reference_solvers import correction_series
+from reference_solvers import base_series, correction_series
 
 NP = TreeVariety.NONPLANE
 PL = TreeVariety.PLANE
@@ -149,13 +149,12 @@ def test_criterion_2_literal_quoted_a1():
     assert enc.decimal(10) == "0.3155269391"
 
 
-def _quadrature_rank2_lower(table, r=12) -> Fraction:
+def _quadrature_rank2_lower(r=12) -> Fraction:
     """Independent route to the rank-2 lower bound: adaptive quadrature of
     the weight integrals instead of the exact moment recurrences."""
     with mpmath.workdps(40):
         total = mpmath.mpf(0)
-        for i in range(1, r + 1):
-            t_ki = table.count(2, i)
+        for i, t_ki in enumerate(root_ranks(NP, 2, r), 1):
             if not t_ki:
                 continue
             integral = mpmath.quad(
@@ -167,7 +166,6 @@ def _quadrature_rank2_lower(table, r=12) -> Fraction:
 
 def test_criterion_3_bound_reproduction():
     started = time.monotonic()
-    table = root_rank_counts(NP, 12)
     reports = {k: bound_interval(NP, k, 12) for k in (2, 3, 4)}
     enc = {k: (rep.lower.enclosure(10), rep.upper.enclosure(10)) for k, rep in reports.items()}
 
@@ -176,7 +174,7 @@ def test_criterion_3_bound_reproduction():
     assert low2.hi <= QUOTED_RANK2_LOWER <= up2.lo
     assert low2.hi <= RANK2_ESTIMATE <= up2.lo
     # Cross-check the exact lower bound against adaptive quadrature.
-    assert abs(low2.midpoint - _quadrature_rank2_lower(table)) < Fraction(1, 10**8)
+    assert abs(low2.midpoint - _quadrature_rank2_lower()) < Fraction(1, 10**8)
     # Its true six-place value, frozen from both routes.
     assert low2.decimal(6) == "0.148337"
 
@@ -204,21 +202,21 @@ def test_criterion_3_literal_quoted_rank2_lower():
 def test_criterion_4_oracle_equivalence():
     started = time.monotonic()
     for variety in (NP, PL):
-        table = root_rank_counts(variety, 9)
         for n in range(1, 10):
             cen = census(variety, n)
+            ranks = [root_ranks(variety, k, n)[-1] for k in range(n)]
+            assert ranks == list(cen.root_rank_counts), (variety, n)
             for k in range(n):
-                assert rank_vertex_counts(variety, k, n, table).counts[n] == \
+                assert rank_vertex_counts(variety, k, n).counts[n] == \
                     cen.rank_totals[k], (variety, n, k)
-                assert table.count(k, n) == cen.root_rank_counts[k], (variety, n, k)
             for r in range(1, n + 1):
                 assert size_vertex_counts(variety, r, n).counts[n] == \
                     cen.size_totals[r], (variety, n, r)
                 for k in range(r):
-                    assert joint_vertex_counts(variety, k, r, n, table).counts[n] \
+                    assert joint_vertex_counts(variety, k, r, n).counts[n] \
                         == cen.joint_totals.get((k, r), 0), (variety, n, k, r)
             assert cen.leaf_total == cen.rank_totals[0]
-            assert cen.leaf_total == rank_vertex_counts(variety, 0, n, table).counts[n]
+            assert cen.leaf_total == rank_vertex_counts(variety, 0, n).counts[n]
     assert time.monotonic() - started < 300.0
     announce("4 (full census equals recurrence counts for n <= 9)")
 
@@ -232,18 +230,15 @@ def test_criterion_5_identity_suite():
     for n in range(order):
         assert leaf_counts[n] == (n + 1) * e[n] - e[n + 1]
 
-    np_table = root_rank_counts(NP, order)
-    got = correction_series(np_table, 1, order).derivative()
+    got = correction_series(NP, 1, order).derivative()
     base = base_series(NP, order)
     z_e = EgfSeries([Fraction(0)] + list(base.coeffs[:-1]))
     expected = (z_e - EgfSeries.monomial(2, order, Fraction(1, 2))).truncate(order - 1)
     assert got == expected
 
     for variety in (NP, PL):
-        table = root_rank_counts(variety, order)
-        counts = tree_counts(variety, order)
-        for i in range(1, order + 1):
-            assert table.row_sum(i) == counts[i], (variety, i)
+        column_sums = [sum(t) for t in zip(*(root_ranks(variety, k, order) for k in range(order)))]
+        assert column_sums == list(tree_counts(variety, order)[1:]), variety
 
     for variety in (NP, PL):
         for i in range(1, 13):
@@ -304,16 +299,13 @@ def test_criterion_7_convergence_properties():
         return max(abs(enc.lo - prob), abs(enc.hi - prob))
 
     for variety in (NP, PL):
-        table = root_rank_counts(variety, 12)
         sequences = {}
         for order in ladder:
             for r in range(1, 13):
                 sequences[("v", r, order)] = size_vertex_counts(variety, r, order)
             for k in range(5):
                 for i in range(1, 13):
-                    sequences[("w", k, i, order)] = joint_vertex_counts(
-                        variety, k, i, order, table
-                    )
+                    sequences[("w", k, i, order)] = joint_vertex_counts(variety, k, i, order)
         for r in range(1, 13):
             enc = limit_subtree_prob(variety, r).enclosure(30)
             gaps = [gap(enc, sequences[("v", r, order)].prob_next(order))

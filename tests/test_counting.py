@@ -17,14 +17,14 @@ import treerank.series as series
 from treerank.counting import (
     joint_vertex_counts,
     rank_vertex_counts,
-    root_rank_counts,
+    root_ranks,
     size_vertex_counts,
 )
 from treerank.enumeration import census
-from treerank.series import EgfSeries, InvariantError, base_series, tree_counts
+from treerank.series import EgfSeries, InvariantError, solve_linear_counts, tree_counts
 from treerank.variety import TreeVariety
 
-from reference_solvers import correction_series
+from reference_solvers import base_series, correction_series
 from test_series import fraction_tree_counts
 
 reference_tree_counts = lru_cache(maxsize=None)(fraction_tree_counts)
@@ -118,17 +118,6 @@ def band_root_rank_table(variety, max_size):
     return t
 
 
-class ReferenceTable:
-    """Just enough of a root-rank table for the count sequences to read."""
-
-    def __init__(self, t):
-        self.t = t
-        self.max_size = len(t[0]) - 1
-
-    def count(self, k, i):
-        return self.t[k][i] if k < len(self.t) else 0
-
-
 def start_cold(monkeypatch):
     """The initial suffix rows and no cached tree counts, as a new process starts with."""
     monkeypatch.setattr(series, "_SUFFIX_ROWS", {v: [[0, 1], [0, 0]] for v in TreeVariety})
@@ -140,46 +129,44 @@ def fresh_rows(monkeypatch):
     start_cold(monkeypatch)
 
 
+def column(variety, i):
+    """t[0][i], ..., t[i-1][i]: the trees on i labels by root rank."""
+    return [root_ranks(variety, k, i)[-1] for k in range(i)]
+
+
 def assert_matches_band_table(variety, order):
     reference = band_root_rank_table(variety, 150)
-    table = root_rank_counts(variety, order)
+    for k in range(order):
+        assert root_ranks(variety, k, order) == reference[k][1:order + 1], (variety, order, k)
+    assert root_ranks(variety, order, order) == [0] * order
     for i in range(1, order + 1):
-        column = [reference[k][i] for k in range(i)]
-        assert [table.count(k, i) for k in range(i)] == column, (variety, order, i)
-        assert table.column(i) == column, (variety, order, i)
-        assert table.count(i, i) == 0
+        assert column(variety, i) == [reference[k][i] for k in range(i)], (variety, order, i)
 
 
 class TestRootRankTable:
     def test_small_nonplane_entries(self):
-        table = root_rank_counts(NP, 8)
-        assert table.count(0, 1) == 1
-        assert table.count(0, 2) == 0
-        assert table.count(1, 2) == 1
-        assert table.count(1, 3) == 1
-        assert table.count(1, 4) == 3
-        assert table.count(5, 4) == 0  # rank needs a leaf path below the root
+        assert root_ranks(NP, 0, 4) == [1, 0, 0, 0]
+        assert root_ranks(NP, 1, 4) == [0, 1, 1, 3]
+        assert root_ranks(NP, 5, 4) == [0, 0, 0, 0]  # rank needs a leaf path below the root
 
     @pytest.mark.parametrize("variety", [NP, PL])
     def test_row_sums_are_tree_counts(self, variety):
-        table = root_rank_counts(variety, 14)
         counts = tree_counts(variety, 14)
         for i in range(1, 15):
-            assert table.row_sum(i) == counts[i]
+            assert sum(column(variety, i)) == counts[i]
 
     @pytest.mark.parametrize("variety", [NP, PL])
     def test_matches_census_root_ranks(self, variety):
-        table = root_rank_counts(variety, 8)
+        rows = [root_ranks(variety, k, 8) for k in range(8)]
         for n in range(1, 8):
             cen = census(variety, n)
             for k in range(n):
-                assert table.count(k, n) == cen.root_rank_counts[k]
+                assert rows[k][n - 1] == cen.root_rank_counts[k]
 
     def test_rank_one_correction_closed_form(self):
         # d/dz sum_i t[1][i] z^i/i!  must equal  z E(z) - z^2/2.
         order = 20
-        table = root_rank_counts(NP, order)
-        got = correction_series(table, 1, order).derivative()
+        got = correction_series(NP, 1, order).derivative()
         e = base_series(NP, order)
         z_e = EgfSeries([Fraction(0)] + list(e.coeffs[:-1]))
         expected = (z_e - EgfSeries.monomial(2, order, Fraction(1, 2))).truncate(order - 1)
@@ -187,13 +174,12 @@ class TestRootRankTable:
 
     @pytest.mark.parametrize("variety", [NP, PL])
     def test_matches_reference_dynamic_program(self, variety):
+        # every rank 0..size+1, so also the ranks k >= size that no tree reaches
         for size in (1, 2, 3, 40):
             reference = reference_root_rank_table(variety, size)
-            table = root_rank_counts(variety, size)
-            for i in range(1, size + 1):
-                for k in range(size + 1):
-                    expected = reference[k][i] if k < len(reference) else 0
-                    assert table.count(k, i) == expected, (size, k, i)
+            for k in range(size + 2):
+                expected = reference[k][1:] if k < len(reference) else [0] * size
+                assert root_ranks(variety, k, size) == expected, (size, k)
 
     @pytest.mark.parametrize("variety", [NP, PL])
     def test_matches_band_dynamic_program_through_150(self, variety, fresh_rows):
@@ -207,12 +193,21 @@ class TestRootRankTable:
 
     @pytest.mark.parametrize("variety", [NP, PL])
     def test_rank_reads_build_only_their_rows(self, variety, fresh_rows):
-        reference = ReferenceTable(band_root_rank_table(variety, 150))
+        reference = band_root_rank_table(variety, 150)
+        counts = reference_tree_counts(variety, 150)
+        m = counts if variety is NP else [1] + [2 * c for c in counts[1:]]
         for k in range(5):
+            correction = reference[k][1:]
+            assert root_ranks(variety, k, 150) == correction
             got = rank_vertex_counts(variety, k, 150)
-            assert got.counts == rank_vertex_counts(variety, k, 150, reference).counts
+            assert list(got.counts) == solve_linear_counts(m, correction, 150)
             # t[k][i] = S_k[i] - S_{k+1}[i]: rows 0..k+1 and no more
             assert len(series._SUFFIX_ROWS[variety]) == k + 2
+        # a rank past the size reads as zeros and builds no row at all
+        rows = [list(row) for row in series._SUFFIX_ROWS[variety]]
+        assert root_ranks(variety, 1500, 5) == [0] * 5
+        assert list(rank_vertex_counts(variety, 1500, 5).counts) == [0] * 6
+        assert series._SUFFIX_ROWS[variety] == rows
 
     def test_concurrent_readers_extend_rows_once(self, fresh_rows):
         # Readers that start together and grow the rows in different orders,
@@ -228,8 +223,7 @@ class TestRootRankTable:
 
         def read(name, read_order):
             start.wait(timeout=60)
-            table = root_rank_counts(NP, order)
-            results[name] = {i: table.column(i) for i in read_order}
+            results[name] = {i: column(NP, i) for i in read_order}
 
         threads = [threading.Thread(target=read, args=(n, o)) for n, o in enumerate(orders)]
         interval = sys.getswitchinterval()
@@ -270,13 +264,11 @@ class TestRootRankTable:
         assert proc.stdout == "raised: ordered two-child count for S_1[5] is odd\n"
 
     def test_validation(self):
-        table = root_rank_counts(NP, 6)
         with pytest.raises(ValueError):
-            table.count(-1, 3)
+            root_ranks(NP, -1, 3)
         with pytest.raises(ValueError):
-            table.count(0, 0)
-        with pytest.raises(ValueError):
-            table.count(0, 7)
+            root_ranks(NP, 0, -1)
+        assert root_ranks(NP, 0, 0) == []
 
 
 class TestSharedRows:
@@ -290,9 +282,8 @@ class TestSharedRows:
 
     @staticmethod
     def read_table(variety, order):
-        table = root_rank_counts(variety, order)
-        return ([table.column(i) for i in (1, order // 2 + 1, order)],
-                [table.count(2, i) for i in range(1, order + 1)])
+        return ([column(variety, i) for i in (1, order // 2 + 1, order)],
+                root_ranks(variety, 2, order))
 
     @staticmethod
     def expected(variety, kind, order):
@@ -327,7 +318,7 @@ class TestSharedRows:
         series._SUFFIX_ROWS[variety] = [row0, RowOne([0, 0])]
         assert tree_counts(variety, 40) == reference_tree_counts(variety, 150)[:41]
         reference = band_root_rank_table(variety, 150)
-        assert root_rank_counts(variety, 50).column(50) == [reference[k][50] for k in range(50)]
+        assert column(variety, 50) == [reference[k][50] for k in range(50)]
 
     @pytest.mark.parametrize("variety", [NP, PL])
     @pytest.mark.parametrize("kinds", [("counts", "table"), ("table", "counts")])
@@ -417,27 +408,25 @@ class TestCountSequences:
 
     @pytest.mark.parametrize("variety", [NP, PL])
     def test_census_equivalence(self, variety):
-        table = root_rank_counts(variety, 7)
         for n in range(1, 8):
             cen = census(variety, n)
             for k in range(n):
-                assert rank_vertex_counts(variety, k, n, table).counts[n] == \
+                assert rank_vertex_counts(variety, k, n).counts[n] == \
                     cen.rank_totals[k]
             for r in range(1, n + 1):
                 assert size_vertex_counts(variety, r, n).counts[n] == cen.size_totals[r]
                 for k in range(r):
-                    assert joint_vertex_counts(variety, k, r, n, table).counts[n] == \
+                    assert joint_vertex_counts(variety, k, r, n).counts[n] == \
                         cen.joint_totals.get((k, r), 0)
 
     @pytest.mark.parametrize("variety", [NP, PL])
     def test_joint_marginals(self, variety):
         order = 10
-        table = root_rank_counts(variety, order)
         for k in (0, 1, 2):
-            rank_seq = rank_vertex_counts(variety, k, order, table)
+            rank_seq = rank_vertex_counts(variety, k, order)
             sums = [0] * (order + 1)
             for i in range(1, order + 1):
-                joint = joint_vertex_counts(variety, k, i, order, table)
+                joint = joint_vertex_counts(variety, k, i, order)
                 for n in range(order + 1):
                     sums[n] += joint.counts[n]
             assert sums == list(rank_seq.counts)
@@ -445,7 +434,7 @@ class TestCountSequences:
             size_seq = size_vertex_counts(variety, r, order)
             sums = [0] * (order + 1)
             for k in range(r):
-                joint = joint_vertex_counts(variety, k, r, order, table)
+                joint = joint_vertex_counts(variety, k, r, order)
                 for n in range(order + 1):
                     sums[n] += joint.counts[n]
             assert sums == list(size_seq.counts)
@@ -460,9 +449,8 @@ class TestCountSequences:
     @pytest.mark.parametrize("variety", [NP, PL])
     def test_probabilities_partition_unity(self, variety):
         order = 9
-        table = root_rank_counts(variety, order)
         for n in (1, 4, 7, 9):
-            by_rank = [rank_vertex_counts(variety, k, order, table).prob(n)
+            by_rank = [rank_vertex_counts(variety, k, order).prob(n)
                        for k in range(n)]
             by_size = [size_vertex_counts(variety, r, order).prob(n)
                        for r in range(1, n + 1)]

@@ -343,8 +343,13 @@ class TestEnumeration:
             texts = list(enumerate_texts(variety, n))
             assert texts == [t.to_text() for t in enumerate_trees(variety, n)]
 
-    @pytest.mark.parametrize("variety", [NP, PL])
-    def test_texts_keep_no_tree_of_size_n_minus_1(self, variety, monkeypatch):
+    @pytest.mark.parametrize("variety, enumerator", [
+        pytest.param(NP, enumerate_texts, id="nonplane"),
+        pytest.param(PL, enumerate_texts, id="plane"),
+        pytest.param(NP, enumerate_trees, id="nonplane-trees"),
+        pytest.param(PL, enumerate_trees, id="plane-trees"),
+    ])
+    def test_texts_keep_no_tree_of_size_n_minus_1(self, variety, enumerator, monkeypatch):
         enumeration._canonical_trees.cache_clear()
         asked = []
         original = enumeration._canonical_trees
@@ -355,7 +360,7 @@ class TestEnumeration:
 
         monkeypatch.setattr(enumeration, "_canonical_trees", recording)
         for n in range(1, 9):
-            assert sum(1 for _ in enumerate_texts(variety, n)) == tree_counts(variety, 8)[n]
+            assert sum(1 for _ in enumerator(variety, n)) == tree_counts(variety, 8)[n]
             assert all(s <= n - 2 for s in asked), (n, sorted(set(asked)))
             assert original.cache_info().currsize == max(n - 2, 0)
             asked.clear()

@@ -20,11 +20,10 @@ from hypothesis import strategies as st
 from mpmath.libmp import to_rational
 
 import treerank.constants as constants
-import treerank.counting as counting
 import treerank.limits as limits
 import treerank.series as series
 from treerank.constants import ExactConst
-from treerank.counting import RootRankTable, rank_vertex_counts, root_rank_counts, size_vertex_counts
+from treerank.counting import rank_vertex_counts, root_ranks, size_vertex_counts
 from treerank.limits import (
     KAPPA,
     ClosedFormUnavailableError,
@@ -178,10 +177,6 @@ def reference_subtree_prob(variety: TreeVariety, r: int) -> ExactConst:
     return reference_correction_limit(variety, count_r, r - 1)
 
 
-def reference_joint_prob(variety: TreeVariety, k: int, i: int, table: RootRankTable) -> ExactConst:
-    return reference_correction_limit(variety, table.count(k, i), i - 1)
-
-
 def _closed_form_pole(variety: TreeVariety, k: int) -> tuple[ExactConst, ExactConst]:
     if variety is TreeVariety.NONPLANE:
         if k == 0:
@@ -296,19 +291,19 @@ class TestAgainstReferenceChain:
             assert limit_subtree_prob(variety, r) == reference_subtree_prob(variety, r)
 
     def test_joint_limits(self, variety):
-        table = root_rank_counts(variety, 30)
+        rows = [root_ranks(variety, k, 30) for k in range(30)]
         for i in range(1, 31):
             for k in range(i):
-                expected = reference_joint_prob(variety, k, i, table)
+                expected = reference_correction_limit(variety, rows[k][i - 1], i - 1)
                 assert limit_joint_prob(variety, k, i) == expected
 
     def test_joint_limits_by_their_own_moment(self, variety):
         # w_{k,i} is read off v_i; here it is kappa_v t[k][i] W_(i-1)/(i-1)!.
-        table = root_rank_counts(variety, 40)
+        rows = [root_ranks(variety, k, 40) for k in range(5)]
         for i in range(1, 41):
             moment = kernel_weight_moment(variety, i - 1) * KAPPA[variety]
             for k in range(5):
-                expected = moment * Fraction(table.count(k, i), factorial(i - 1))
+                expected = moment * Fraction(rows[k][i - 1], factorial(i - 1))
                 assert limit_joint_prob(variety, k, i) == expected, (k, i)
 
     def test_rank_fractions(self, variety):
@@ -316,11 +311,10 @@ class TestAgainstReferenceChain:
             assert limit_rank_fraction(variety, k) == reference_rank_fraction(variety, k)
 
     def test_bracket(self, variety):
-        table = root_rank_counts(variety, 12)
         lower = ExactConst.zero()
         v_sum = ExactConst.zero()
-        for i in range(1, 13):
-            lower = lower + reference_joint_prob(variety, 2, i, table)
+        for i, t_ki in enumerate(root_ranks(variety, 2, 12), 1):
+            lower = lower + reference_correction_limit(variety, t_ki, i - 1)
             v_sum = v_sum + reference_subtree_prob(variety, i)
         report = bound_interval(variety, 2, 12)
         assert report.lower == lower
@@ -354,11 +348,10 @@ class TestRowEnclosures:
     @pytest.mark.parametrize("variety", list(TreeVariety), ids=str)
     def test_bracket_rows_match_the_horner_path(self, variety):
         size = 150
-        table = root_rank_counts(variety, size)
         weights = {"v": tree_counts(variety, size)[1:]}
         values = {"v": [limit_subtree_prob(variety, i) for i in range(1, size + 1)]}
         for k in (0, 1, 2, 5):
-            weights[k] = [table.count(k, i) for i in range(1, size + 1)]
+            weights[k] = root_ranks(variety, k, size)
             values[k] = [limit_joint_prob(variety, k, i) for i in range(1, size + 1)]
         for digits in (1, 6, 12, 30, 60):
             for key, row_weights in weights.items():
@@ -537,8 +530,7 @@ class TestBoundIntervals:
     def cold(self, monkeypatch):
         """A function that empties every cache a bracket fills; it runs once
         before the test, and the caches are left empty after it."""
-        caches = (limits.limit_subtree_prob, constants._pi_bounds, counting.root_rank_counts,
-                  series._binomials, tree_counts)
+        caches = (limits.limit_subtree_prob, constants._pi_bounds, series._binomials, tree_counts)
 
         def empty():
             monkeypatch.setattr(series, "_SUFFIX_ROWS",
