@@ -15,11 +15,10 @@ from .counting import (
 )
 from .enumeration import (
     Census,
-    LabeledTree,
     SizeLimitError,
     census,
     check_inequalities,
-    enumerate_trees,
+    enumerate_texts,
     plane_multiplicity_total,
     weighted_onechild_mean,
 )
@@ -32,7 +31,7 @@ from .limits import (
     limit_rank_fraction,
     limit_subtree_prob,
 )
-from .series import EgfSeries, InvariantError, SeriesOrderError
+from .series import InvariantError, SeriesOrderError
 from .variety import TreeVariety
 
 __version__ = "0.1.0"
@@ -42,11 +41,9 @@ __all__ = [
     "Census",
     "ClosedFormUnavailableError",
     "CountSequences",
-    "EgfSeries",
     "Enclosure",
     "ExactConst",
     "InvariantError",
-    "LabeledTree",
     "SeriesOrderError",
     "SizeLimitError",
     "TreeVariety",
@@ -54,7 +51,7 @@ __all__ = [
     "bound_report_json",
     "census",
     "check_inequalities",
-    "enumerate_trees",
+    "enumerate_texts",
     "joint_vertex_counts",
     "limit_joint_prob",
     "limit_rank_fraction",

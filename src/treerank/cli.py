@@ -118,6 +118,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The selector flags each --kind reads; a selector flag it does not read
+# is a usage error, as any flag its subcommand does not read is.
+_COUNTS_SELECTORS = {"rank": ("k",), "size": ("r",), "joint": ("k", "i"), "root": ()}
+_LIMITS_SELECTORS = {"rank": ("k",), "v": ("r",), "w": ("k", "i")}
+
+
+def _reject_unread_selectors(args: argparse.Namespace, parser: argparse.ArgumentParser,
+                             reads: dict[str, tuple[str, ...]]) -> None:
+    unread = [f"--{name}" for name in ("k", "r", "i")
+              if name not in reads[args.kind] and getattr(args, name) is not None]
+    if unread:
+        parser.error(f"--kind {args.kind} does not read {' '.join(unread)}")
+
+
 def _print_root_rows(variety: TreeVariety, n_max: int, fmt: str) -> None:
     """Print every nonzero t[k][i] with i <= n_max, one f-string per row.
 
@@ -138,6 +152,7 @@ def _print_root_rows(variety: TreeVariety, n_max: int, fmt: str) -> None:
 
 
 def cmd_counts(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    _reject_unread_selectors(args, parser, _COUNTS_SELECTORS)
     variety = parse_variety(args.variety)
     order = args.order
     n_max = args.n_max if args.n_max is not None else order
@@ -203,6 +218,7 @@ def cmd_bounds(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def cmd_limits(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    _reject_unread_selectors(args, parser, _LIMITS_SELECTORS)
     variety = parse_variety(args.variety)
     if args.kind == "rank":
         if args.k is None:

@@ -12,13 +12,13 @@ trees of its size, in generation order, and each child is a pair
 (subtree, labels): the subtree is one of the shared canonical trees on
 1..j, and the label tuple of length j says that its local label l stands
 for labels[l-1].  Labels increase toward the root, so the root of a tree
-on labels L is max(L) = L[-1].  Nothing is relabelled while the census
-runs, because ranks, sizes and child counts do not depend on labels;
-only `LabeledTree` materializes the plain nested (label, children)
-tuple.  Non-plane trees are kept canonical by ordering a sibling pair so
-that the subtree containing the smaller minimum label comes first; the
-generator produces exactly one representative per unordered pair this
-way.
+on labels L is max(L) = L[-1].  Nothing is ever relabelled: ranks,
+sizes and child counts do not depend on labels, and `enumerate_texts`
+writes each tree from one text template per canonical subtree, filled
+with the labels.  Non-plane trees are kept canonical by ordering a
+sibling pair so that the subtree containing the smaller minimum label
+comes first; the generator produces exactly one representative per
+unordered pair this way.
 
 The census of size n generates only the trees of sizes up to n-2, and
 visits each of them once to read its root rank and one-child count off
@@ -48,7 +48,7 @@ from functools import lru_cache, partial
 from itertools import chain, combinations, count
 from math import comb
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from .constants import FixedPoint, iv_sign
 from .series import DEFAULT_ORDER, InvariantError, tree_counts
@@ -57,7 +57,6 @@ from .variety import TreeVariety
 DEFAULT_ENUM_LIMIT = 10
 
 Node = tuple  # lazy: (slot in its size, tuple of (Node on 1..j, labels of length j))
-PlainNode = tuple  # (label, tuple of PlainNode)
 
 
 class SizeLimitError(ValueError):
@@ -93,33 +92,23 @@ def _canonical_trees(variety: TreeVariety, size: int) -> tuple[Node, ...]:
 
 
 def _generate(variety: TreeVariety, n: int) -> Iterator[Node]:
-    """Stream every tree on labels 1..n in the lazy form, in slot order.
+    """Stream every tree on labels 1..n in the lazy form, in slot order."""
+    below = _canonical_trees(variety, n - 1) if n > 1 else ()
+    return zip(count(), _top_layer(variety, n, below))
 
-    The one-child trees come first, in the slot order of their only
-    child, then the two-child trees in the order of `_child_pairs`.
+
+def _top_layer(variety: TreeVariety, n: int, below: Iterable[Node]) -> Iterator[tuple]:
+    """The children of every tree on labels 1..n, in slot order.
+
+    The one-child trees come first, one per tree of size n - 1 in `below`,
+    in its order, then the two-child trees in the order of `_child_pairs`.
+    `_generate` passes the cached trees of size n - 1; `enumerate_texts`
+    streams them from `_generate`, so that none of them is kept.
     """
     if n == 1:
-        yield (0, ())
-        return
+        return iter([()])  # the lone leaf
     rest = tuple(range(1, n))
-    one_child = (((sub, rest),) for sub in _canonical_trees(variety, n - 1))
-    yield from zip(count(), chain(one_child, _child_pairs(variety, n)))
-
-
-def _top_layer(variety: TreeVariety, n: int) -> Iterator[tuple]:
-    """The children of every tree on labels 1..n, in the slot order of `_generate`.
-
-    The one-child trees come from `_generate(variety, n - 1)` rather than
-    from the cache: each tree of size n - 1 is the only child of one tree
-    of size n, so none of them is kept.
-    """
-    if n == 1:
-        yield ()
-        return
-    rest = tuple(range(1, n))
-    for sub in _generate(variety, n - 1):
-        yield ((sub, rest),)
-    yield from _child_pairs(variety, n)
+    return chain((((sub, rest),) for sub in below), _child_pairs(variety, n))
 
 
 def _child_pairs(variety: TreeVariety, n: int) -> Iterator[tuple]:
@@ -147,56 +136,6 @@ def _child_pairs(variety: TreeVariety, n: int) -> Iterator[tuple]:
                 yield (a_child, b_child)
 
 
-def _materialize(node: Node, labels: Sequence[int]) -> PlainNode:
-    """The plain form of a lazy tree whose local label l stands for labels[l-1]."""
-    return (labels[-1], tuple(
-        _materialize(sub, tuple(labels[local - 1] for local in sub_labels))
-        for sub, sub_labels in node[1]
-    ))
-
-
-class LabeledTree:
-    """A single labeled 1-2 tree on 1..n, held in the plain nested-tuple form."""
-
-    __slots__ = ("_node", "_n")
-
-    def __init__(self, node: Node, n: int):
-        """Materialize a lazy tree on labels 1..n, as `_generate` yields it."""
-        self._node = _materialize(node, range(1, n + 1))
-        self._n = n
-
-    @property
-    def n(self) -> int:
-        return self._n
-
-    @property
-    def root_label(self) -> int:
-        return self._node[0]
-
-    def as_tuple(self) -> PlainNode:
-        return self._node
-
-    def to_text(self) -> str:
-        """Nested-parentheses dump, plane order preserved: 4(3(1)(2))."""
-
-        def fmt(node: PlainNode) -> str:
-            lab, children = node
-            return str(lab) + "".join(f"({fmt(c)})" for c in children)
-
-        return fmt(self._node)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LabeledTree):
-            return NotImplemented
-        return self._node == other._node
-
-    def __hash__(self) -> int:
-        return hash(self._node)
-
-    def __repr__(self) -> str:
-        return f"LabeledTree({self.to_text()})"
-
-
 def _check_size(variety: TreeVariety, n: int, limit: int) -> None:
     if n < 1:
         raise ValueError("tree size must be at least 1")
@@ -204,27 +143,19 @@ def _check_size(variety: TreeVariety, n: int, limit: int) -> None:
         raise SizeLimitError(variety, n, limit)
 
 
-def enumerate_trees(
-    variety: TreeVariety, n: int, limit: int = DEFAULT_ENUM_LIMIT
-) -> Iterator[LabeledTree]:
-    """Every labeled 1-2 tree of the variety on 1..n, each exactly once.
-
-    Only the canonical trees of sizes up to n - 2 are kept; see `_top_layer`.
-    """
-    _check_size(variety, n, limit)
-    for node in enumerate(_top_layer(variety, n)):
-        yield LabeledTree(node, n)
-
-
 def enumerate_texts(
     variety: TreeVariety, n: int, limit: int = DEFAULT_ENUM_LIMIT
 ) -> Iterator[str]:
-    """`to_text()` of each tree of `enumerate_trees`, in the same order.
+    """Every labeled 1-2 tree of the variety on 1..n, each exactly once, as text.
+
+    A tree is written as its root label followed by each child's text in
+    parentheses, in plane order: 4(3(1)(2)).  The text determines the
+    tree, and the trees come in the slot order of `_generate`.
 
     No tree is materialized.  Each canonical subtree of size s < n - 1
     gets one format template, its text with "{l-1}" in place of local
     label l, and a child's text is its template filled with the child's
-    labels.  The trees of size n - 1 are streamed by `_top_layer` and
+    labels.  The trees of size n - 1 are streamed from `_generate` and
     written out once, from their own children.
     """
     _check_size(variety, n, limit)
@@ -246,7 +177,8 @@ def enumerate_texts(
         ])
 
     root, one_child = str(n), f"{n}({n - 1}"
-    for children in _top_layer(variety, n):
+    below = _generate(variety, n - 1) if n > 1 else ()
+    for children in _top_layer(variety, n, below):
         if len(children) == 1:  # the child is on labels 1..n-1, as are its children
             yield one_child + texts(children[0][0][1]) + ")"
         else:

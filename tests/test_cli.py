@@ -467,6 +467,31 @@ class TestConfig:
         assert captured.out == ""
         assert "unrecognized arguments" in captured.err
 
+    # Each --kind with the selector flags it reads, and each one it does not.
+    @pytest.mark.parametrize("argv, flag", [
+        pytest.param(argv, flag, id=f"{argv[0]}-{argv[argv.index('--kind') + 1]}-{flag[2:]}")
+        for argv, unread in [
+            (["counts", "--order", "5", "--kind", "rank", "--k", "1"], ["--r", "--i"]),
+            (["counts", "--order", "5", "--kind", "size", "--r", "1"], ["--k", "--i"]),
+            (["counts", "--order", "5", "--kind", "joint", "--k", "1", "--i", "2"], ["--r"]),
+            (["counts", "--order", "5", "--kind", "root"], ["--k", "--r", "--i"]),
+            (["limits", "--kind", "rank", "--k", "0"], ["--r", "--i"]),
+            (["limits", "--kind", "v", "--r", "1"], ["--k", "--i"]),
+            (["limits", "--kind", "w", "--k", "1", "--i", "3"], ["--r"]),
+        ]
+        for flag in unread
+    ])
+    def test_selector_the_kind_does_not_read_is_rejected(self, capsys, argv, flag):
+        assert main(argv) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, "3"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        kind = argv[argv.index("--kind") + 1]
+        assert f"error: --kind {kind} does not read {flag}\n" in captured.err
+
     @pytest.mark.parametrize("argv, flag", [
         (["counts", "--kind", "rank", "--k", "0", "--order", "3", "--digits", "-1"], "--digits"),
         (["counts", "--kind", "rank", "--k", "x"], "--k"),

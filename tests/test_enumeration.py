@@ -24,7 +24,6 @@ from treerank.enumeration import (
     census,
     check_inequalities,
     enumerate_texts,
-    enumerate_trees,
     plane_multiplicity_total,
     weighted_onechild_mean,
 )
@@ -91,6 +90,36 @@ def _generate(variety: TreeVariety, labels: tuple[int, ...]) -> Iterator[Node]:
                     ra = _relabel(ta, a_set)
                     for tb in _canonical_trees(variety, m - j):
                         yield (root, (ra, _relabel(tb, b_set)))
+
+
+def reference_texts(variety: TreeVariety, n: int) -> list[str]:
+    """The reference trees on 1..n in generation order, written `label(child)(child)`."""
+
+    def text(node: Node) -> str:
+        label, children = node
+        return str(label) + "".join(f"({text(c)})" for c in children)
+
+    return [text(tree) for tree in _generate(variety, tuple(range(1, n + 1)))]
+
+
+def parse_text(text: str) -> Node:
+    """The (label, children) tree that a text `label(child)(child)` writes."""
+
+    def node(pos: int) -> tuple[Node, int]:
+        end = pos
+        while end < len(text) and text[end].isdigit():
+            end += 1
+        label, children = int(text[pos:end]), []
+        while end < len(text) and text[end] == "(":
+            child, end = node(end + 1)
+            assert text[end] == ")", text
+            children.append(child)
+            end += 1
+        return (label, tuple(children)), end
+
+    tree, end = node(0)
+    assert end == len(text), text
+    return tree
 
 
 def reference_census_fields(variety: TreeVariety, n: int) -> dict:
@@ -289,28 +318,28 @@ def _plant_a_leaf_among_size_3(monkeypatch) -> None:
 
 class TestEnumeration:
     def test_figure_counts(self):
-        assert sum(1 for _ in enumerate_trees(NP, 4)) == 5
-        assert sum(1 for _ in enumerate_trees(PL, 3)) == 3
-        assert sum(1 for _ in enumerate_trees(PL, 5)) == 39
+        assert sum(1 for _ in enumerate_texts(NP, 4)) == 5
+        assert sum(1 for _ in enumerate_texts(PL, 3)) == 3
+        assert sum(1 for _ in enumerate_texts(PL, 5)) == 39
 
     @pytest.mark.parametrize("variety", [NP, PL])
     def test_counts_match_series(self, variety):
         counts = tree_counts(variety, 8)
         for n in range(1, 9):
-            assert sum(1 for _ in enumerate_trees(variety, n)) == counts[n]
+            assert sum(1 for _ in enumerate_texts(variety, n)) == counts[n]
 
     @pytest.mark.parametrize("variety", [NP, PL])
     def test_no_duplicates(self, variety):
         for n in range(1, 8):
-            trees = [t.as_tuple() for t in enumerate_trees(variety, n)]
+            trees = [parse_text(text) for text in enumerate_texts(variety, n)]
             assert len(set(trees)) == len(trees)
 
     def test_plane_sibling_order_distinct(self):
-        texts = {t.to_text() for t in enumerate_trees(PL, 3)}
+        texts = set(enumerate_texts(PL, 3))
         assert texts == {"3(2(1))", "3(1)(2)", "3(2)(1)"}
 
     def test_nonplane_canonical_child_order(self):
-        texts = {t.to_text() for t in enumerate_trees(NP, 3)}
+        texts = set(enumerate_texts(NP, 3))
         assert texts == {"3(2(1))", "3(1)(2)"}
 
     def test_structure_invariants(self):
@@ -321,35 +350,35 @@ class TestEnumeration:
             for child in children:
                 yield from vertices(child, label)
 
+        def smallest(node):
+            return min([node[0]] + [smallest(c) for c in node[1]])
+
+        def sibling_pairs(node):
+            if len(node[1]) == 2:
+                yield node[1]
+            for child in node[1]:
+                yield from sibling_pairs(child)
+
         for variety in (NP, PL):
-            for tree in enumerate_trees(variety, 6):
-                assert tree.root_label == 6
-                found = sorted(vertices(tree.as_tuple(), 0))
+            for text in enumerate_texts(variety, 6):
+                tree = parse_text(text)
+                assert tree[0] == 6
+                found = sorted(vertices(tree, 0))
                 assert [label for label, _, _ in found] == list(range(1, 7))
                 assert found[-1][1] == 0
                 for label, parent, degree in found:
                     assert label == 6 or parent > label
                     assert degree <= 2
+                if variety is NP:  # the child holding the smallest label comes first
+                    assert all(smallest(a) < smallest(b) for a, b in sibling_pairs(tree)), text
 
     @pytest.mark.parametrize("variety", [NP, PL])
     def test_matches_the_relabelling_generator(self, variety):
-        for n in range(1, 8):
-            reference = list(_generate(variety, tuple(range(1, n + 1))))
-            assert [t.as_tuple() for t in enumerate_trees(variety, n)] == reference
+        for n in range(1, 9):
+            assert list(enumerate_texts(variety, n)) == reference_texts(variety, n)
 
     @pytest.mark.parametrize("variety", [NP, PL])
-    def test_texts_match_the_materialized_trees(self, variety):
-        for n in range(1, 9):
-            texts = list(enumerate_texts(variety, n))
-            assert texts == [t.to_text() for t in enumerate_trees(variety, n)]
-
-    @pytest.mark.parametrize("variety, enumerator", [
-        pytest.param(NP, enumerate_texts, id="nonplane"),
-        pytest.param(PL, enumerate_texts, id="plane"),
-        pytest.param(NP, enumerate_trees, id="nonplane-trees"),
-        pytest.param(PL, enumerate_trees, id="plane-trees"),
-    ])
-    def test_texts_keep_no_tree_of_size_n_minus_1(self, variety, enumerator, monkeypatch):
+    def test_texts_keep_no_tree_of_size_n_minus_1(self, variety, monkeypatch):
         enumeration._canonical_trees.cache_clear()
         asked = []
         original = enumeration._canonical_trees
@@ -360,7 +389,7 @@ class TestEnumeration:
 
         monkeypatch.setattr(enumeration, "_canonical_trees", recording)
         for n in range(1, 9):
-            assert sum(1 for _ in enumerator(variety, n)) == tree_counts(variety, 8)[n]
+            assert sum(1 for _ in enumerate_texts(variety, n)) == tree_counts(variety, 8)[n]
             assert all(s <= n - 2 for s in asked), (n, sorted(set(asked)))
             assert original.cache_info().currsize == max(n - 2, 0)
             asked.clear()
@@ -374,13 +403,13 @@ class TestEnumeration:
 
     def test_size_limit_refusal_quotes_count(self):
         with pytest.raises(SizeLimitError) as err:
-            list(enumerate_trees(NP, 11, limit=10))
+            list(enumerate_texts(NP, 11, limit=10))
         assert "50521" in str(err.value) or str(tree_counts(NP, 11)[11]) in str(err.value)
         assert "exactly" in str(err.value)
 
     def test_bad_size(self):
         with pytest.raises(ValueError):
-            list(enumerate_trees(NP, 0))
+            list(enumerate_texts(NP, 0))
 
 
 class TestCensus:
@@ -423,8 +452,8 @@ class TestCensus:
 
         for n in range(1, 8):
             hist = [0] * n
-            for tree in enumerate_trees(variety, n):
-                hist[one_child(tree.as_tuple())] += 1
+            for text in enumerate_texts(variety, n):
+                hist[one_child(parse_text(text))] += 1
             assert census(variety, n).one_child_trees == tuple(hist)
 
     @pytest.mark.parametrize("variety", [NP, PL])
