@@ -378,6 +378,21 @@ class TestEnumeration:
             assert list(enumerate_texts(variety, n)) == reference_texts(variety, n)
 
     @pytest.mark.parametrize("variety", [NP, PL])
+    def test_texts_match_the_materialized_trees(self, variety):
+        def text(node, labels):
+            """A lazy-form tree written with local label l read as labels[l - 1]."""
+            _, children = node
+            return str(labels[-1]) + "".join(
+                "(" + text(sub, tuple(labels[l - 1] for l in sub_labels)) + ")"
+                for sub, sub_labels in children
+            )
+
+        for n in range(1, 9):
+            trees = enumeration._canonical_trees(variety, n)
+            labels = tuple(range(1, n + 1))
+            assert list(enumerate_texts(variety, n)) == [text(t, labels) for t in trees]
+
+    @pytest.mark.parametrize("variety", [NP, PL])
     def test_texts_keep_no_tree_of_size_n_minus_1(self, variety, monkeypatch):
         enumeration._canonical_trees.cache_clear()
         asked = []
