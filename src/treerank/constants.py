@@ -48,13 +48,12 @@ value is the list of one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import ceil, floor, gcd, isqrt, lcm, log10
-from typing import Callable, Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, NamedTuple, Union
 
 Rational = Union[int, Fraction]
 
@@ -426,17 +425,25 @@ def _sci_upper(x: Fraction) -> str:
     return f"{mant}e{exp}"
 
 
-@dataclass(frozen=True)
-class Enclosure:
-    """[lo, hi] with exact rational endpoints certified to contain a value."""
-
+class _EnclosureFields(NamedTuple):
     lo: Fraction
     hi: Fraction
     digits: int
 
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
+
+class Enclosure(_EnclosureFields):
+    """[lo, hi] with exact rational endpoints certified to contain a value."""
+
+    __slots__ = ()
+
+    def __new__(cls, lo: Fraction, hi: Fraction, digits: int) -> "Enclosure":
+        if lo > hi:
             raise ValueError("enclosure endpoints out of order")
+        return super().__new__(cls, lo, hi, digits)
+
+    @classmethod
+    def _make(cls, iterable) -> "Enclosure":  # so that _replace checks the order too
+        return cls(*iterable)
 
     @property
     def width(self) -> Fraction:

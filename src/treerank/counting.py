@@ -31,9 +31,9 @@ P is read straight off the t table:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
+from typing import NamedTuple
 
 from .constants import decimal_string
 from .series import DEFAULT_ORDER, _suffix_rows, solve_linear_counts, tree_counts
@@ -65,8 +65,7 @@ def root_ranks(variety: TreeVariety, k: int, size: int) -> list[int]:
     return list(map(sub, rows[k][1:size + 1], rows[k + 1][1:size + 1]))
 
 
-@dataclass(frozen=True)
-class CountSequences:
+class CountSequences(NamedTuple):
     """Per-size totals of marked vertices, with exact probabilities.
 
     probs normalize by n * tree_count(n) (one vertex among n per tree);

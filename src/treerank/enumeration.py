@@ -42,13 +42,12 @@ slots and passing it on to its children.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain, combinations, count
 from math import comb
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .constants import FixedPoint, iv_sign
 from .series import DEFAULT_ORDER, InvariantError, tree_counts
@@ -185,8 +184,7 @@ def enumerate_texts(
             yield root + texts(children)
 
 
-@dataclass(frozen=True)
-class Census:
+class Census(NamedTuple):
     """Exact aggregates over all (vertex, tree) pairs at one size.
 
     rank_totals[k] counts vertices of rank k; size_totals[r] counts
@@ -435,19 +433,17 @@ def plane_multiplicity_total(n: int, limit: int = DEFAULT_ENUM_LIMIT) -> int:
 # Inequality checks
 
 
-@dataclass(frozen=True)
-class InequalityCheck:
+class InequalityCheck(NamedTuple):
     name: str
     n: int
     holds: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(NamedTuple):
     variety: TreeVariety
     n: int
-    checks: tuple[InequalityCheck, ...] = field(default_factory=tuple)
+    checks: tuple[InequalityCheck, ...] = ()
 
     @property
     def all_hold(self) -> bool:

@@ -83,10 +83,9 @@ row count, plus the ladder's guard bits.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .constants import Enclosure, ExactConst, FixedPoint, iv_enclosures, start_rung
 from .counting import root_ranks
@@ -249,8 +248,7 @@ def limit_rank_fraction(variety: TreeVariety, k: int) -> ExactConst:
     return KAPPA[variety] * _closed_form_numerator(variety, k)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Certified bracket: lower <= a_k <= upper, exact, with the truncated v sum."""
 
     variety: TreeVariety

@@ -745,6 +745,17 @@ class TestEnclosures:
         with pytest.raises(ValueError):
             PI.enclosure(0)
 
+    def test_endpoints_out_of_order_are_refused(self):
+        with pytest.raises(ValueError, match="out of order"):
+            Enclosure(Fraction(2), Fraction(1), 6)
+        low = Enclosure(Fraction(0), Fraction(1), 6)
+        high = Enclosure(Fraction(2), Fraction(3), 6)
+        with pytest.raises(ValueError, match="out of order"):
+            low.intersect(high)
+        with pytest.raises(ValueError, match="out of order"):
+            low._replace(lo=Fraction(2))
+        assert low.intersect(Enclosure(Fraction(1), Fraction(3), 8)) == (1, 1, 8)
+
     def test_package_imports_without_mpmath(self):
         # Enclosures run on integers alone, so neither the package nor its
         # command line may pull in mpmath.
@@ -753,6 +764,17 @@ class TestEnclosures:
                               env={"PYTHONPATH": str(SRC)}, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_package_imports_without_dataclasses(self):
+        # The records are named tuples, so a cold start loads neither
+        # dataclasses nor the inspect/ast/dis modules it imports.  -S keeps
+        # imports made by site .pth files out of the check.
+        code = ("import sys, treerank, treerank.cli; "
+                "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                              text=True, env={"PYTHONPATH": str(SRC)}, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_threads_at_different_digits_match_sequential(self):
         value = PI * PI - ExactConst.sqrt3(Fraction(22, 7))

@@ -4,9 +4,13 @@ import contextlib
 import io
 import re
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
-from treerank import cli
+import pytest
+
+from treerank import (Enclosure, TreeVariety, bound_interval, census, check_inequalities,
+                      cli, rank_vertex_counts)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -21,6 +25,28 @@ def test_library_example_runs_and_prints_documented_values():
         "0.363380227632",
         "0.148337 <= a_2 <= 0.290707",
     ]
+
+
+def test_result_records_are_read_only_named_tuples():
+    nonplane = TreeVariety.NONPLANE
+    cen = census(nonplane, 4)
+    assert census(nonplane, 4) is cen  # cached: every caller shares this object
+    records = [
+        (cen, "tree_count"),
+        (rank_vertex_counts(nonplane, 0, 6), "counts"),
+        (bound_interval(nonplane, 2, 4), "lower"),
+        (Enclosure(Fraction(0), Fraction(1), 6), "lo"),
+        (check_inequalities(nonplane, 4), "checks"),
+    ]
+    for record, field in records:
+        value = getattr(record, field)
+        with pytest.raises(AttributeError):
+            setattr(record, field, value)
+        with pytest.raises(AttributeError):
+            record.extra = value
+        assert record._asdict()[field] is value
+    assert cen._replace(tree_count=0).tree_count == 0
+    assert census(nonplane, 4).tree_count == cen.tree_count == 5
 
 
 def command_line_examples() -> list[tuple[list[str], list[str]]]:
