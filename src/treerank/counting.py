@@ -27,11 +27,15 @@ P is read straight off the t table:
     rank k            P_n = t[k][n+1]
     subtree size r    P_{r-1} = T_r, all else 0
     rank k, size i    P_{i-1} = t[k][i], all else 0
+
+The last two are monomials and Y is linear in P, so size and joint
+counts scale one unit solve per degree, the counts for P = 1 there.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from operator import sub
 from typing import NamedTuple
 
@@ -114,27 +118,32 @@ def _multiplier(variety: TreeVariety, order: int) -> list[int]:
     return [1] + [2 * c for c in counts[1:]]
 
 
-def _count_sequence(variety: TreeVariety, correction: list[int], order: int,
+def _count_sequence(variety: TreeVariety, counts: list[int], order: int,
                     selector: str) -> CountSequences:
     return CountSequences(
         variety=variety,
         selector=selector,
-        counts=tuple(solve_linear_counts(_multiplier(variety, order), correction, order)),
+        counts=tuple(counts),
         tree_totals=tree_counts(variety, order),
     )
 
 
-def _monomial(degree: int, value: int, order: int) -> list[int]:
-    """n!-scaled correction P_0..P_{order-1}, value at `degree`, 0 elsewhere."""
+@lru_cache(maxsize=None)
+def _unit_counts(variety: TreeVariety, degree: int, order: int) -> tuple[int, ...]:
+    """Counts for the n!-scaled correction 1 at `degree`, 0 elsewhere.
+
+    A degree at or past `order` lies beyond the truncation: the counts are 0.
+    """
     correction = [0] * order
     if degree < order:
-        correction[degree] = value
-    return correction
+        correction[degree] = 1
+    return tuple(solve_linear_counts(_multiplier(variety, order), correction, order))
 
 
 def rank_vertex_counts(variety: TreeVariety, k: int, order: int = DEFAULT_ORDER) -> CountSequences:
     """Totals of rank-k vertices over all trees of each size up to order."""
-    return _count_sequence(variety, root_ranks(variety, k, order), order, f"rank k={k}")
+    counts = solve_linear_counts(_multiplier(variety, order), root_ranks(variety, k, order), order)
+    return _count_sequence(variety, counts, order, f"rank k={k}")
 
 
 def size_vertex_counts(variety: TreeVariety, r: int, order: int = DEFAULT_ORDER) -> CountSequences:
@@ -143,8 +152,8 @@ def size_vertex_counts(variety: TreeVariety, r: int, order: int = DEFAULT_ORDER)
         raise ValueError("subtree size must be at least 1")
     # A correction at degree r-1 >= order lies past the truncation.
     count_r = tree_counts(variety, r)[r] if r <= order else 0
-    return _count_sequence(variety, _monomial(r - 1, count_r, order), order,
-                           f"subtree size r={r}")
+    return _count_sequence(variety, [count_r * y for y in _unit_counts(variety, r - 1, order)],
+                           order, f"subtree size r={r}")
 
 
 def joint_vertex_counts(
@@ -157,5 +166,5 @@ def joint_vertex_counts(
         raise ValueError("subtree size must be at least 1")
     # A correction at degree i-1 >= order lies past the truncation.
     t_ki = root_ranks(variety, k, i)[-1] if i <= order else 0
-    return _count_sequence(variety, _monomial(i - 1, t_ki, order), order,
-                           f"rank k={k}, size i={i}")
+    return _count_sequence(variety, [t_ki * y for y in _unit_counts(variety, i - 1, order)],
+                           order, f"rank k={k}, size i={i}")

@@ -20,23 +20,22 @@ sibling pair so that the subtree containing the smaller minimum label
 comes first; the generator produces exactly one representative per
 unordered pair this way.
 
-The census of size n generates only the trees of sizes up to n-2, and
+The census of size n generates only the trees of sizes up to n-3, and
 visits each of them once to read its root rank and one-child count off
 its children's.  A tree of size m is a root over one child of size
 m-1, or over two children of sizes j and m-1-j whose label sets split
 the m-1 labels below the root in one of C(m-1, j) ways (plane) or
 C(m-2, j-1) ways (non-plane, where the child holding label 1 comes
-first).  Trees with
-the same child subtrees differ only in that split.  So the trees of
-sizes n-1 and n, by far the most numerous, are tallied instead of
-generated: per (rank, one-child count) class of a one-child root's
-child, and per pair of child classes of a two-child root, weighted by
-the number of splits.  The classes of size n-1 tallied that way feed
-the tally of size n, and each kept subtree is credited with all the
-trees of those two sizes it occurs in as a root child.  At the end the
-occurrences are pushed down from the largest kept subtrees to the
-smallest, each subtree adding its count to its (rank, size) and degree
-slots and passing it on to its children.
+first).  Trees with the same child subtrees differ only in that split.
+So the trees of sizes n-2, n-1 and n, by far the most numerous, are
+tallied instead of generated: per (rank, one-child count) class of a
+one-child root's child, and per pair of child classes of a two-child
+root, weighted by the number of splits, each tallied layer feeding the
+next.  How often a tree occurs as a root child of the tallied trees
+depends only on sizes, so the occurrences flow down the tallied layers
+from the one tree of size n, and then from the largest kept subtrees
+to the smallest, each subtree adding its count to its (rank, size) and
+degree slots and passing it on to its children.
 """
 
 from __future__ import annotations
@@ -286,13 +285,13 @@ def _split_weight(variety: TreeVariety, m: int, j: int) -> int:
 def census(variety: TreeVariety, n: int, limit: int = DEFAULT_ENUM_LIMIT) -> Census:
     """Exact per-vertex rank and subtree-size statistics over every tree of size n.
 
-    Only the trees of sizes up to n-2 are generated and cached as
+    Only the trees of sizes up to n-3 are generated and cached as
     canonical subtrees, each visited once to read its root rank and
-    one-child count off its children's.  The trees of sizes n-1 and n are
-    tallied per child class and per pair of child classes, weighted by
-    the number of label splits, and the occurrences of every subtree are
-    pushed down through the kept subtrees at the end, so no vertex is
-    walked.
+    one-child count off its children's.  The trees of sizes n-2, n-1 and
+    n are tallied per child class and per pair of child classes, weighted
+    by the number of label splits, and the occurrences of every subtree
+    flow down through the tallied layers and the kept subtrees at the
+    end, so no vertex is walked.
     `limit` only guards the size: the result is cached per (variety, n),
     which `cache_info` and `cache_clear` report and reset.
     """
@@ -302,10 +301,12 @@ def census(variety: TreeVariety, n: int, limit: int = DEFAULT_ENUM_LIMIT) -> Cen
 
 @lru_cache(maxsize=None)
 def _census(variety: TreeVariety, n: int) -> Census:
-    # ranks[s][slot], ones[s][slot]: the canonical subtrees of each size s < n - 1.
-    m = n - 1
+    # Sizes up to n - 3 are generated and walked: a fourth tallied layer
+    # would save little, and shrink the brute-force part of the oracle.
+    kept = max(n - 3, 0)
+    # ranks[s][slot], ones[s][slot]: the canonical subtrees of each size s <= kept.
     ranks, ones = [bytearray()], [bytearray()]
-    for s in range(1, m):
+    for s in range(1, kept + 1):
         rank_row, one_row = bytearray(), bytearray()
         for _, children in _canonical_trees(variety, s):
             rank, one = _root_stats(children, ranks, ones)
@@ -316,64 +317,72 @@ def _census(variety: TreeVariety, n: int) -> Census:
 
     trees_of = [len(row) for row in ranks]  # trees_of[s]: the trees of size s
     classes = [Counter(zip(r, o)) for r, o in zip(ranks, ones)]
-    direct = [0] * n  # occurrences of each size-s subtree as a root child
-    by_degree = [0, 0, 0]  # vertices with zero, one and two children
 
-    def tally(s: int) -> Counter:
-        """The trees of size s by (root rank, one-child count) class.
+    def tally(s: int) -> list[int]:
+        """Append the (root rank, one-child count) classes of size s.
 
-        They are tallied from the classes of the smaller sizes, each tree
-        occurring once: its root is counted in `by_degree` and its
-        children in `direct`.  A root over two children of sizes j and
-        s-1-j stands for one tree per label split, so each pair of child
-        classes is counted once and weighted by the number of splits.
+        They are tallied from the classes of the smaller sizes: a root over
+        two children of sizes j and s-1-j stands for one tree per label
+        split, so each pair of child classes is weighted by the number of
+        splits.  Entry j of the result counts the trees of size s that have
+        a given tree of size j as a root child.
         """
         if s == 1:  # the lone leaf
-            by_degree[0] += 1
-            return Counter({(0, 0): 1})
+            classes.append(Counter({(0, 0): 1}))
+            trees_of.append(1)
+            return []
         k = s - 1
         layer = Counter({(r + 1, o + 1): c for (r, o), c in classes[k].items()})
-        direct[k] += 1
-        by_degree[1] += trees_of[k]
+        parents = [0] * k + [1]
         for j in range(1, k):
             i = k - j
             w = _split_weight(variety, k, j)
             for (ra, oa), ca in classes[j].items():
                 for (rb, ob), cb in classes[i].items():
                     layer[1 + (ra if ra < rb else rb), oa + ob] += w * ca * cb
-            direct[j] += w * trees_of[i]
-            direct[i] += w * trees_of[j]
-            by_degree[2] += w * trees_of[j] * trees_of[i]
-        return layer
-
-    # The trees of size m are tallied, not generated: each is the only
-    # child of one tree of size n, so it occurs once.
-    stride = n + 1
-    joint = [0] * (n * stride)  # joint[rank * stride + size]
-    if m:
-        layer = tally(m)
-        for (rank, _), c in layer.items():
-            joint[rank * stride + m] += c
+            parents[j] += w * trees_of[i]
+            parents[i] += w * trees_of[j]
         classes.append(layer)
         trees_of.append(sum(layer.values()))
+        return parents
+
+    tallied = range(kept + 1, n + 1)
+    parents_in = {s: tally(s) for s in tallied}
+
+    # Occurrences flow down from the one tree of size n, through the
+    # tallied layers: every tree of a size occurs equally often, and each
+    # size's count reaches its (rank, size) and degree slots.
+    stride = n + 1
+    joint = [0] * (n * stride)  # joint[rank * stride + size]
+    by_degree = [0, 0, 0]  # vertices with zero, one and two children
+    occurrences = [0] * n + [1]
+    for s in reversed(tallied):
+        c = occurrences[s]
+        for j, parents in enumerate(parents_in[s]):
+            occurrences[j] += parents * c
+        for (rank, _), t in classes[s].items():
+            joint[rank * stride + s] += c * t
+        if s == 1:
+            by_degree[0] += c
+        else:
+            by_degree[1] += c * trees_of[s - 1]
+            by_degree[2] += c * (trees_of[s] - trees_of[s - 1])
     root_ranks = [0] * n
     one_child_trees = [0] * n
-    for (rank, one), c in tally(n).items():
+    for (rank, one), c in classes[n].items():
         root_ranks[rank] += c
         one_child_trees[one] += c
 
     # Push the occurrences down, largest kept subtrees first: a subtree's
     # count reaches its (rank, size) and degree slots and its children.
-    occurrences = [[c] * t for c, t in zip(direct, trees_of[:m])]
-    for rank, c in enumerate(root_ranks):
-        joint[rank * stride + n] += c
-    for s in range(m - 1, 0, -1):
-        rank_row, counts = ranks[s], occurrences[s]
+    pushed = [[c] * t for c, t in zip(occurrences, trees_of[:kept + 1])]
+    for s in range(kept, 0, -1):
+        rank_row, counts = ranks[s], pushed[s]
         for (_, children), rank, c in zip(_canonical_trees(variety, s), rank_row, counts):
             joint[rank * stride + s] += c
             by_degree[len(children)] += c
             for sub, labels in children:
-                occurrences[len(labels)][sub[0]] += c
+                pushed[len(labels)][sub[0]] += c
 
     for key, c in enumerate(joint):
         rank, size = divmod(key, stride)

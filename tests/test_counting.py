@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -13,7 +14,9 @@ from pathlib import Path
 
 import pytest
 
+import treerank.counting as counting
 import treerank.series as series
+from treerank import cli
 from treerank.counting import (
     joint_vertex_counts,
     rank_vertex_counts,
@@ -457,6 +460,56 @@ class TestCountSequences:
             assert all(0 <= p <= 1 for p in by_rank + by_size)
             assert sum(by_rank) == 1
             assert sum(by_size) == 1
+
+    @pytest.mark.parametrize("variety", [NP, PL])
+    def test_monomial_selectors_equal_one_solve_of_their_correction(self, variety):
+        # The path the shared unit solve replaced: the monomial correction,
+        # value at degree d and 0 elsewhere, solved on its own.  It covers
+        # k >= i, where t[k][i] = 0, and i > order, past the truncation.
+        for order in (1, 10, 40):
+            m = counting._multiplier(variety, order)
+
+            def solved(degree, value):
+                correction = [0] * order
+                if degree < order:
+                    correction[degree] = value
+                return solve_linear_counts(m, correction, order)
+
+            for r in range(1, order + 3):
+                assert list(size_vertex_counts(variety, r, order).counts) == \
+                    solved(r - 1, tree_counts(variety, r)[r])
+                for k in range(6):
+                    assert list(joint_vertex_counts(variety, k, r, order).counts) == \
+                        solved(r - 1, root_ranks(variety, k, r)[-1])
+
+    def test_verify_solves_once_per_variety_and_degree_for_size_and_joint(self, capsys,
+                                                                            monkeypatch):
+        solves, selector = [], []
+        original_solve = counting.solve_linear_counts
+
+        def recording_solve(m, p, order):
+            if selector:
+                solves.append(selector[-1])
+            return original_solve(m, p, order)
+
+        def inside(fn, degree):
+            def wrapped(variety, *args):
+                selector.append((variety, degree(*args)))
+                try:
+                    return fn(variety, *args)
+                finally:
+                    selector.pop()
+            return wrapped
+
+        monkeypatch.setattr(counting, "solve_linear_counts", recording_solve)
+        monkeypatch.setattr(cli, "size_vertex_counts",
+                            inside(size_vertex_counts, lambda r, order: r - 1))
+        monkeypatch.setattr(cli, "joint_vertex_counts",
+                            inside(joint_vertex_counts, lambda k, i, order: i - 1))
+        counting._unit_counts.cache_clear()
+        assert cli.main(["verify", "--enum-limit", "6", "--order", "12", "--r", "4"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+        assert Counter(solves) == Counter((v, d) for v in (NP, PL) for d in range(6))
 
     def test_validation(self):
         with pytest.raises(ValueError):

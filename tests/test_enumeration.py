@@ -315,6 +315,28 @@ def _plant_a_leaf_among_size_3(monkeypatch) -> None:
     monkeypatch.setattr(enumeration, "_canonical_trees", planted)
 
 
+def _assert_a_split_weight_fault_is_caught_at_8(capsys, monkeypatch, planted_at) -> None:
+    """Make `_split_weight` one too large at (m, j) = planted_at; the census
+    of size 8 and `verify --enum-limit 8` must both see it."""
+    original = enumeration._split_weight
+
+    def planted(variety, m, j):
+        return original(variety, m, j) + ((m, j) == planted_at)
+
+    monkeypatch.setattr(enumeration, "_split_weight", planted)
+    census.cache_clear()
+    try:
+        for variety in (NP, PL):
+            assert census(variety, 8) != per_tree_census(variety, 8)
+        code = cli.main(["verify", "--enum-limit", "8", "--order", "10", "--r", "4"])
+    finally:
+        census.cache_clear()
+    out = capsys.readouterr().out
+    assert code == 1
+    for variety in (NP, PL):
+        assert f"FAIL  enumeration-count {variety} n=8: enumerated " in out
+
+
 class TestEnumeration:
     def test_figure_counts(self):
         assert sum(1 for _ in enumerate_texts(NP, 4)) == 5
@@ -505,9 +527,10 @@ class TestCensus:
             })
 
     def test_all_censuses_to_10_within_budget_from_cold_caches(self):
-        # About 0.03 s of CPU on a 2-core Xeon with Python 3.11; streaming
-        # every tree of size n - 1 took 0.14 s, and generating every tree of
-        # size n, as the per-tree census did, 0.84 s.
+        # About 0.009 s of CPU on a 2-core Xeon with Python 3.11; tallying
+        # only sizes n - 1 and n took 0.03 s, streaming every tree of size
+        # n - 1 0.14 s, and generating every tree of size n, as the per-tree
+        # census did, 0.84 s.
         census.cache_clear()
         enumeration._canonical_trees.cache_clear()
         start = time.process_time()
@@ -516,7 +539,7 @@ class TestCensus:
                 census(variety, n)
         assert time.process_time() - start < 0.5
 
-    def test_no_census_keeps_the_trees_of_size_n_minus_1(self, monkeypatch):
+    def test_no_census_keeps_the_trees_of_size_n_minus_2(self, monkeypatch):
         census.cache_clear()
         enumeration._canonical_trees.cache_clear()
         asked, generated = [], []
@@ -537,8 +560,8 @@ class TestCensus:
                 asked.clear()
                 generated.clear()
                 census(variety, n)
-                assert all(s <= n - 2 for s in asked), (variety, n, sorted(set(asked)))
-                assert all(s <= n - 2 for s in generated), (variety, n, sorted(set(generated)))
+                assert all(s <= n - 3 for s in asked), (variety, n, sorted(set(asked)))
+                assert all(s <= n - 3 for s in generated), (variety, n, sorted(set(generated)))
 
     def test_size_prob_is_zero_below_size_one(self):
         cen = census(NP, 4)
@@ -568,19 +591,19 @@ class TestCensus:
 
     @pytest.mark.parametrize("variety", [NP, PL])
     def test_a_planted_leaf_among_larger_subtrees_is_caught(self, variety, monkeypatch):
-        # Size 3 is kept by the census of size 5; that of size 4 tallies it.
+        # Size 3 is kept by the census of size 6; those of sizes 4 and 5 tally it.
         _plant_a_leaf_among_size_3(monkeypatch)
         census.cache_clear()
         with pytest.raises(InvariantError, match=r"^rank 0 for a subtree of size 3$"):
-            census(variety, 5)
+            census(variety, 6)
 
     @pytest.mark.parametrize("variety", [NP, PL])
     def test_a_planted_leaf_in_the_streamed_layer_is_caught(self, variety, monkeypatch):
-        # The census of size 6 tallies its trees of size 5 and never reads
-        # the stream; that of size 7 keeps them, so it meets the leaf.
+        # The census of size 7 tallies its trees of size 5 and never reads
+        # the stream; that of size 8 keeps them, so it meets the leaf.
         census.cache_clear()
         enumeration._canonical_trees.cache_clear()
-        expected = census(variety, 6)
+        expected = census(variety, 7)
         original = enumeration._generate
 
         def planted(v, n):
@@ -592,9 +615,9 @@ class TestCensus:
         census.cache_clear()
         enumeration._canonical_trees.cache_clear()
         try:
-            assert census(variety, 6) == expected
+            assert census(variety, 7) == expected
             with pytest.raises(InvariantError, match=r"^rank 0 for a subtree of size 5$"):
-                census(variety, 7)
+                census(variety, 8)
         finally:
             census.cache_clear()
             enumeration._canonical_trees.cache_clear()
@@ -603,23 +626,13 @@ class TestCensus:
                                                                        monkeypatch):
         # The census of size 8 reads the weight at (6, 2) only where it
         # tallies its trees of size 7 from their children's classes.
-        original = enumeration._split_weight
+        _assert_a_split_weight_fault_is_caught_at_8(capsys, monkeypatch, (6, 2))
 
-        def planted(variety, m, j):
-            return original(variety, m, j) + ((m, j) == (6, 2))
-
-        monkeypatch.setattr(enumeration, "_split_weight", planted)
-        census.cache_clear()
-        try:
-            for variety in (NP, PL):
-                assert census(variety, 8) != per_tree_census(variety, 8)
-            code = cli.main(["verify", "--enum-limit", "8", "--order", "10", "--r", "4"])
-        finally:
-            census.cache_clear()
-        out = capsys.readouterr().out
-        assert code == 1
-        for variety in (NP, PL):
-            assert f"FAIL  enumeration-count {variety} n=8: enumerated " in out
+    def test_a_split_weight_off_by_one_in_the_lowest_tallied_layer_is_caught(
+            self, capsys, monkeypatch):
+        # The census of size 8 reads the weight at (5, 2) only where it
+        # tallies its trees of size 6, the lowest of its three tallied layers.
+        _assert_a_split_weight_fault_is_caught_at_8(capsys, monkeypatch, (5, 2))
 
     def test_a_planted_leaf_is_caught_under_python_O(self):
         script = textwrap.dedent("""
@@ -636,7 +649,7 @@ class TestCensus:
             enumeration._canonical_trees = planted
             for variety in TreeVariety:
                 try:
-                    enumeration.census(variety, 5)
+                    enumeration.census(variety, 6)
                 except InvariantError as exc:
                     print("raised:", exc)
         """)
