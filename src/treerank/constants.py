@@ -53,7 +53,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import ceil, floor, gcd, isqrt, lcm, log10
-from typing import Callable, Iterator, Mapping, NamedTuple, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Union
 
 Rational = Union[int, Fraction]
 
@@ -89,14 +89,39 @@ def _coeff_sign(a: int, b: int) -> int:
 
 def _fraction_str(n: int, d: int) -> str:
     """n/d in lowest terms, for d > 0."""
-    n, d = _lowest(n, d)
-    return str(n) if d == 1 else f"({n}/{d})"
-
-
-def _lowest(n: int, d: int) -> tuple[int, int]:
-    """n/d in lowest terms, for d > 0; 0 becomes 0/1."""
     g = gcd(n, d)
-    return n // g, d // g
+    return str(n // g) if d == g else f"({n // g}/{d // g})"
+
+
+def render_terms(terms: Iterable[tuple[int, int, int, int]]) -> str:
+    """Text of a sum of terms (a + b sqrt3) pi^j / d, given as (j, a, b, d).
+
+    The terms come in the canonical order, exponents 0, 1, 2, ... then
+    -1, -2, ..., with no zero pair and d > 0.  Each component is reduced
+    against its own d, so d need not be the lowest; no terms print '0'.
+    """
+    parts: list[str] = []
+    for j, a, b, den in terms:
+        sign = _coeff_sign(a, b)
+        if b == 0:
+            coeff = "" if abs(a) == den else _fraction_str(abs(a), den)
+        elif a == 0:
+            coeff = "sqrt3" if abs(b) == den else f"{_fraction_str(abs(b), den)}*sqrt3"
+        else:
+            # Mixed pair: keep both components inside one parenthesis,
+            # negated as a whole when the value is negative.
+            aa, bb = (a, b) if sign > 0 else (-a, -b)
+            first = _fraction_str(aa, den)
+            second = "sqrt3" if abs(bb) == den else f"{_fraction_str(abs(bb), den)}*sqrt3"
+            joiner = " + " if bb > 0 else " - "
+            coeff = f"({first}{joiner}{second})"
+        pi_part = "" if j == 0 else "pi" if j == 1 else f"pi^{j}"
+        term = f"{coeff}*{pi_part}" if coeff and pi_part else coeff or pi_part or "1"
+        if not parts:
+            parts.append(term if sign > 0 else f"-{term}")
+        else:
+            parts.append(("+ " if sign > 0 else "- ") + term)
+    return " ".join(parts) if parts else "0"
 
 
 class ExactConst:
@@ -267,43 +292,8 @@ class ExactConst:
 
     def render(self) -> str:
         """Canonical text form, e.g. '1 - 2*pi^-1' or '(5/6)*sqrt3*pi^-1'."""
-        if not self._num:
-            return "0"
         den = self._den
-        parts: list[str] = []
-        for j, (a, b) in self._ordered_terms():
-            sign = _coeff_sign(a, b)
-            if b == 0:
-                coeff = None if abs(a) == den else _fraction_str(abs(a), den)
-            elif a == 0:
-                coeff = "sqrt3" if abs(b) == den else f"{_fraction_str(abs(b), den)}*sqrt3"
-            else:
-                # Mixed pair: keep both components inside one parenthesis,
-                # negated as a whole when the value is negative.
-                aa, bb = (a, b) if sign > 0 else (-a, -b)
-                first = _fraction_str(aa, den)
-                second = "sqrt3" if abs(bb) == den else f"{_fraction_str(abs(bb), den)}*sqrt3"
-                joiner = " + " if bb > 0 else " - "
-                coeff = f"({first}{joiner}{second})"
-            if j == 0:
-                pi_part = None
-            elif j == 1:
-                pi_part = "pi"
-            else:
-                pi_part = f"pi^{j}"
-            if coeff is None and pi_part is None:
-                term = "1"
-            elif coeff is None:
-                term = pi_part
-            elif pi_part is None:
-                term = coeff
-            else:
-                term = f"{coeff}*{pi_part}"
-            if not parts:
-                parts.append(term if sign > 0 else f"-{term}")
-            else:
-                parts.append(("+ " if sign > 0 else "- ") + term)
-        return " ".join(parts)
+        return render_terms((j, a, b, den) for j, (a, b) in self._ordered_terms())
 
     def __repr__(self) -> str:
         return f"ExactConst({self.render()})"

@@ -77,7 +77,12 @@ units of the last place; and as 0 < b <= 1, w_m's width is at most e_m's
 plus b times w_(m-2)'s plus two roundings, which grows at most linearly
 in m.  Row i is therefore about N_i i units wide, and the pass starts on
 the rung that holds the bit length of the largest N_i plus that of the
-row count, plus the ladder's guard bits.
+row count, plus the ladder's guard bits.  The rows' exact texts unroll
+the same recurrence: with E_e = kappa_v c z0^e/e!, row i has the pi^(e-1)
+coefficient N_i (-b)^((i-e)/2) E_e for e = i, i-2, ... >= 1, and the pi^-1
+coefficient N_i (-b)^(floor((i-1)/2)+1) kappa_v g(0).  `row_texts` builds
+each E_e once per report and writes each coefficient as one integer
+product over its own small denominator, reduced by one gcd.
 """
 
 from __future__ import annotations
@@ -85,9 +90,10 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
-from .constants import Enclosure, ExactConst, FixedPoint, iv_enclosures, start_rung
+from .constants import (Enclosure, ExactConst, FixedPoint, iv_enclosures, render_terms,
+                        start_rung)
 from .counting import root_ranks
 from .series import InvariantError, tree_counts
 from .variety import TreeVariety
@@ -211,6 +217,35 @@ def row_enclosures(variety: TreeVariety, weights: Sequence[int], digits: int) ->
     return iv_enclosures(rows, digits, start_rung(bits))
 
 
+def row_texts(variety: TreeVariety, *columns: Sequence[int]) -> Iterator[tuple[str, ...]]:
+    """Exact texts of the rows kappa_v N_i W_(i-1)/(i-1)! of equally long
+    columns N, size by size, as `ExactConst.render` prints them.
+
+    The unrolled recurrence of the module docstring: row i of every column
+    shares the terms (-b)^p E_e, with p = (i-e)/2, and (-b)^p kappa_v g(0).
+    """
+    z0, c, b, g0 = _WEIGHT[variety]
+    size = len(columns[0])
+    units = [KAPPA[variety] * g0, KAPPA[variety] * c * z0]  # the pi^-1 term, E_1, E_2, ...
+    for e in range(2, size + 1):
+        units.append(units[-1] * z0 * Fraction(1, e))
+    terms = []
+    for unit in units:
+        ((j, (a, s)),) = unit._num.items()
+        terms.append((j, a, s, unit._den))
+    bn, bd = -b.numerator, b.denominator  # -b = bn/bd
+    bn_pow = [bn**p for p in range(size // 2 + 2)]
+    bd_pow = [bd**p for p in range(size // 2 + 2)]
+    for i, weights in enumerate(zip(*columns), 1):
+        row = []
+        for e in (*range(2 - i % 2, i + 1, 2), 0):  # e = 0 is the pi^-1 term
+            p = (i - e) // 2 if e else (i + 1) // 2
+            j, a, s, d = terms[e]
+            row.append((j, bn_pow[p] * a, bn_pow[p] * s, bd_pow[p] * d))
+        yield tuple(render_terms((j, n * a, n * s, d) for j, a, s, d in row) if n else "0"
+                    for n in weights)
+
+
 # Closed-form numerators of the four solvable count series, evaluated at
 # the singularity where sin(pi/2) = 1, cos(pi/2) = 0, and respectively
 # sin(sqrt3 z0) = sqrt3/2, cos(sqrt3 z0) = -1/2.  Each solved form is
@@ -283,40 +318,28 @@ def bound_interval(variety: TreeVariety, k: int, r: int = DEFAULT_BOUND_TERMS) -
     return report
 
 
-def bound_report_dict(report: BoundReport, digits: int) -> dict:
-    """Canonical JSON-ready form of a bound report (stable key order).
+def bound_report_json(report: BoundReport, digits: int) -> str:
+    """The report as JSON, byte for byte what `json.dumps(payload, indent=2)`
+    prints for its payload, written without building the payload.
 
-    Decimals carry `digits` places; the per-size terms are the joint and
-    subtree limits themselves.
+    Decimals carry `digits` places; the per-size rows w_{k,i} and v_i come
+    from `row_texts` and `row_enclosures`.
     """
     variety, k, r = report.variety, report.k, report.r
     t_k = root_ranks(variety, k, r)
-    w_rows = row_enclosures(variety, t_k, digits)
-    v_rows = row_enclosures(variety, tree_counts(variety, r)[1:], digits)
-
-    def pair(value: ExactConst) -> dict:
-        return {"exact": value.render(), "decimal": value.enclosure(digits).decimal()}
-
-    def term(i: int) -> dict:
-        return {
-            "i": i,
-            "t_ki": t_k[i - 1],
-            "w_exact": limit_joint_prob(variety, k, i).render(),
-            "w_decimal": w_rows[i - 1].decimal(),
-            "v_exact": limit_subtree_prob(variety, i).render(),
-            "v_decimal": v_rows[i - 1].decimal(),
-        }
-
-    return {
-        "variety": str(variety),
-        "k": k,
-        "r": r,
-        "lower": pair(report.lower),
-        "upper": pair(report.upper),
-        "v_partial_sum": pair(report.partial_v_sum),
-        "per_i_terms": [term(i) for i in range(1, r + 1)],
-    }
-
-
-def bound_report_json(report: BoundReport, digits: int) -> str:
-    return json.dumps(bound_report_dict(report, digits), indent=2)
+    counts = tree_counts(variety, r)[1:]
+    dump = json.dumps
+    rows = ",\n".join(
+        f'    {{\n      "i": {i},\n      "t_ki": {t},\n      "w_exact": {dump(w)},\n'
+        f'      "w_decimal": {dump(w_enc.decimal())},\n      "v_exact": {dump(v)},\n'
+        f'      "v_decimal": {dump(v_enc.decimal())}\n    }}'
+        for i, (t, (w, v), w_enc, v_enc) in enumerate(zip(
+            t_k, row_texts(variety, t_k, counts),
+            row_enclosures(variety, t_k, digits), row_enclosures(variety, counts, digits)), 1))
+    pairs = "".join(
+        f'  "{name}": {{\n    "exact": {dump(value.render())},\n'
+        f'    "decimal": {dump(value.enclosure(digits).decimal())}\n  }},\n'
+        for name, value in (("lower", report.lower), ("upper", report.upper),
+                            ("v_partial_sum", report.partial_v_sum)))
+    return (f'{{\n  "variety": {dump(str(variety))},\n  "k": {k},\n  "r": {r},\n{pairs}'
+            f'  "per_i_terms": [\n{rows}\n  ]\n}}')

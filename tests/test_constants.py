@@ -760,7 +760,7 @@ class TestEnclosures:
         # Enclosures run on integers alone, so neither the package nor its
         # command line may pull in mpmath.
         code = "import sys, treerank, treerank.cli; print('mpmath' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+        proc = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True,
                               env={"PYTHONPATH": str(SRC)}, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
@@ -771,7 +771,7 @@ class TestEnclosures:
         # imports made by site .pth files out of the check.
         code = ("import sys, treerank, treerank.cli; "
                 "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))")
-        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+        proc = subprocess.run([sys.executable, "-B", "-S", "-c", code], capture_output=True,
                               text=True, env={"PYTHONPATH": str(SRC)}, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
@@ -1249,7 +1249,7 @@ class TestDeepMoments:
                 "    print(len(moment_sum(variety, [0] * 1500 + [factorial(1500)]).terms))\n"
                 "print(sys.getrecursionlimit())\n"
                 "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+        proc = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True,
                               env={"PYTHONPATH": str(SRC)}, timeout=120)
         assert proc.returncode == 0, proc.stderr[-2000:]
         # Degree 1500 in both varieties: pi^1501, pi^1499, ..., pi^1 and pi^0.

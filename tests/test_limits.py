@@ -28,13 +28,13 @@ from treerank.limits import (
     KAPPA,
     ClosedFormUnavailableError,
     bound_interval,
-    bound_report_dict,
     bound_report_json,
     limit_joint_prob,
     limit_rank_fraction,
     limit_subtree_prob,
     moment_sum,
     row_enclosures,
+    row_texts,
 )
 from treerank.series import InvariantError, tree_counts
 from treerank.variety import TreeVariety
@@ -382,6 +382,45 @@ class TestRowEnclosures:
             row_enclosures(PL, tree_counts(PL, 10)[1:], 60)
 
 
+class TestRowTexts:
+    """`row_texts` against `render` of the limits the rows stand for."""
+
+    @pytest.mark.parametrize("variety", list(TreeVariety), ids=str)
+    def test_bracket_rows_match_render(self, variety):
+        size = 150
+        columns = [tree_counts(variety, size)[1:]]
+        columns += [root_ranks(variety, k, size) for k in (0, 1, 2, 5)]
+        rows = list(row_texts(variety, *columns))
+        assert len(rows) == size
+        for i, (v, *ws) in enumerate(rows, start=1):
+            assert v == limit_subtree_prob(variety, i).render(), i
+            for k, w in zip((0, 1, 2, 5), ws):
+                assert w == limit_joint_prob(variety, k, i).render(), (k, i)
+
+    @pytest.mark.parametrize("variety", list(TreeVariety), ids=str)
+    def test_one_row_and_an_all_zero_column(self, variety):
+        # r = 1; and no tree of size <= 6 has a root of rank 6.
+        assert list(row_texts(variety, [1])) == [(limit_subtree_prob(variety, 1).render(),)]
+        zeros = root_ranks(variety, 6, 6)
+        assert zeros == [0] * 6
+        assert list(row_texts(variety, zeros)) == [("0",)] * 6
+        terms = json.loads(bound_report_json(bound_interval(variety, 6, 6), 5))["per_i_terms"]
+        assert [term["w_exact"] for term in terms] == ["0"] * 6
+        assert [term["w_decimal"] for term in terms] == ["0.00000"] * 6
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(list(TreeVariety)),
+           st.lists(st.one_of(st.just(0), st.integers(0, 2**3000)), min_size=1, max_size=60))
+    @example(NP, [1])
+    @example(PL, [0, 0])
+    def test_drawn_weights_match_render(self, variety, weights):
+        rows = list(row_texts(variety, weights))
+        assert len(rows) == len(weights)
+        for i, (n, (text,)) in enumerate(zip(weights, rows), start=1):
+            value = KAPPA[variety] * moment_sum(variety, [0] * (i - 1) + [n])
+            assert text == value.render(), i
+
+
 EXPECTED_CLOSED_FORMS = {
     (NP, 0): ExactConst.rational(1) - ExactConst.pi_power(-1, 2),
     (NP, 1): ExactConst.rational(2) - ExactConst.pi_power(2, Fraction(1, 24))
@@ -596,7 +635,7 @@ class TestBoundIntervals:
 class TestReportSerialization:
     def test_schema_keys(self):
         report = bound_interval(NP, 2, 4)
-        payload = bound_report_dict(report, 8)
+        payload = json.loads(bound_report_json(report, 8))
         assert list(payload) == ["variety", "k", "r", "lower", "upper",
                                  "v_partial_sum", "per_i_terms"]
         assert payload["variety"] == "nonplane"
@@ -615,5 +654,13 @@ class TestReportSerialization:
             assert term["v_exact"] == limit_subtree_prob(NP, i).render()
 
     def test_json_round_trip_is_byte_identical(self):
-        text = bound_report_json(bound_interval(PL, 1, 5), 10)
-        assert json.dumps(json.loads(text), indent=2) == text
+        # The report is written with f-strings; json.dumps of what it parses
+        # to must print the same bytes.
+        for variety in TreeVariety:
+            for k in (0, 2, 4):
+                for r in (1, 12, 100):
+                    report = bound_interval(variety, k, r)
+                    for digits in (1, 12, 40):
+                        text = bound_report_json(report, digits)
+                        round_trip = json.dumps(json.loads(text), indent=2)
+                        assert round_trip == text, (variety, k, r, digits)
