@@ -30,8 +30,8 @@ from .enumeration import (
     enumerate_texts,
 )
 from .limits import (
+    _bound_report_pieces,
     bound_interval,
-    bound_report_json,
     limit_joint_prob,
     limit_rank_fraction,
     limit_subtree_prob,
@@ -204,8 +204,9 @@ def cmd_counts(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 def cmd_bounds(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     variety = parse_variety(args.variety)
     report = bound_interval(variety, args.k, args.r)
-    if args.format == "json":
-        print(bound_report_json(report, args.digits))
+    if args.format == "json":  # a row at a time: the report can run to tens of MB
+        sys.stdout.writelines(_bound_report_pieces(report, args.digits))
+        print()
         return 0
     print(f"variety: {report.variety}")
     print(f"k = {report.k}, truncation r = {report.r}")

@@ -9,12 +9,13 @@ is stored and gcd(D, every a_j, b_j) = 1, so equality of values is
 equality of representations.  A sum scales both sides to the lcm of the
 denominators, a product convolves the pairs over D1 D2 with sqrt3^2 = 3,
 and one gcd with D first reduces the result; `Fraction`s appear only in
-constructor input, in `.terms` and at the endpoints of rational
-enclosures.  Every yes/no decision, the sign of a constant among them,
-runs on the precision ladder below through `iv_sign`, which stops as
-soon as the bounds exclude 0 and asks for no digits.  Decimal output
-alone goes through `Enclosure`, an interval with exact rational
-endpoints certified to contain the true value.
+constructor input, in `.terms` and at the endpoints of an `Enclosure`.
+Every yes/no decision, the sign of a constant among them, runs on the
+precision ladder below through `iv_sign`, which stops as soon as the
+bounds exclude 0 and asks for no digits.  Enclosures and decimals run
+on integers too: `decimal_string` rounds [lo/den, hi/den] given as
+integers, and `Enclosure`, an interval with exact rational endpoints
+certified to contain the true value, is built for single values only.
 
 Interval evaluation runs in integer fixed point, on a ladder of
 precisions that doubles from a start rung.  A round at precision p holds
@@ -42,8 +43,10 @@ stop rule at some digits meets it at fewer too, so an enclosure at more
 digits stops on the same rung or a later one and nests inside one at
 fewer.  The ladder bounds a list of values at once (`iv_enclosures`):
 the builder returns one interval per value on each rung, and each value's
-intervals are intersected across rungs and stop on their own; a single
-value is the list of one.
+intervals are intersected across rungs and stop on their own, with the
+stop rule decided on the integer bounds; each value comes back as those
+bounds and its rung.  A single value is the list of one, wrapped in an
+`Enclosure` (`iv_enclosure`).
 """
 
 from __future__ import annotations
@@ -70,15 +73,9 @@ _LOG2_PI = 1.6514961294723187  # log2(pi); the start rung needs only an estimate
 
 
 def _coeff_sign(a: int, b: int) -> int:
-    """Exact sign of a + b*sqrt(3)."""
-    if b == 0:
-        return (a > 0) - (a < 0)
-    if a == 0:
-        return (b > 0) - (b < 0)
-    if a > 0 and b > 0:
-        return 1
-    if a < 0 and b < 0:
-        return -1
+    """Exact sign of a + b*sqrt(3), for nonzero a and b."""
+    if (a > 0) == (b > 0):
+        return 1 if a > 0 else -1
     # Mixed signs: compare a^2 with 3 b^2 on the side of the positive part.
     lead = 1 if a > 0 else -1
     diff = a * a - 3 * b * b
@@ -87,34 +84,42 @@ def _coeff_sign(a: int, b: int) -> int:
     return lead if diff > 0 else -lead
 
 
-def _fraction_str(n: int, d: int) -> str:
-    """n/d in lowest terms, for d > 0."""
+def _lowest_terms(n: int, d: int) -> tuple[int, int]:
+    """n/d as numerator and denominator in lowest terms, for d > 0; 0 is 0/1."""
     g = gcd(n, d)
-    return str(n // g) if d == g else f"({n // g}/{d // g})"
+    return n // g, d // g
 
 
-def render_terms(terms: Iterable[tuple[int, int, int, int]]) -> str:
-    """Text of a sum of terms (a + b sqrt3) pi^j / d, given as (j, a, b, d).
+def _fraction_str(n: int, d: int) -> str:
+    """n/d for d > 0, already in lowest terms."""
+    return str(n) if d == 1 else f"({n}/{d})"
+
+
+def render_terms(terms: Iterable[tuple[int, int, int, int, int]]) -> str:
+    """Text of a sum of terms (a/da + (b/db) sqrt3) pi^j, given as (j, a, da, b, db).
 
     The terms come in the canonical order, exponents 0, 1, 2, ... then
-    -1, -2, ..., with no zero pair and d > 0.  Each component is reduced
-    against its own d, so d need not be the lowest; no terms print '0'.
+    -1, -2, ..., with no zero pair.  Each component is in lowest terms
+    over its own positive denominator, a zero one as 0/1, so nothing here
+    takes a gcd; no terms print '0'.
     """
     parts: list[str] = []
-    for j, a, b, den in terms:
-        sign = _coeff_sign(a, b)
-        if b == 0:
-            coeff = "" if abs(a) == den else _fraction_str(abs(a), den)
-        elif a == 0:
-            coeff = "sqrt3" if abs(b) == den else f"{_fraction_str(abs(b), den)}*sqrt3"
+    for j, a, da, b, db in terms:
+        if not b:
+            sign = 1 if a > 0 else -1
+            coeff = "" if da == 1 and abs(a) == 1 else _fraction_str(abs(a), da)
+        elif not a:
+            sign = 1 if b > 0 else -1
+            coeff = "sqrt3" if db == 1 and abs(b) == 1 else f"{_fraction_str(abs(b), db)}*sqrt3"
         else:
             # Mixed pair: keep both components inside one parenthesis,
             # negated as a whole when the value is negative.
+            sign = _coeff_sign(a * db, b * da)
             aa, bb = (a, b) if sign > 0 else (-a, -b)
-            first = _fraction_str(aa, den)
-            second = "sqrt3" if abs(bb) == den else f"{_fraction_str(abs(bb), den)}*sqrt3"
+            second = "sqrt3" if db == 1 and abs(bb) == 1 else \
+                f"{_fraction_str(abs(bb), db)}*sqrt3"
             joiner = " + " if bb > 0 else " - "
-            coeff = f"({first}{joiner}{second})"
+            coeff = f"({_fraction_str(aa, da)}{joiner}{second})"
         pi_part = "" if j == 0 else "pi" if j == 1 else f"pi^{j}"
         term = f"{coeff}*{pi_part}" if coeff and pi_part else coeff or pi_part or "1"
         if not parts:
@@ -293,7 +298,8 @@ class ExactConst:
     def render(self) -> str:
         """Canonical text form, e.g. '1 - 2*pi^-1' or '(5/6)*sqrt3*pi^-1'."""
         den = self._den
-        return render_terms((j, a, b, den) for j, (a, b) in self._ordered_terms())
+        return render_terms((j, *_lowest_terms(a, den), *_lowest_terms(b, den))
+                            for j, (a, b) in self._ordered_terms())
 
     def __repr__(self) -> str:
         return f"ExactConst({self.render()})"
@@ -379,21 +385,24 @@ def _coerce(value: Union[ExactConst, Rational]) -> ExactConst:
 # Enclosures
 
 
-def _round_half_up(x: Fraction, places: int) -> int:
-    """x 10^places rounded to an integer, halves away from zero."""
-    n, d = x.numerator, x.denominator
+def _round_half_up(n: int, d: int, places: int) -> int:
+    """n/d 10^places rounded to an integer, halves away from zero, for d > 0."""
     q = (2 * abs(n) * 10**places + d) // (2 * d)
     return q if n >= 0 else -q
 
 
-def decimal_string(x: Fraction, places: int) -> str:
-    scaled = _round_half_up(x, places)
+def decimal_string(lo: int, hi: int, den: int, places: int) -> str:
+    """[lo/den, hi/den] for den > 0 as its midpoint rounded half up to `places`
+    decimals, then ±(a bound on the half-width) when it is wider than
+    10^-places; a single value n/d is decimal_string(n, n, d, places)."""
+    scaled = _round_half_up(lo + hi, 2 * den, places)
     sign = "-" if scaled < 0 else ""
     # Decimal converts without the interpreter's cap on int -> str digits.
     digits = str(Decimal(abs(scaled))).rjust(places + 1, "0")
-    if places == 0:
-        return sign + digits
-    return f"{sign}{digits[:-places]}.{digits[-places:]}"
+    text = sign + digits if places == 0 else f"{sign}{digits[:-places]}.{digits[-places:]}"
+    if (hi - lo) * 10**places <= den:
+        return text
+    return f"{text}±{_sci_upper(Fraction(hi - lo, 2 * den))}"
 
 
 def _sci_upper(x: Fraction) -> str:
@@ -454,11 +463,10 @@ class Enclosure(_EnclosureFields):
 
     def decimal(self, places: int | None = None) -> str:
         """Round-to-nearest within the enclosure; annotate when too wide."""
-        places = self.digits if places is None else places
-        mid = decimal_string(self.midpoint, places)
-        if self.width <= Fraction(1, 10**places):
-            return mid
-        return f"{mid}±{_sci_upper(self.width / 2)}"
+        lo, hi = self.lo, self.hi
+        return decimal_string(lo.numerator * hi.denominator, hi.numerator * lo.denominator,
+                              lo.denominator * hi.denominator,
+                              self.digits if places is None else places)
 
     def __repr__(self) -> str:
         return f"Enclosure({self.decimal()}, digits={self.digits})"
@@ -566,8 +574,8 @@ def _check_digits(digits: int) -> None:
         raise ValueError(f"digits must be between 1 and {MAX_DIGITS}")
 
 
-def _rounds_alike(lo: Fraction, hi: Fraction, digits: int) -> bool:
-    """Whether lo and hi round half-up alike at every number of places 1..digits.
+def _rounds_alike(lo: int, hi: int, den: int, digits: int) -> bool:
+    """Whether lo/den and hi/den round half-up alike at every number of places 1..digits.
 
     If they round alike, to n, at `digits` places, both lie in the cell
     of values that round to n, and the only coarser rounding boundary in
@@ -575,8 +583,8 @@ def _rounds_alike(lo: Fraction, hi: Fraction, digits: int) -> bool:
     places exactly when n = (10m + 5) 10^(digits-p-1), so comparing the
     roundings at that one p settles every coarser place.
     """
-    n = _round_half_up(lo, digits)
-    if n != _round_half_up(hi, digits):
+    n = _round_half_up(lo, den, digits)
+    if n != _round_half_up(hi, den, digits):
         return False
     zeros, head = 0, abs(n)
     while head and head % 10 == 0:
@@ -584,7 +592,7 @@ def _rounds_alike(lo: Fraction, hi: Fraction, digits: int) -> bool:
     places = digits - 1 - zeros
     if head % 10 != 5 or places < 1:
         return True
-    return _round_half_up(lo, places) == _round_half_up(hi, places)
+    return _round_half_up(lo, den, places) == _round_half_up(hi, den, places)
 
 
 def start_rung(bits: int) -> int:
@@ -623,38 +631,40 @@ def iv_sign(builder: Callable, start_prec: int = _START_PREC) -> int:
     return 0
 
 
-def iv_enclosures(builder: Callable, digits: int, start_prec: int = _START_PREC) -> list[Enclosure]:
-    """Evaluate `builder(FixedPoint(prec))` to enclosures of width <= 10^-digits.
+def iv_enclosures(builder: Callable, digits: int,
+                  start_prec: int = _START_PREC) -> list[tuple[int, int, int]]:
+    """Evaluate `builder(FixedPoint(prec))` to intervals of width <= 10^-digits.
 
     The builder returns one pair of integers (lo, hi) per value, with
     lo <= value 2^prec <= hi, in the same order at every rung.  Precision
     starts at `start_prec` and doubles until every interval is narrow
     enough and its endpoints round alike at every number of places up to
-    `digits`, so `decimal()` prints the correctly rounded value.  Each
-    value's intervals are intersected across rungs, and each value stops
-    on the first rung that meets the rule for it.  Every narrower interval
-    also meets the rule at fewer places; as the ladder does not depend on
-    `digits`, an enclosure requested at more digits is always nested
-    inside one requested at fewer.
+    `digits`, so `decimal_string(lo, hi, 2^prec, digits)` prints the
+    correctly rounded value.  Each value's intervals are intersected
+    across rungs, and each value stops, as (lo, hi, prec), on the first
+    rung that meets the rule for it.  Every narrower interval also meets
+    the rule at fewer places; as the ladder does not depend on `digits`,
+    an interval requested at more digits is always nested inside one
+    requested at fewer.  Bounds out of order raise ValueError.
     """
     _check_digits(digits)
     scale = 10**digits
     best: dict[int, tuple[int, int]] = {}  # the open values' intervals, at the last rung
-    done: dict[int, Enclosure] = {}
+    done: dict[int, tuple[int, int, int]] = {}
     last = start_prec
     for prec, bounds in _ladder(builder, start_prec):
-        shift, last = prec - last, prec
+        shift, last, unit = prec - last, prec, 1 << prec
         for j, (lo, hi) in enumerate(bounds):
             if j in done:
                 continue
             if j in best:
                 old_lo, old_hi = best[j]
                 lo, hi = max(lo, old_lo << shift), min(hi, old_hi << shift)
-            if (hi - lo) * scale <= 1 << prec:
-                enc = Enclosure(Fraction(lo, 1 << prec), Fraction(hi, 1 << prec), digits)
-                if _rounds_alike(enc.lo, enc.hi, digits):
-                    done[j] = enc
-                    continue
+            if lo > hi:
+                raise ValueError("enclosure endpoints out of order")
+            if (hi - lo) * scale <= unit and _rounds_alike(lo, hi, unit, digits):
+                done[j] = lo, hi, prec
+                continue
             best[j] = lo, hi
         if len(done) == len(bounds):
             return [done[j] for j in range(len(bounds))]
@@ -662,6 +672,6 @@ def iv_enclosures(builder: Callable, digits: int, start_prec: int = _START_PREC)
 
 
 def iv_enclosure(builder: Callable, digits: int, start_prec: int = _START_PREC) -> Enclosure:
-    """`iv_enclosures` of the one value whose bounds `builder` returns."""
-    (enc,) = iv_enclosures(lambda ctx: [builder(ctx)], digits, start_prec)
-    return enc
+    """The `Enclosure` of the one value whose bounds `builder` returns."""
+    ((lo, hi, prec),) = iv_enclosures(lambda ctx: [builder(ctx)], digits, start_prec)
+    return Enclosure(Fraction(lo, 1 << prec), Fraction(hi, 1 << prec), digits)

@@ -106,7 +106,7 @@ class CountSequences(NamedTuple):
             p = self.prob(n)
             rows.append([str(n), str(self.counts[n]),
                          str(p.numerator), str(p.denominator),
-                         decimal_string(p, digits)])
+                         decimal_string(p.numerator, p.numerator, p.denominator, digits)])
         return rows
 
 

@@ -81,8 +81,8 @@ row count, plus the ladder's guard bits.  The rows' exact texts unroll
 the same recurrence: with E_e = kappa_v c z0^e/e!, row i has the pi^(e-1)
 coefficient N_i (-b)^((i-e)/2) E_e for e = i, i-2, ... >= 1, and the pi^-1
 coefficient N_i (-b)^(floor((i-1)/2)+1) kappa_v g(0).  `row_texts` builds
-each E_e once per report and writes each coefficient as one integer
-product over its own small denominator, reduced by one gcd.
+each E_e once per report, reduces each of a row's coefficients once for
+all its columns, and takes one gcd per row and column (`_scaled_terms`).
 """
 
 from __future__ import annotations
@@ -90,10 +90,11 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterator, NamedTuple, Sequence
 
-from .constants import (Enclosure, ExactConst, FixedPoint, iv_enclosures, render_terms,
-                        start_rung)
+from .constants import (ExactConst, FixedPoint, _lowest_terms, decimal_string, iv_enclosures,
+                        render_terms, start_rung)
 from .counting import root_ranks
 from .series import InvariantError, tree_counts
 from .variety import TreeVariety
@@ -174,8 +175,10 @@ def limit_joint_prob(variety: TreeVariety, k: int, i: int) -> ExactConst:
                                                      tree_counts(variety, i)[i])
 
 
-def row_enclosures(variety: TreeVariety, weights: Sequence[int], digits: int) -> list[Enclosure]:
-    """Enclosures of the rows kappa_v N_i W_(i-1)/(i-1)! for N_1, N_2, ... >= 0.
+def row_enclosures(variety: TreeVariety, weights: Sequence[int],
+                   digits: int) -> list[tuple[int, int, int]]:
+    """Intervals (lo, hi, prec) on the rows kappa_v N_i W_(i-1)/(i-1)! for
+    N_1, N_2, ... >= 0, each as `constants.iv_enclosures` returns it.
 
     With N_i = T_i the rows are v_1, v_2, ...; with N_i = t[k][i] they are
     w_{k,1}, w_{k,2}, ....  Each rung of the ladder runs the moment
@@ -222,7 +225,11 @@ def row_texts(variety: TreeVariety, *columns: Sequence[int]) -> Iterator[tuple[s
     columns N, size by size, as `ExactConst.render` prints them.
 
     The unrolled recurrence of the module docstring: row i of every column
-    shares the terms (-b)^p E_e, with p = (i-e)/2, and (-b)^p kappa_v g(0).
+    shares the terms (-b)^p E_e, with p = (i-e)/2, and (-b)^p kappa_v g(0),
+    each in lowest terms.  Their denominators all divide
+    L = den(b)^floor((i+1)/2) lcm(den(kappa_v g(0)), den(E_1), ..., den(E_i)),
+    so column N takes one gcd G = gcd(N, L), and a small one per term
+    only when G > 1.
     """
     z0, c, b, g0 = _WEIGHT[variety]
     size = len(columns[0])
@@ -230,20 +237,36 @@ def row_texts(variety: TreeVariety, *columns: Sequence[int]) -> Iterator[tuple[s
     for e in range(2, size + 1):
         units.append(units[-1] * z0 * Fraction(1, e))
     terms = []
-    for unit in units:
+    for unit in units:  # each a rational or a sqrt3 multiple of a power of pi
         ((j, (a, s)),) = unit._num.items()
-        terms.append((j, a, s, unit._den))
+        terms.append((j, a or s, unit._den, not a))
     bn, bd = -b.numerator, b.denominator  # -b = bn/bd
     bn_pow = [bn**p for p in range(size // 2 + 2)]
     bd_pow = [bd**p for p in range(size // 2 + 2)]
+    den_lcm = terms[0][2]
     for i, weights in enumerate(zip(*columns), 1):
+        den_lcm = lcm(den_lcm, terms[i][2])
         row = []
         for e in (*range(2 - i % 2, i + 1, 2), 0):  # e = 0 is the pi^-1 term
             p = (i - e) // 2 if e else (i + 1) // 2
-            j, a, s, d = terms[e]
-            row.append((j, bn_pow[p] * a, bn_pow[p] * s, bd_pow[p] * d))
-        yield tuple(render_terms((j, n * a, n * s, d) for j, a, s, d in row) if n else "0"
+            j, x, d, sqrt3 = terms[e]
+            row.append((j, *_lowest_terms(bn_pow[p] * x, bd_pow[p] * d), sqrt3))
+        common = bd_pow[(i + 1) // 2] * den_lcm
+        yield tuple(render_terms(_scaled_terms(row, n, gcd(n, common))) if n else "0"
                     for n in weights)
+
+
+def _scaled_terms(row: list[tuple[int, int, int, bool]], n: int,
+                  g: int) -> Iterator[tuple[int, int, int, int, int]]:
+    """`render_terms`' terms for the row's terms (j, x, d, sqrt3) times n,
+    given g = gcd(n, L) for a common multiple L of the row's denominators."""
+    for j, x, d, sqrt3 in row:
+        if g > 1:  # gcd(n x, d) = gcd(n, d) = gcd(g, d) as x/d is in lowest terms
+            h = gcd(g, d)
+            x, d = n // h * x, d // h
+        else:
+            x *= n
+        yield (j, 0, 1, x, d) if sqrt3 else (j, x, d, 0, 1)
 
 
 # Closed-form numerators of the four solvable count series, evaluated at
@@ -320,26 +343,32 @@ def bound_interval(variety: TreeVariety, k: int, r: int = DEFAULT_BOUND_TERMS) -
 
 def bound_report_json(report: BoundReport, digits: int) -> str:
     """The report as JSON, byte for byte what `json.dumps(payload, indent=2)`
-    prints for its payload, written without building the payload.
+    prints for its payload, written without building the payload; decimals
+    carry `digits` places, and the per-size rows w_{k,i} and v_i come from
+    `row_texts` and `row_enclosures`."""
+    return "".join(_bound_report_pieces(report, digits))
 
-    Decimals carry `digits` places; the per-size rows w_{k,i} and v_i come
-    from `row_texts` and `row_enclosures`.
-    """
+
+def _bound_report_pieces(report: BoundReport, digits: int) -> Iterator[str]:
+    """`bound_report_json`'s text: the head, then a piece per row.  Every
+    interval is made before the first piece, so a failure yields nothing."""
     variety, k, r = report.variety, report.k, report.r
     t_k = root_ranks(variety, k, r)
     counts = tree_counts(variety, r)[1:]
+    w_rows, v_rows = row_enclosures(variety, t_k, digits), row_enclosures(variety, counts, digits)
     dump = json.dumps
-    rows = ",\n".join(
-        f'    {{\n      "i": {i},\n      "t_ki": {t},\n      "w_exact": {dump(w)},\n'
-        f'      "w_decimal": {dump(w_enc.decimal())},\n      "v_exact": {dump(v)},\n'
-        f'      "v_decimal": {dump(v_enc.decimal())}\n    }}'
-        for i, (t, (w, v), w_enc, v_enc) in enumerate(zip(
-            t_k, row_texts(variety, t_k, counts),
-            row_enclosures(variety, t_k, digits), row_enclosures(variety, counts, digits)), 1))
     pairs = "".join(
         f'  "{name}": {{\n    "exact": {dump(value.render())},\n'
         f'    "decimal": {dump(value.enclosure(digits).decimal())}\n  }},\n'
         for name, value in (("lower", report.lower), ("upper", report.upper),
                             ("v_partial_sum", report.partial_v_sum)))
-    return (f'{{\n  "variety": {dump(str(variety))},\n  "k": {k},\n  "r": {r},\n{pairs}'
-            f'  "per_i_terms": [\n{rows}\n  ]\n}}')
+    yield (f'{{\n  "variety": {dump(str(variety))},\n  "k": {k},\n  "r": {r},\n{pairs}'
+           f'  "per_i_terms": [')
+    rows = zip(t_k, row_texts(variety, t_k, counts), w_rows, v_rows)
+    for i, (t, (w, v), (wl, wh, wp), (vl, vh, vp)) in enumerate(rows, 1):
+        yield (f'{"," if i > 1 else ""}\n    {{\n      "i": {i},\n      "t_ki": {t},\n'
+               f'      "w_exact": {dump(w)},\n'
+               f'      "w_decimal": {dump(decimal_string(wl, wh, 1 << wp, digits))},\n'
+               f'      "v_exact": {dump(v)},\n'
+               f'      "v_decimal": {dump(decimal_string(vl, vh, 1 << vp, digits))}\n    }}')
+    yield "\n  ]\n}"

@@ -4,14 +4,16 @@ No count or limit path uses them: `series.solve_linear_counts` and the
 suffix rows are compared against the `EgfSeries` solvers, and
 `limits.moment_sum` against the unrolled weight moment and the per-term
 bracket sum.  The tree-count series `base_series` lives here too, since
-only these solvers and the tests read it.
+only these solvers and the tests read it.  The `Fraction` decimals that
+the integer ones in `constants` replaced close the file.
 """
 
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from treerank.constants import ExactConst
+from treerank.constants import ExactConst, _sci_upper
 from treerank.counting import root_ranks
 from treerank.limits import _WEIGHT, KAPPA, limit_joint_prob, limit_subtree_prob, moment_sum
 from treerank.series import EgfSeries, Rational, SeriesOrderError, tree_counts
@@ -122,3 +124,53 @@ def reference_moment_sum(variety: TreeVariety, p: list[int]) -> ExactConst:
         if value:
             total = total + unrolled_weight_moment(variety, n) * Fraction(value, factorial(n))
     return total
+
+
+# The decimal rounding on `Fraction`s that enclosures printed through before
+# the integer routine `constants.decimal_string`, kept verbatim.
+
+
+def _round_half_up(x: Fraction, places: int) -> int:
+    """x 10^places rounded to an integer, halves away from zero."""
+    n, d = x.numerator, x.denominator
+    q = (2 * abs(n) * 10**places + d) // (2 * d)
+    return q if n >= 0 else -q
+
+
+def decimal_string(x: Fraction, places: int) -> str:
+    scaled = _round_half_up(x, places)
+    sign = "-" if scaled < 0 else ""
+    # Decimal converts without the interpreter's cap on int -> str digits.
+    digits = str(Decimal(abs(scaled))).rjust(places + 1, "0")
+    if places == 0:
+        return sign + digits
+    return f"{sign}{digits[:-places]}.{digits[-places:]}"
+
+
+def _rounds_alike(lo: Fraction, hi: Fraction, digits: int) -> bool:
+    """Whether lo and hi round half-up alike at every number of places 1..digits.
+
+    If they round alike, to n, at `digits` places, both lie in the cell
+    of values that round to n, and the only coarser rounding boundary in
+    that cell is its centre n/10^digits.  The centre is a boundary at p
+    places exactly when n = (10m + 5) 10^(digits-p-1), so comparing the
+    roundings at that one p settles every coarser place.
+    """
+    n = _round_half_up(lo, digits)
+    if n != _round_half_up(hi, digits):
+        return False
+    zeros, head = 0, abs(n)
+    while head and head % 10 == 0:
+        zeros, head = zeros + 1, head // 10
+    places = digits - 1 - zeros
+    if head % 10 != 5 or places < 1:
+        return True
+    return _round_half_up(lo, places) == _round_half_up(hi, places)
+
+
+def enclosure_decimal(lo: Fraction, hi: Fraction, places: int) -> str:
+    """What `Enclosure(lo, hi, ...).decimal(places)` printed on `Fraction`s."""
+    mid = decimal_string((lo + hi) / 2, places)
+    if hi - lo <= Fraction(1, 10**places):
+        return mid
+    return f"{mid}±{_sci_upper((hi - lo) / 2)}"

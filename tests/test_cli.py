@@ -229,6 +229,24 @@ class TestBounds:
         assert json.dumps(payload, indent=2) == out.strip()
         assert payload["k"] == 1 and payload["r"] == 3
 
+    def test_json_failure_in_the_second_row_column_prints_nothing(self, capsys, monkeypatch):
+        # The report is written a row at a time, but only once both row
+        # columns are enclosed: a planted failure in the v column leaves
+        # stdout empty.
+        calls = []
+        enclose = limits.row_enclosures
+
+        def failing_second_call(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("planted")
+            return enclose(*args)
+
+        monkeypatch.setattr(limits, "row_enclosures", failing_second_call)
+        with pytest.raises(RuntimeError, match="planted"):
+            main(["bounds", "--k", "2", "--r", "12", "--format", "json"])
+        assert capsys.readouterr().out == ""
+
     @pytest.mark.parametrize("argv, field, expected", [
         # 0.000528497301...: a 10^-6 wide interval once printed 0.000529.
         (["--variety", "nonplane", "--k", "0", "--r", "60"],
@@ -648,6 +666,23 @@ class TestExitCodeContract:
         assert proc.returncode == 141
         assert proc.stderr == ""
 
+    def test_reader_gone_after_the_first_line_of_a_json_bracket(self):
+        # As in `treerank bounds ... --format json | head -1`: the report
+        # (about 0.8 MB) is written a row at a time, and the write after the
+        # reader leaves ends the process as SIGPIPE would, without a traceback.
+        proc = subprocess.Popen([sys.executable, "-m", "treerank.cli", "bounds", "--k", "2",
+                                 "--r", "100", "--format", "json"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=dict(os.environ, PYTHONPATH=str(SRC)))
+        try:
+            assert proc.stdout.readline() == b"{\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=120) == 141
+            assert proc.stderr.read() == b""
+        finally:
+            proc.kill()
+            proc.stderr.close()
+
 
 class TestBenchmarkTracer:
     def test_tracer_installs_and_reports_on_the_current_package(self):
@@ -687,17 +722,22 @@ class TestBenchmarkStdout:
     def test_a_sample_of_benchmark_commands_matches_the_reference_digests(self):
         # The benchmark rejects a command whose stdout hash differs from
         # perfbench/reference.json; a sample of its commands, run in
-        # process, catches such drift here first: the default verify, one
-        # rank count, and all 18 bracket commands (both varieties, every K,
-        # the text rungs and the JSON one).
+        # process, catches such drift here first: the default verify, all
+        # 18 bracket commands (both varieties, every K, the text rungs and
+        # the JSON one), and one count of each kind but root in each format
+        # for both varieties, whose decimals go through `decimal_string`.
         spec = importlib.util.spec_from_file_location("perfbench_workloads",
                                                       PERFBENCH / "workloads.py")
         workloads = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(workloads)
         reference = json.loads((PERFBENCH / "reference.json").read_text())
-        rank = next(argv for argv in workloads.every_command("series") if "rank" in argv)
+        counts = workloads.every_command("series")
+        sample = [next(argv for argv in counts if {variety, kind, fmt} <= set(argv))
+                  for variety in workloads.VARIETIES for kind in ("rank", "size", "joint")
+                  for fmt in workloads.FORMATS]
+        assert len({workloads.key(argv) for argv in sample}) == 18
         for argv in [*workloads.commands("oracle", 0), *workloads.every_command("bracket"),
-                     rank]:
+                     *sample]:
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
                 assert main(argv) == 0, argv

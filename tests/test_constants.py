@@ -37,12 +37,15 @@ from treerank.constants import (
     _sci_upper,
     decimal_string,
     iv_enclosure,
+    iv_enclosures,
     iv_sign,
 )
 from treerank.limits import _WEIGHT, bound_interval, limit_joint_prob, limit_subtree_prob
 from treerank.variety import TreeVariety
 
-from reference_solvers import kernel_weight_moment, unrolled_weight_moment
+from reference_solvers import _rounds_alike as fraction_rounds_alike
+from reference_solvers import decimal_string as fraction_decimal_string
+from reference_solvers import enclosure_decimal, kernel_weight_moment, unrolled_weight_moment
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -454,7 +457,7 @@ def mpmath_iv_enclosure(builder: Callable, digits: int, start_prec: int = _START
         lo, hi = _iv_endpoints(value)
         enc = Enclosure(lo, hi, digits)
         best = enc if best is None else best.intersect(enc)
-        if best.width <= target and _rounds_alike(best.lo, best.hi, digits):
+        if best.width <= target and fraction_rounds_alike(best.lo, best.hi, digits):
             return Enclosure(best.lo, best.hi, digits)
         prec *= 2
     raise RuntimeError(f"interval evaluation did not reach 10^-{digits}")
@@ -830,10 +833,12 @@ class TestEnclosures:
         # Endpoints within a few units of the 12th place of a short decimal,
         # often one ending in 5, so that they sit on or beside rounding
         # boundaries of several places.
-        lo = Fraction(10 * head + last, 10**scale) + Fraction(low_off, 10**12)
-        hi = lo + Fraction(width, 10**12)
-        naive = all(decimal_string(lo, p) == decimal_string(hi, p) for p in range(1, digits + 1))
-        assert _rounds_alike(lo, hi, digits) == naive
+        den = 10**12
+        lo = (10 * head + last) * 10 ** (12 - scale) + low_off
+        hi = lo + width
+        naive = all(decimal_string(lo, lo, den, p) == decimal_string(hi, hi, den, p)
+                    for p in range(1, digits + 1))
+        assert _rounds_alike(lo, hi, den, digits) == naive
 
     @pytest.mark.parametrize("build, expected", [
         (lambda: limit_subtree_prob(TreeVariety.NONPLANE, 60), "0.000528"),
@@ -849,11 +854,88 @@ class TestEnclosures:
 
     def test_decimals_past_the_int_to_str_cap(self):
         # 1/7 = 0.(142857); the digit after 5000 places is 2, so it rounds down.
-        assert decimal_string(Fraction(1, 7), 5000) == "0." + "142857" * 833 + "14"
-        assert decimal_string(Fraction(1 - 10**6000, 3), 0) == "-" + "3" * 6000
+        assert decimal_string(1, 1, 7, 5000) == "0." + "142857" * 833 + "14"
+        assert decimal_string(1 - 10**6000, 1 - 10**6000, 3, 0) == "-" + "3" * 6000
         assert _sci_upper(Fraction(10**5000 + 1, 3)) == "34e4998"
         assert _sci_upper(Fraction(1, 3 * 10**5000)) == "34e-5002"
         assert _sci_upper(Fraction(10**5000)) == "10e4999"
+
+
+# Denominators of both kinds: the 2^prec of the interval ladder, and any other.
+DENOMINATORS = st.one_of(st.integers(0, 1100).map(lambda k: 1 << k), st.integers(1, 10**40))
+
+
+class TestIntegerDecimals:
+    """The integer decimals against the `Fraction` routines they replaced."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(-10**60, 10**60), DENOMINATORS, st.integers(0, 40))
+    @example(-1, 3, 0)  # rounds to 0: no minus sign
+    @example(1, 7, 40)
+    def test_point_decimals(self, n, d, places):
+        assert decimal_string(n, n, d, places) == fraction_decimal_string(Fraction(n, d), places)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-10**20, 10**20), st.integers(0, 40), st.integers(1, 10**12))
+    def test_exact_ties_at_the_last_place_round_away_from_zero(self, m, places, k):
+        # (2m + 1)/(2 10^places), a half at the last place, over a scaled denominator.
+        n, d = (2 * m + 1) * k, 2 * 10**places * k
+        text = decimal_string(n, n, d, places)
+        assert text == fraction_decimal_string(Fraction(n, d), places)
+        away = abs(m + (m >= 0))  # the tie's magnitude rounded up
+        assert text.lstrip("-").replace(".", "").lstrip("0") == str(away).lstrip("0")
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(-10**60, 10**60), st.one_of(st.integers(0, 10), st.integers(0, 10**60)),
+           DENOMINATORS, st.integers(0, 40))
+    @example(1, 1, 10, 6)  # 0.15 +- 0.05, as in test_wide_enclosure_annotates
+    def test_intervals_narrow_and_wide(self, lo, width, den, places):
+        hi = lo + width
+        expected = enclosure_decimal(Fraction(lo, den), Fraction(hi, den), places)
+        assert decimal_string(lo, hi, den, places) == expected
+        assert Enclosure(Fraction(lo, den), Fraction(hi, den), places).decimal() == expected
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(-10**50, 10**50), st.integers(0, 10**3), DENOMINATORS,
+           st.integers(1, 40))
+    @example(5 * 10**11 - 1, 2, 10**13, 8)  # 0.05 -+ 10^-13 agree at 8 places, not at 1
+    def test_rounds_alike(self, lo, width, den, digits):
+        hi = lo + width
+        assert _rounds_alike(lo, hi, den, digits) == \
+            fraction_rounds_alike(Fraction(lo, den), Fraction(hi, den), digits)
+
+    def test_bounds_out_of_order_raise_also_under_python_O(self):
+        # One value given out of order on its first rung, and one whose second
+        # rung is disjoint from its first, so that the intersection is empty.
+        code = ("from treerank.constants import iv_enclosure, iv_enclosures\n"
+                "def crossing(ctx):\n"
+                "    return [(0, 1), (3, 2)]\n"
+                "def disjoint(ctx):\n"
+                "    return (0, 1 << ctx.prec) if ctx.prec == 64 else (-10, -5)\n"
+                "for call in (lambda: iv_enclosures(crossing, 6),\n"
+                "             lambda: iv_enclosure(disjoint, 6)):\n"
+                "    try:\n"
+                "        call()\n"
+                "    except ValueError as exc:\n"
+                "        print(exc)\n")
+        proc = subprocess.run([sys.executable, "-O", "-B", "-c", code], capture_output=True,
+                              text=True, env={"PYTHONPATH": str(SRC)}, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "enclosure endpoints out of order\n" * 2
+
+    def test_ladder_returns_integer_bounds_and_their_rung(self):
+        # 1/3 within 2^(prec/2) units, 2^-32 wide at 64 bits and 2^-63 at
+        # 128; and within one unit, 2^-64 wide at 64 bits.
+        def thirds(ctx):
+            third, half = (1 << ctx.prec) // 3, 1 << ctx.prec // 2
+            return [(third - half, third + half), (third, third + 1)]
+
+        coarse, fine = iv_enclosures(thirds, 12)
+        assert coarse == ((1 << 128) // 3 - (1 << 64), (1 << 128) // 3 + (1 << 64), 128)
+        assert fine == ((1 << 64) // 3, (1 << 64) // 3 + 1, 64)
+        assert decimal_string(*coarse[:2], 1 << 128, 12) == "0.333333333333"
+        assert iv_enclosure(lambda ctx: thirds(ctx)[0], 12) == \
+            Enclosure(Fraction(coarse[0], 1 << 128), Fraction(coarse[1], 1 << 128), 12)
 
 
 class TestFixedPointKernel:
@@ -970,7 +1052,8 @@ class TestHornerEvaluation:
             new = value.enclosure(d)
             assert max(new.lo, ref.lo) <= min(new.hi, ref.hi), (value, d)
             assert new.contains(fine)
-            assert decimal_string(fine.lo, d) == decimal_string(fine.hi, d) == new.decimal()
+            assert fraction_decimal_string(fine.lo, d) == fraction_decimal_string(fine.hi, d) \
+                == new.decimal()
 
     def test_bracket_terms_match_the_reference(self):
         values, _ = bracket_ladder_rounds()

@@ -336,10 +336,12 @@ class TestMomentSum:
             assert moment_sum(variety, [0] * 7) == ExactConst.zero()
 
 
-def assert_same_row(row: constants.Enclosure, reference: constants.Enclosure) -> None:
+def assert_same_row(row: tuple[int, int, int], reference: constants.Enclosure) -> None:
     """Same printed decimal, and intervals that overlap."""
-    assert row.decimal() == reference.decimal()
-    row.intersect(reference)  # raises ValueError when the two are disjoint
+    lo, hi, prec = row
+    assert constants.decimal_string(lo, hi, 1 << prec, reference.digits) == reference.decimal()
+    enclosure = constants.Enclosure(Fraction(lo, 1 << prec), Fraction(hi, 1 << prec), 1)
+    enclosure.intersect(reference)  # raises ValueError when the two are disjoint
 
 
 class TestRowEnclosures:
@@ -419,6 +421,20 @@ class TestRowTexts:
         for i, (n, (text,)) in enumerate(zip(weights, rows), start=1):
             value = KAPPA[variety] * moment_sum(variety, [0] * (i - 1) + [n])
             assert text == value.render(), i
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(list(TreeVariety)),
+           st.lists(st.integers(0, 2**64), min_size=1, max_size=40))
+    def test_weights_rich_in_small_primes_match_render(self, variety, multiples):
+        # N_i = m i! 6^i shares most of its small primes with the row's
+        # denominators, so the per-column gcd G is above 1 and the per-term
+        # gcds cancel.
+        weights = [m * factorial(i) * 6**i for i, m in enumerate(multiples, start=1)]
+        rows = list(row_texts(variety, weights, multiples))
+        for i, (n, m, (text, plain)) in enumerate(zip(weights, multiples, rows), start=1):
+            for weight, got in ((n, text), (m, plain)):
+                value = KAPPA[variety] * moment_sum(variety, [0] * (i - 1) + [weight])
+                assert got == value.render(), i
 
 
 EXPECTED_CLOSED_FORMS = {
