@@ -58,12 +58,13 @@ def _at_least(low: int, most: int | None = None) -> Callable[[str], int]:
 # The largest --enum-limit: a pass visits every tree of each size up to it,
 # and there are 435 847 959 plane trees of size 13 but 5 045 745 069 of size 14.
 MAX_ENUM_LIMIT = 13
+DEFAULT_DIGITS = 12
 
 _SHARED_FLAGS = {
     "--variety": dict(default="nonplane", choices=["nonplane", "plane"]),
     "--order": dict(type=_at_least(0), default=DEFAULT_ORDER,
                     help="series truncation order (default 80)"),
-    "--digits": dict(type=_at_least(1, MAX_DIGITS), default=12,
+    "--digits": dict(type=_at_least(1, MAX_DIGITS), default=DEFAULT_DIGITS,
                      help=f"decimal digits for printed enclosures (at most {MAX_DIGITS}, "
                           "the most an enclosure can certify)"),
     "--enum-limit": dict(type=_at_least(1, MAX_ENUM_LIMIT), default=DEFAULT_ENUM_LIMIT,
@@ -87,6 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_counts = sub.add_parser("counts", help="count sequences and root-rank tables")
     _add_shared(p_counts, "--variety", "--order", "--digits")
     p_counts.add_argument("--kind", required=True, choices=["rank", "size", "joint", "root"])
+    p_counts.set_defaults(digits=None)  # so that --kind root can refuse it; see cmd_counts
     p_counts.add_argument("--k", type=_at_least(0), default=None, help="vertex rank")
     p_counts.add_argument("--r", type=_at_least(1), default=None, help="subtree size")
     p_counts.add_argument("--i", type=_at_least(1), default=None, help="subtree size (joint)")
@@ -119,14 +121,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # The selector flags each --kind reads; a selector flag it does not read
-# is a usage error, as any flag its subcommand does not read is.
-_COUNTS_SELECTORS = {"rank": ("k",), "size": ("r",), "joint": ("k", "i"), "root": ()}
-_LIMITS_SELECTORS = {"rank": ("k",), "v": ("r",), "w": ("k", "i")}
+# is a usage error, as any flag its subcommand does not read is.  The root
+# table prints no decimals, so `counts --kind root` refuses --digits too.
+_COUNTS_SELECTORS = {"rank": ("k", "digits"), "size": ("r", "digits"),
+                     "joint": ("k", "i", "digits"), "root": ()}
+_LIMITS_SELECTORS = {"rank": ("k", "digits"), "v": ("r", "digits"), "w": ("k", "i", "digits")}
 
 
 def _reject_unread_selectors(args: argparse.Namespace, parser: argparse.ArgumentParser,
                              reads: dict[str, tuple[str, ...]]) -> None:
-    unread = [f"--{name}" for name in ("k", "r", "i")
+    unread = [f"--{name}" for name in ("k", "r", "i", "digits")
               if name not in reads[args.kind] and getattr(args, name) is not None]
     if unread:
         parser.error(f"--kind {args.kind} does not read {' '.join(unread)}")
@@ -176,7 +180,8 @@ def cmd_counts(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             parser.error("--kind joint needs --k >= 0 and --i >= 1")
         seq = joint_vertex_counts(variety, args.k, args.i, order)
 
-    rows = seq.csv_rows(args.digits)[: n_max + 2]
+    digits = DEFAULT_DIGITS if args.digits is None else args.digits
+    rows = seq.csv_rows(digits)[: n_max + 2]
     if args.format == "json":
         payload = {
             "variety": str(variety),

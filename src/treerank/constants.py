@@ -90,36 +90,40 @@ def _lowest_terms(n: int, d: int) -> tuple[int, int]:
     return n // g, d // g
 
 
-def _fraction_str(n: int, d: int) -> str:
-    """n/d for d > 0, already in lowest terms."""
-    return str(n) if d == 1 else f"({n}/{d})"
-
-
 def render_terms(terms: Iterable[tuple[int, int, int, int, int]]) -> str:
     """Text of a sum of terms (a/da + (b/db) sqrt3) pi^j, given as (j, a, da, b, db).
 
     The terms come in the canonical order, exponents 0, 1, 2, ... then
     -1, -2, ..., with no zero pair.  Each component is in lowest terms
     over its own positive denominator, a zero one as 0/1, so nothing here
-    takes a gcd; no terms print '0'.
+    takes a gcd; no terms print '0'.  A numerator that repeats, as N/h does
+    over the terms of a row of `limits.row_texts`, is converted to text once.
     """
+    texts: dict[int, str] = {}
+
+    def fraction(n: int, d: int) -> str:  # n/d for d > 0, in lowest terms
+        text = texts.get(n)
+        if text is None:
+            text = texts[n] = str(n)
+        return text if d == 1 else f"({text}/{d})"
+
     parts: list[str] = []
     for j, a, da, b, db in terms:
         if not b:
             sign = 1 if a > 0 else -1
-            coeff = "" if da == 1 and abs(a) == 1 else _fraction_str(abs(a), da)
+            coeff = "" if da == 1 and abs(a) == 1 else fraction(abs(a), da)
         elif not a:
             sign = 1 if b > 0 else -1
-            coeff = "sqrt3" if db == 1 and abs(b) == 1 else f"{_fraction_str(abs(b), db)}*sqrt3"
+            coeff = "sqrt3" if db == 1 and abs(b) == 1 else f"{fraction(abs(b), db)}*sqrt3"
         else:
             # Mixed pair: keep both components inside one parenthesis,
             # negated as a whole when the value is negative.
             sign = _coeff_sign(a * db, b * da)
             aa, bb = (a, b) if sign > 0 else (-a, -b)
             second = "sqrt3" if db == 1 and abs(bb) == 1 else \
-                f"{_fraction_str(abs(bb), db)}*sqrt3"
+                f"{fraction(abs(bb), db)}*sqrt3"
             joiner = " + " if bb > 0 else " - "
-            coeff = f"({_fraction_str(aa, da)}{joiner}{second})"
+            coeff = f"({fraction(aa, da)}{joiner}{second})"
         pi_part = "" if j == 0 else "pi" if j == 1 else f"pi^{j}"
         term = f"{coeff}*{pi_part}" if coeff and pi_part else coeff or pi_part or "1"
         if not parts:

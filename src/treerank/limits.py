@@ -67,27 +67,33 @@ the moment sum of [T_1, ..., T_r], gives the upper bound.  Both bounds
 are exact; only printed values are enclosed.
 
 A bracket's JSON report also prints every per-size row, v_i and w_{k,i},
-each kappa_v N_i w_(i-1) for an integer N_i (T_i or t[k][i]).
-`row_enclosures` bounds all rows of one list from a single forward pass
-of the recurrence per rung of the precision ladder (`constants`): e_m is
-kept as e_(m-1) z0/(m+1), then w_m = e_m - b w_(m-2), in integer fixed
-point with lower bounds rounded down and upper bounds up.  As z0 < 2,
-every step of e multiplies by less than 1, so e_m's width stays a few
-units of the last place; and as 0 < b <= 1, w_m's width is at most e_m's
-plus b times w_(m-2)'s plus two roundings, which grows at most linearly
-in m.  Row i is therefore about N_i i units wide, and the pass starts on
-the rung that holds the bit length of the largest N_i plus that of the
-row count, plus the ladder's guard bits.  The rows' exact texts unroll
-the same recurrence: with E_e = kappa_v c z0^e/e!, row i has the pi^(e-1)
-coefficient N_i (-b)^((i-e)/2) E_e for e = i, i-2, ... >= 1, and the pi^-1
+each kappa_v N_i w_(i-1) for an integer N_i (T_i or t[k][i]).  One ladder
+(`constants`) encloses the whole report: on each rung, one forward pass
+of the recurrence keeps e_m as e_(m-1) z0/(m+1), then w_m = e_m - b w_(m-2),
+in integer fixed point with lower bounds rounded down and upper bounds
+up, and scales the shared w_(i-1) bounds by both columns' N_i
+(`_enclose_rows`; `row_enclosures` is the same pass on one column).  As
+z0 < 2, every step of e multiplies by less than 1, so e_m's width stays a
+few units of the last place; and as 0 < b <= 1, w_m's width is at most
+e_m's plus b times w_(m-2)'s plus two roundings, which grows at most
+linearly in m.  Row i is therefore about N_i i units wide, and the pass
+starts on the rung that holds the bit length of the largest N_i plus
+that of the row count, plus the ladder's guard bits.  The same pass sums
+each column's products N_i w_(i-1) and takes kappa_v once per sum: the
+lower bound, v_partial_sum and upper = lower + 1 - v_partial_sum are
+values of the ladder in their own right, so their decimals are correctly
+rounded as well.  The rows' exact texts unroll the same recurrence: with
+E_e = kappa_v c z0^e/e!, row i has the pi^(e-1) coefficient
+N_i (-b)^((i-e)/2) E_e for e = i, i-2, ... >= 1, and the pi^-1
 coefficient N_i (-b)^(floor((i-1)/2)+1) kappa_v g(0).  `row_texts` builds
 each E_e once per report, reduces each of a row's coefficients once for
 all its columns, and takes one gcd per row and column (`_scaled_terms`).
+The texts and decimals go into the report between quotes as they are,
+since neither holds a character that JSON escapes.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -184,6 +190,21 @@ def row_enclosures(variety: TreeVariety, weights: Sequence[int],
     w_{k,1}, w_{k,2}, ....  Each rung of the ladder runs the moment
     recurrence forward once for every row (module docstring).
     """
+    return _enclose_rows(variety, (weights,), digits)
+
+
+def _enclose_rows(variety: TreeVariety, columns: Sequence[Sequence[int]], digits: int,
+                  bracket: bool = False) -> list[tuple[int, int, int]]:
+    """`row_enclosures` for equally long columns at once, row by row and
+    one interval per column, from one forward pass per rung.
+
+    With `bracket`, the columns are (t[k], T) and three values follow the
+    rows, each enclosed on its own: lower = the sum of the w rows,
+    upper = lower + 1 - v_partial_sum, and v_partial_sum = the sum of the v
+    rows.  Each sum takes kappa_v once, on the sum of its rows' products
+    N_i w_(i-1); the rows grow like i!, so a sum is about as wide as its
+    last row.
+    """
     z0, c, b, g0 = _WEIGHT[variety]
     kappa = KAPPA[variety]
     cn, cd = c.numerator, c.denominator
@@ -194,30 +215,42 @@ def row_enclosures(variety: TreeVariety, weights: Sequence[int],
         prec = ctx.prec
         zl, zh = z0._iv_value(ctx)
         kl, kh = kappa._iv_value(ctx)
+
+        def times_kappa(lo: int, hi: int) -> tuple[int, int]:
+            return (lo * (kl if lo >= 0 else kh) >> prec,
+                    -(-hi * (kh if hi >= 0 else kl) >> prec))
+
         gl = (bg.numerator << prec) // bg.denominator  # b g(0) 2^prec, rounded out
         gh = -((-bg.numerator << prec) // bg.denominator)
         el, eh = cn * zl // cd, -(-cn * zh // cd)  # e_0 = c z0
         w1 = w2 = (0, 0)  # w_(m-1), w_(m-2)
+        sums = [[0, 0] for _ in columns]
         out = []
-        for m, n in enumerate(weights):
+        for m, weights in enumerate(zip(*columns)):
             if m < 2:
                 wl, wh = el - gh, eh - gl
             else:  # b w_(m-2) rounded up for the lower bound, down for the upper
                 wl, wh = el + (-bn * w2[1] // bd), eh - bn * w2[0] // bd
-            if n:
-                lo, hi = n * wl, n * wh
-                out.append((lo * (kl if lo >= 0 else kh) >> prec,
-                            -(-hi * (kh if hi >= 0 else kl) >> prec)))
-            else:
-                out.append((0, 0))
+            for n, total in zip(weights, sums):
+                if n:
+                    lo, hi = n * wl, n * wh
+                    out.append(times_kappa(lo, hi))
+                    total[0] += lo
+                    total[1] += hi
+                else:
+                    out.append((0, 0))
             # e_(m+1) = e_m z0/(m+2); both bounds stay nonnegative
             el = (el * zl >> prec) // (m + 2)
             eh = -((-eh * zh >> prec) // (m + 2))
             w1, w2 = (wl, wh), w1
+        if bracket:
+            (ll, lh), (vl, vh) = (times_kappa(*total) for total in sums)
+            one = 1 << prec
+            out += [(ll, lh), (ll + one - vh, lh + one - vl), (vl, vh)]
         return out
 
-    bits = max(weights, default=0).bit_length() + len(weights).bit_length()
-    return iv_enclosures(rows, digits, start_rung(bits))
+    bits = max(max(column, default=0) for column in columns).bit_length()
+    return iv_enclosures(rows, digits, start_rung(bits + len(columns[0]).bit_length()))
 
 
 def row_texts(variety: TreeVariety, *columns: Sequence[int]) -> Iterator[tuple[str, ...]]:
@@ -259,11 +292,16 @@ def row_texts(variety: TreeVariety, *columns: Sequence[int]) -> Iterator[tuple[s
 def _scaled_terms(row: list[tuple[int, int, int, bool]], n: int,
                   g: int) -> Iterator[tuple[int, int, int, int, int]]:
     """`render_terms`' terms for the row's terms (j, x, d, sqrt3) times n,
-    given g = gcd(n, L) for a common multiple L of the row's denominators."""
+    given g = gcd(n, L) for a common multiple L of the row's denominators.
+    A row's terms share a few divisors h of g, and n is divided by each once."""
+    quotients = {}
     for j, x, d, sqrt3 in row:
         if g > 1:  # gcd(n x, d) = gcd(n, d) = gcd(g, d) as x/d is in lowest terms
             h = gcd(g, d)
-            x, d = n // h * x, d // h
+            q = quotients.get(h)
+            if q is None:
+                q = quotients[h] = n // h
+            x, d = q * x, d // h
         else:
             x *= n
         yield (j, 0, 1, x, d) if sqrt3 else (j, x, d, 0, 1)
@@ -335,40 +373,45 @@ def bound_interval(variety: TreeVariety, k: int, r: int = DEFAULT_BOUND_TERMS) -
     kappa = KAPPA[variety]
     lower = kappa * moment_sum(variety, root_ranks(variety, k, r))
     v_sum = kappa * moment_sum(variety, tree_counts(variety, r)[1:])
-    report = BoundReport(variety, k, r, lower, lower + (1 - v_sum), v_sum)
-    if report.gap.sign() < 0:
+    gap = 1 - v_sum
+    if gap.sign() < 0:
         raise InvariantError(f"bracket for k={k}, r={r} has lower above upper")
-    return report
+    return BoundReport(variety, k, r, lower, lower + gap, v_sum)
 
 
 def bound_report_json(report: BoundReport, digits: int) -> str:
     """The report as JSON, byte for byte what `json.dumps(payload, indent=2)`
     prints for its payload, written without building the payload; decimals
     carry `digits` places, and the per-size rows w_{k,i} and v_i come from
-    `row_texts` and `row_enclosures`."""
+    `row_texts` and one ladder of `_enclose_rows`."""
     return "".join(_bound_report_pieces(report, digits))
 
 
 def _bound_report_pieces(report: BoundReport, digits: int) -> Iterator[str]:
     """`bound_report_json`'s text: the head, then a piece per row.  Every
-    interval is made before the first piece, so a failure yields nothing."""
+    interval is made before the first piece, so a failure yields nothing.
+
+    The exact texts and decimals go between quotes as they are: `render`
+    writes digits, letters and `()/*+-^ `, and a decimal of an interval the
+    ladder certified has no `±`, so neither holds a character JSON escapes.
+    """
     variety, k, r = report.variety, report.k, report.r
     t_k = root_ranks(variety, k, r)
     counts = tree_counts(variety, r)[1:]
-    w_rows, v_rows = row_enclosures(variety, t_k, digits), row_enclosures(variety, counts, digits)
-    dump = json.dumps
+    *rows, lower, upper, v_sum = _enclose_rows(variety, (t_k, counts), digits, bracket=True)
+
+    def decimal(lo: int, hi: int, prec: int) -> str:
+        return decimal_string(lo, hi, 1 << prec, digits)
+
     pairs = "".join(
-        f'  "{name}": {{\n    "exact": {dump(value.render())},\n'
-        f'    "decimal": {dump(value.enclosure(digits).decimal())}\n  }},\n'
-        for name, value in (("lower", report.lower), ("upper", report.upper),
-                            ("v_partial_sum", report.partial_v_sum)))
-    yield (f'{{\n  "variety": {dump(str(variety))},\n  "k": {k},\n  "r": {r},\n{pairs}'
-           f'  "per_i_terms": [')
-    rows = zip(t_k, row_texts(variety, t_k, counts), w_rows, v_rows)
-    for i, (t, (w, v), (wl, wh, wp), (vl, vh, vp)) in enumerate(rows, 1):
+        f'  "{name}": {{\n    "exact": "{value.render()}",\n'
+        f'    "decimal": "{decimal(*bounds)}"\n  }},\n'
+        for name, value, bounds in (("lower", report.lower, lower), ("upper", report.upper, upper),
+                                    ("v_partial_sum", report.partial_v_sum, v_sum)))
+    yield f'{{\n  "variety": "{variety}",\n  "k": {k},\n  "r": {r},\n{pairs}  "per_i_terms": ['
+    texts = row_texts(variety, t_k, counts)
+    for i, (t, (w, v), w_row, v_row) in enumerate(zip(t_k, texts, rows[::2], rows[1::2]), 1):
         yield (f'{"," if i > 1 else ""}\n    {{\n      "i": {i},\n      "t_ki": {t},\n'
-               f'      "w_exact": {dump(w)},\n'
-               f'      "w_decimal": {dump(decimal_string(wl, wh, 1 << wp, digits))},\n'
-               f'      "v_exact": {dump(v)},\n'
-               f'      "v_decimal": {dump(decimal_string(vl, vh, 1 << vp, digits))}\n    }}')
+               f'      "w_exact": "{w}",\n      "w_decimal": "{decimal(*w_row)}",\n'
+               f'      "v_exact": "{v}",\n      "v_decimal": "{decimal(*v_row)}"\n    }}')
     yield "\n  ]\n}"

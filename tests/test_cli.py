@@ -230,19 +230,21 @@ class TestBounds:
         assert payload["k"] == 1 and payload["r"] == 3
 
     def test_json_failure_in_the_second_row_column_prints_nothing(self, capsys, monkeypatch):
-        # The report is written a row at a time, but only once both row
-        # columns are enclosed: a planted failure in the v column leaves
-        # stdout empty.
-        calls = []
-        enclose = limits.row_enclosures
-
-        def failing_second_call(*args):
-            calls.append(args)
-            if len(calls) == 2:
+        # The report is written a row at a time, but only once the one
+        # ladder pass has enclosed both row columns and the three bracket
+        # values: a failure planted in that pass at the last v row (the
+        # second column), after every w row, leaves stdout empty.
+        class Planted(int):
+            def __mul__(self, other):  # the pass scales its bounds by N_i
                 raise RuntimeError("planted")
-            return enclose(*args)
 
-        monkeypatch.setattr(limits, "row_enclosures", failing_second_call)
+        tree_counts = limits.tree_counts
+
+        def planted_tree_counts(variety, size):
+            counts = tree_counts(variety, size)
+            return [*counts[:-1], Planted(counts[-1])]
+
+        monkeypatch.setattr(limits, "tree_counts", planted_tree_counts)
         with pytest.raises(RuntimeError, match="planted"):
             main(["bounds", "--k", "2", "--r", "12", "--format", "json"])
         assert capsys.readouterr().out == ""
@@ -512,7 +514,8 @@ class TestConfig:
             (["counts", "--order", "5", "--kind", "rank", "--k", "1"], ["--r", "--i"]),
             (["counts", "--order", "5", "--kind", "size", "--r", "1"], ["--k", "--i"]),
             (["counts", "--order", "5", "--kind", "joint", "--k", "1", "--i", "2"], ["--r"]),
-            (["counts", "--order", "5", "--kind", "root"], ["--k", "--r", "--i"]),
+            # The root table prints no decimals.
+            (["counts", "--order", "5", "--kind", "root"], ["--k", "--r", "--i", "--digits"]),
             (["limits", "--kind", "rank", "--k", "0"], ["--r", "--i"]),
             (["limits", "--kind", "v", "--r", "1"], ["--k", "--i"]),
             (["limits", "--kind", "w", "--k", "1", "--i", "3"], ["--r"]),
@@ -688,6 +691,8 @@ class TestBenchmarkTracer:
     def test_tracer_installs_and_reports_on_the_current_package(self):
         # The benchmark's traced mode wraps the package's public functions and
         # reads the caches it names; a rename or an uncached name breaks it.
+        # The JSON bracket runs the report's one ladder pass under the tracer,
+        # as the benchmark's traced bracket runs do.
         # `base_series` (now a test helper) and `root_rank_counts` (replaced
         # by the uncached `root_ranks`) are gone on purpose, and the tracer
         # reads them as 0 builds; every other name must still be there.
@@ -700,6 +705,7 @@ class TestBenchmarkTracer:
             "tracer.install()\n"
             "start = time.perf_counter()\n"
             "for argv in (['bounds', '--k', '2', '--r', '4'],\n"
+            "             ['bounds', '--k', '2', '--r', '12', '--format', 'json'],\n"
             "             ['counts', '--order', '10', '--kind', 'size', '--r', '2']):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert treerank.cli.main(argv) == 0, argv\n"

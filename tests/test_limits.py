@@ -549,6 +549,15 @@ def inflated_tree_counts(variety: TreeVariety, order: int) -> tuple[int, ...]:
     return tuple(2 * count for count in tree_counts(variety, order))
 
 
+# a_2, a_3, a_4, a_5 to 12 digits, from ROADMAP's Baselines.
+REFERENCE_LIMITS = {
+    NP: [Fraction(x) for x in ("0.202781379014", "0.089347458653", "0.024385939924",
+                               "0.004025124401")],
+    PL: [Fraction(x) for x in ("0.190238558746", "0.072508503559", "0.016767708813",
+                               "0.002429004090")],
+}
+
+
 class TestBoundIntervals:
     def test_gap_is_unassigned_mass(self):
         report = bound_interval(NP, 2, 8)
@@ -641,6 +650,16 @@ class TestBoundIntervals:
         assert proc.stderr == ("treerank: internal invariant failed: "
                                "bracket for k=2, r=12 has lower above upper\n")
 
+    @pytest.mark.parametrize("variety", list(TreeVariety), ids=str)
+    def test_brackets_contain_the_reference_limits(self, variety):
+        # ROADMAP's 12-digit a_2..a_5 (an ODE integration in the tree-count
+        # variable, independent of this package), decided by exact signs.
+        for k, reference in enumerate(REFERENCE_LIMITS[variety], start=2):
+            for r in (12, 48, 100):
+                report = bound_interval(variety, k, r)
+                assert (report.lower - reference).sign() < 0, (k, r)
+                assert (report.upper - reference).sign() > 0, (k, r)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             bound_interval(NP, -1, 5)
@@ -680,3 +699,27 @@ class TestReportSerialization:
                         text = bound_report_json(report, digits)
                         round_trip = json.dumps(json.loads(text), indent=2)
                         assert round_trip == text, (variety, k, r, digits)
+
+    @pytest.mark.parametrize("variety", list(TreeVariety), ids=str)
+    def test_one_pass_decimals_and_quoted_texts_match_the_slow_paths(self, variety):
+        # The report encloses every value on one ladder pass and quotes its
+        # texts without json.dumps.  Against the Horner path of
+        # `ExactConst.enclosure` (the head, and the rows up to r = 12) and
+        # against json.dumps of the parsed report.
+        for k in (0, 1, 2, 5):
+            for r in (1, 3, 12, 60):
+                report = bound_interval(variety, k, r)
+                for digits in (1, 6, 12, 30):
+                    text = bound_report_json(report, digits)
+                    payload = json.loads(text)
+                    assert json.dumps(payload, indent=2) == text, (k, r, digits)
+                    for name, value in (("lower", report.lower), ("upper", report.upper),
+                                        ("v_partial_sum", report.partial_v_sum)):
+                        expected = value.enclosure(digits).decimal()
+                        assert payload[name]["decimal"] == expected, (name, k, r, digits)
+                    if r > 12:
+                        continue
+                    for i, term in enumerate(payload["per_i_terms"], start=1):
+                        w, v = limit_joint_prob(variety, k, i), limit_subtree_prob(variety, i)
+                        assert term["w_decimal"] == w.enclosure(digits).decimal(), (k, i)
+                        assert term["v_decimal"] == v.enclosure(digits).decimal(), (k, i)
