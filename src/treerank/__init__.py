@@ -26,7 +26,6 @@ from .limits import (
     BoundReport,
     ClosedFormUnavailableError,
     bound_interval,
-    bound_report_json,
     limit_joint_prob,
     limit_rank_fraction,
     limit_subtree_prob,
@@ -48,7 +47,6 @@ __all__ = [
     "SizeLimitError",
     "TreeVariety",
     "bound_interval",
-    "bound_report_json",
     "census",
     "check_inequalities",
     "enumerate_texts",

@@ -11,11 +11,13 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 from operator import add
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .constants import MAX_DIGITS
+from .constants import MAX_DIGITS, decimal_string
 from .counting import (
+    CountSequences,
     _multiplier,
     joint_vertex_counts,
     rank_vertex_counts,
@@ -30,11 +32,13 @@ from .enumeration import (
     enumerate_texts,
 )
 from .limits import (
-    _bound_report_pieces,
+    BoundReport,
     bound_interval,
     limit_joint_prob,
     limit_rank_fraction,
     limit_subtree_prob,
+    row_enclosures,
+    row_texts,
 )
 from .series import DEFAULT_ORDER, InvariantError, solve_linear_counts, tree_counts
 from .variety import TreeVariety, parse_variety
@@ -120,6 +124,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """`build_parser()`, built on the first `main` call and kept: parsing
+    leaves a parser as it was, and building one costs milliseconds, about
+    what a small command does."""
+    return build_parser()
+
+
 # The selector flags each --kind reads; a selector flag it does not read
 # is a usage error, as any flag its subcommand does not read is.  The root
 # table prints no decimals, so `counts --kind root` refuses --digits too.
@@ -155,6 +167,20 @@ def _print_root_rows(variety: TreeVariety, n_max: int, fmt: str) -> None:
         print("\n".join([f"i{sep}k{sep}count"] + [f"{i}{sep}{k}{sep}{c}" for i, k, c in cells]))
 
 
+_COUNT_COLUMNS = ("n", "count", "prob_numerator", "prob_denominator", "prob_decimal")
+
+
+def _count_rows(seq: CountSequences, n_max: int, digits: int) -> Iterator[tuple]:
+    """The `_COUNT_COLUMNS` of each size n <= n_max: n and the count as
+    integers, the probability's numerator, denominator and decimal as text,
+    empty at n = 0, which has no vertices."""
+    yield 0, seq.counts[0], "", "", ""
+    for n in range(1, n_max + 1):
+        p = seq.prob(n)
+        yield (n, seq.counts[n], str(p.numerator), str(p.denominator),
+               decimal_string(p.numerator, p.numerator, p.denominator, digits))
+
+
 def cmd_counts(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     _reject_unread_selectors(args, parser, _COUNTS_SELECTORS)
     variety = parse_variety(args.variety)
@@ -180,30 +206,47 @@ def cmd_counts(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             parser.error("--kind joint needs --k >= 0 and --i >= 1")
         seq = joint_vertex_counts(variety, args.k, args.i, order)
 
-    digits = DEFAULT_DIGITS if args.digits is None else args.digits
-    rows = seq.csv_rows(digits)[: n_max + 2]
+    rows = _count_rows(seq, n_max, DEFAULT_DIGITS if args.digits is None else args.digits)
     if args.format == "json":
-        payload = {
-            "variety": str(variety),
-            "selector": seq.selector,
-            "rows": [
-                {
-                    "n": int(r[0]),
-                    "count": int(r[1]),
-                    "prob_numerator": r[2],
-                    "prob_denominator": r[3],
-                    "prob_decimal": r[4],
-                }
-                for r in rows[1:]
-            ],
-        }
+        payload = {"variety": str(variety), "selector": seq.selector,
+                   "rows": [dict(zip(_COUNT_COLUMNS, row)) for row in rows]}
         print(json.dumps(payload, indent=2))
-    elif args.format == "csv":
-        print("\n".join(",".join(r) for r in rows))
     else:
-        for r in rows:
-            print("\t".join(r))
+        sep = "," if args.format == "csv" else "\t"
+        print("\n".join([sep.join(_COUNT_COLUMNS)] + [sep.join(map(str, row)) for row in rows]))
     return 0
+
+
+def _bound_report_pieces(report: BoundReport, digits: int) -> Iterator[str]:
+    """The report as JSON, byte for byte what `json.dumps(payload, indent=2)`
+    prints for its payload, without building the payload: the head, then a
+    piece per row.  Every interval comes from one `row_enclosures` ladder
+    before the first piece, so a failure yields nothing.
+
+    The exact texts and decimals go between quotes as they are: `render`
+    writes digits, letters and `()/*+-^ `, and `decimal_string` digits, a
+    point and a minus sign, so neither holds a character JSON escapes.
+    """
+    variety, k, r = report.variety, report.k, report.r
+    t_k = root_ranks(variety, k, r)
+    counts = tree_counts(variety, r)[1:]
+    *rows, lower, upper, v_sum = row_enclosures(variety, t_k, counts, digits)
+
+    def decimal(lo: int, hi: int, prec: int) -> str:
+        return decimal_string(lo, hi, 1 << prec, digits)
+
+    pairs = "".join(
+        f'  "{name}": {{\n    "exact": "{value.render()}",\n'
+        f'    "decimal": "{decimal(*bounds)}"\n  }},\n'
+        for name, value, bounds in (("lower", report.lower, lower), ("upper", report.upper, upper),
+                                    ("v_partial_sum", report.partial_v_sum, v_sum)))
+    yield f'{{\n  "variety": "{variety}",\n  "k": {k},\n  "r": {r},\n{pairs}  "per_i_terms": ['
+    texts = row_texts(variety, t_k, counts)
+    for i, (t, (w, v), w_row, v_row) in enumerate(zip(t_k, texts, rows[::2], rows[1::2]), 1):
+        yield (f'{"," if i > 1 else ""}\n    {{\n      "i": {i},\n      "t_ki": {t},\n'
+               f'      "w_exact": "{w}",\n      "w_decimal": "{decimal(*w_row)}",\n'
+               f'      "v_exact": "{v}",\n      "v_decimal": "{decimal(*v_row)}"\n    }}')
+    yield "\n  ]\n}"
 
 
 def cmd_bounds(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -408,7 +451,7 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     handlers: dict[str, Callable] = {
         "counts": cmd_counts,

@@ -14,8 +14,11 @@ Every yes/no decision, the sign of a constant among them, runs on the
 precision ladder below through `iv_sign`, which stops as soon as the
 bounds exclude 0 and asks for no digits.  Enclosures and decimals run
 on integers too: `decimal_string` rounds [lo/den, hi/den] given as
-integers, and `Enclosure`, an interval with exact rational endpoints
-certified to contain the true value, is built for single values only.
+integers, and refuses an interval wider than 10^-places, so that no
+decimal it prints claims more places than its interval certifies; `cli`
+formats every printed decimal with it.  `Enclosure`, an interval with
+exact rational endpoints certified to contain the true value, is built
+for single values only.
 
 Interval evaluation runs in integer fixed point, on a ladder of
 precisions that doubles from a start rung.  A round at precision p holds
@@ -397,35 +400,15 @@ def _round_half_up(n: int, d: int, places: int) -> int:
 
 def decimal_string(lo: int, hi: int, den: int, places: int) -> str:
     """[lo/den, hi/den] for den > 0 as its midpoint rounded half up to `places`
-    decimals, then ±(a bound on the half-width) when it is wider than
-    10^-places; a single value n/d is decimal_string(n, n, d, places)."""
+    decimals; a single value n/d is decimal_string(n, n, d, places).  An
+    interval wider than 10^-places has no such decimal: ValueError."""
+    if (hi - lo) * 10**places > den:
+        raise ValueError(f"interval wider than 10^-{places}")
     scaled = _round_half_up(lo + hi, 2 * den, places)
     sign = "-" if scaled < 0 else ""
     # Decimal converts without the interpreter's cap on int -> str digits.
     digits = str(Decimal(abs(scaled))).rjust(places + 1, "0")
-    text = sign + digits if places == 0 else f"{sign}{digits[:-places]}.{digits[-places:]}"
-    if (hi - lo) * 10**places <= den:
-        return text
-    return f"{text}±{_sci_upper(Fraction(hi - lo, 2 * den))}"
-
-
-def _sci_upper(x: Fraction) -> str:
-    """Upper bound of x in two significant decimal digits, scientific form."""
-    if x <= 0:
-        return "0"
-    # Exact integer log10: 10^ic <= x < 10^(ic+1), from an estimate by bit lengths.
-    ic = floor((x.numerator.bit_length() - x.denominator.bit_length()) * log10(2))
-    while Fraction(10) ** ic > x:
-        ic -= 1
-    while Fraction(10) ** (ic + 1) <= x:
-        ic += 1
-    exp = ic - 1
-    q = x / Fraction(10) ** exp
-    mant = -((-q.numerator) // q.denominator)  # ceil
-    if mant >= 100:
-        mant = (mant + 9) // 10
-        exp += 1
-    return f"{mant}e{exp}"
+    return sign + digits if places == 0 else f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 
 class _EnclosureFields(NamedTuple):
@@ -461,19 +444,13 @@ class Enclosure(_EnclosureFields):
             return self.lo <= value.lo and value.hi <= self.hi
         return self.lo <= value <= self.hi
 
-    def intersect(self, other: "Enclosure") -> "Enclosure":
-        return Enclosure(max(self.lo, other.lo), min(self.hi, other.hi),
-                         max(self.digits, other.digits))
-
     def decimal(self, places: int | None = None) -> str:
-        """Round-to-nearest within the enclosure; annotate when too wide."""
+        """The midpoint to `places` decimals (default `digits`); ValueError
+        when the enclosure is wider than 10^-places."""
         lo, hi = self.lo, self.hi
         return decimal_string(lo.numerator * hi.denominator, hi.numerator * lo.denominator,
                               lo.denominator * hi.denominator,
                               self.digits if places is None else places)
-
-    def __repr__(self) -> str:
-        return f"Enclosure({self.decimal()}, digits={self.digits})"
 
 
 def _log2_bound(n: int, d: int) -> int:

@@ -39,7 +39,6 @@ from functools import lru_cache
 from operator import sub
 from typing import NamedTuple
 
-from .constants import decimal_string
 from .series import DEFAULT_ORDER, _suffix_rows, solve_linear_counts, tree_counts
 from .variety import TreeVariety
 
@@ -75,17 +74,13 @@ class CountSequences(NamedTuple):
     probs normalize by n * tree_count(n) (one vertex among n per tree);
     prob_next normalizes by (n+1) * tree_count(n), which has the same
     limit and converges geometrically instead of like 1/n.  n = 0 has no
-    vertices, so probabilities start at n = 1.
+    vertices, so probabilities start at n = 1.  `cli` prints them as rows.
     """
 
     variety: TreeVariety
     selector: str
     counts: tuple[int, ...]
     tree_totals: tuple[int, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.counts) - 1
 
     def prob(self, n: int) -> Fraction:
         if n < 1:
@@ -96,18 +91,6 @@ class CountSequences(NamedTuple):
         if n < 1:
             raise ValueError("probabilities are defined for n >= 1 only")
         return Fraction(self.counts[n], (n + 1) * self.tree_totals[n])
-
-    def csv_rows(self, digits: int = 12) -> list[list[str]]:
-        rows = [["n", "count", "prob_numerator", "prob_denominator", "prob_decimal"]]
-        for n in range(len(self.counts)):
-            if n == 0:
-                rows.append(["0", str(self.counts[0]), "", "", ""])
-                continue
-            p = self.prob(n)
-            rows.append([str(n), str(self.counts[n]),
-                         str(p.numerator), str(p.denominator),
-                         decimal_string(p.numerator, p.numerator, p.denominator, digits)])
-        return rows
 
 
 def _multiplier(variety: TreeVariety, order: int) -> list[int]:

@@ -212,10 +212,6 @@ class Census(NamedTuple):
     def vertex_pairs(self) -> int:
         return self.n * self.tree_count
 
-    def size_prob(self, r: int) -> Fraction:
-        total = self.size_totals[r] if 1 <= r <= self.n else 0
-        return Fraction(total, self.vertex_pairs)
-
     @property
     def mean_leaves(self) -> Fraction:
         return Fraction(self.leaf_total, self.tree_count)

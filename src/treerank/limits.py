@@ -66,13 +66,13 @@ limiting probability of a subtree larger than r, one minus kappa_v times
 the moment sum of [T_1, ..., T_r], gives the upper bound.  Both bounds
 are exact; only printed values are enclosed.
 
-A bracket's JSON report also prints every per-size row, v_i and w_{k,i},
-each kappa_v N_i w_(i-1) for an integer N_i (T_i or t[k][i]).  One ladder
-(`constants`) encloses the whole report: on each rung, one forward pass
+A bracket's JSON report, which `cli` writes, also prints every per-size
+row, v_i and w_{k,i}, each kappa_v N_i w_(i-1) for an integer N_i (T_i or
+t[k][i]).  One ladder (`constants`) encloses the whole report: on each rung, one forward pass
 of the recurrence keeps e_m as e_(m-1) z0/(m+1), then w_m = e_m - b w_(m-2),
 in integer fixed point with lower bounds rounded down and upper bounds
 up, and scales the shared w_(i-1) bounds by both columns' N_i
-(`_enclose_rows`; `row_enclosures` is the same pass on one column).  As
+(`row_enclosures`).  As
 z0 < 2, every step of e multiplies by less than 1, so e_m's width stays a
 few units of the last place; and as 0 < b <= 1, w_m's width is at most
 e_m's plus b times w_(m-2)'s plus two roundings, which grows at most
@@ -88,8 +88,6 @@ N_i (-b)^((i-e)/2) E_e for e = i, i-2, ... >= 1, and the pi^-1
 coefficient N_i (-b)^(floor((i-1)/2)+1) kappa_v g(0).  `row_texts` builds
 each E_e once per report, reduces each of a row's coefficients once for
 all its columns, and takes one gcd per row and column (`_scaled_terms`).
-The texts and decimals go into the report between quotes as they are,
-since neither holds a character that JSON escapes.
 """
 
 from __future__ import annotations
@@ -99,8 +97,8 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterator, NamedTuple, Sequence
 
-from .constants import (ExactConst, FixedPoint, _lowest_terms, decimal_string, iv_enclosures,
-                        render_terms, start_rung)
+from .constants import (ExactConst, FixedPoint, _lowest_terms, iv_enclosures, render_terms,
+                        start_rung)
 from .counting import root_ranks
 from .series import InvariantError, tree_counts
 from .variety import TreeVariety
@@ -181,27 +179,17 @@ def limit_joint_prob(variety: TreeVariety, k: int, i: int) -> ExactConst:
                                                      tree_counts(variety, i)[i])
 
 
-def row_enclosures(variety: TreeVariety, weights: Sequence[int],
+def row_enclosures(variety: TreeVariety, t_k: Sequence[int], counts: Sequence[int],
                    digits: int) -> list[tuple[int, int, int]]:
-    """Intervals (lo, hi, prec) on the rows kappa_v N_i W_(i-1)/(i-1)! for
-    N_1, N_2, ... >= 0, each as `constants.iv_enclosures` returns it.
+    """Intervals (lo, hi, prec), each as `constants.iv_enclosures` returns
+    it, on the rows of a rank-k bracket's report and on its three values,
+    from one forward pass of the moment recurrence per rung.
 
-    With N_i = T_i the rows are v_1, v_2, ...; with N_i = t[k][i] they are
-    w_{k,1}, w_{k,2}, ....  Each rung of the ladder runs the moment
-    recurrence forward once for every row (module docstring).
-    """
-    return _enclose_rows(variety, (weights,), digits)
-
-
-def _enclose_rows(variety: TreeVariety, columns: Sequence[Sequence[int]], digits: int,
-                  bracket: bool = False) -> list[tuple[int, int, int]]:
-    """`row_enclosures` for equally long columns at once, row by row and
-    one interval per column, from one forward pass per rung.
-
-    With `bracket`, the columns are (t[k], T) and three values follow the
-    rows, each enclosed on its own: lower = the sum of the w rows,
-    upper = lower + 1 - v_partial_sum, and v_partial_sum = the sum of the v
-    rows.  Each sum takes kappa_v once, on the sum of its rows' products
+    The rows are kappa_v N_i W_(i-1)/(i-1)! for the equally long columns
+    t_k, N_i = t[k][i], and counts, N_i = T_i: w_{k,1}, v_1, w_{k,2}, v_2,
+    ....  Three values follow the rows: lower = the sum of the w rows,
+    upper = lower + 1 - v_partial_sum, and v_partial_sum = the sum of the
+    v rows.  Each sum takes kappa_v once, on the sum of its rows' products
     N_i w_(i-1); the rows grow like i!, so a sum is about as wide as its
     last row.
     """
@@ -224,9 +212,9 @@ def _enclose_rows(variety: TreeVariety, columns: Sequence[Sequence[int]], digits
         gh = -((-bg.numerator << prec) // bg.denominator)
         el, eh = cn * zl // cd, -(-cn * zh // cd)  # e_0 = c z0
         w1 = w2 = (0, 0)  # w_(m-1), w_(m-2)
-        sums = [[0, 0] for _ in columns]
+        sums = [[0, 0], [0, 0]]
         out = []
-        for m, weights in enumerate(zip(*columns)):
+        for m, weights in enumerate(zip(t_k, counts)):
             if m < 2:
                 wl, wh = el - gh, eh - gl
             else:  # b w_(m-2) rounded up for the lower bound, down for the upper
@@ -243,14 +231,12 @@ def _enclose_rows(variety: TreeVariety, columns: Sequence[Sequence[int]], digits
             el = (el * zl >> prec) // (m + 2)
             eh = -((-eh * zh >> prec) // (m + 2))
             w1, w2 = (wl, wh), w1
-        if bracket:
-            (ll, lh), (vl, vh) = (times_kappa(*total) for total in sums)
-            one = 1 << prec
-            out += [(ll, lh), (ll + one - vh, lh + one - vl), (vl, vh)]
-        return out
+        (ll, lh), (vl, vh) = (times_kappa(*total) for total in sums)
+        one = 1 << prec
+        return out + [(ll, lh), (ll + one - vh, lh + one - vl), (vl, vh)]
 
-    bits = max(max(column, default=0) for column in columns).bit_length()
-    return iv_enclosures(rows, digits, start_rung(bits + len(columns[0]).bit_length()))
+    bits = max([*t_k, *counts], default=0).bit_length()
+    return iv_enclosures(rows, digits, start_rung(bits + len(counts).bit_length()))
 
 
 def row_texts(variety: TreeVariety, *columns: Sequence[int]) -> Iterator[tuple[str, ...]]:
@@ -377,41 +363,3 @@ def bound_interval(variety: TreeVariety, k: int, r: int = DEFAULT_BOUND_TERMS) -
     if gap.sign() < 0:
         raise InvariantError(f"bracket for k={k}, r={r} has lower above upper")
     return BoundReport(variety, k, r, lower, lower + gap, v_sum)
-
-
-def bound_report_json(report: BoundReport, digits: int) -> str:
-    """The report as JSON, byte for byte what `json.dumps(payload, indent=2)`
-    prints for its payload, written without building the payload; decimals
-    carry `digits` places, and the per-size rows w_{k,i} and v_i come from
-    `row_texts` and one ladder of `_enclose_rows`."""
-    return "".join(_bound_report_pieces(report, digits))
-
-
-def _bound_report_pieces(report: BoundReport, digits: int) -> Iterator[str]:
-    """`bound_report_json`'s text: the head, then a piece per row.  Every
-    interval is made before the first piece, so a failure yields nothing.
-
-    The exact texts and decimals go between quotes as they are: `render`
-    writes digits, letters and `()/*+-^ `, and a decimal of an interval the
-    ladder certified has no `±`, so neither holds a character JSON escapes.
-    """
-    variety, k, r = report.variety, report.k, report.r
-    t_k = root_ranks(variety, k, r)
-    counts = tree_counts(variety, r)[1:]
-    *rows, lower, upper, v_sum = _enclose_rows(variety, (t_k, counts), digits, bracket=True)
-
-    def decimal(lo: int, hi: int, prec: int) -> str:
-        return decimal_string(lo, hi, 1 << prec, digits)
-
-    pairs = "".join(
-        f'  "{name}": {{\n    "exact": "{value.render()}",\n'
-        f'    "decimal": "{decimal(*bounds)}"\n  }},\n'
-        for name, value, bounds in (("lower", report.lower, lower), ("upper", report.upper, upper),
-                                    ("v_partial_sum", report.partial_v_sum, v_sum)))
-    yield f'{{\n  "variety": "{variety}",\n  "k": {k},\n  "r": {r},\n{pairs}  "per_i_terms": ['
-    texts = row_texts(variety, t_k, counts)
-    for i, (t, (w, v), w_row, v_row) in enumerate(zip(t_k, texts, rows[::2], rows[1::2]), 1):
-        yield (f'{"," if i > 1 else ""}\n    {{\n      "i": {i},\n      "t_ki": {t},\n'
-               f'      "w_exact": "{w}",\n      "w_decimal": "{decimal(*w_row)}",\n'
-               f'      "v_exact": "{v}",\n      "v_decimal": "{decimal(*v_row)}"\n    }}')
-    yield "\n  ]\n}"

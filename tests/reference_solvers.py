@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from treerank.constants import ExactConst, _sci_upper
+from treerank.constants import ExactConst
 from treerank.counting import root_ranks
 from treerank.limits import _WEIGHT, KAPPA, limit_joint_prob, limit_subtree_prob, moment_sum
 from treerank.series import EgfSeries, Rational, SeriesOrderError, tree_counts
@@ -169,8 +169,8 @@ def _rounds_alike(lo: Fraction, hi: Fraction, digits: int) -> bool:
 
 
 def enclosure_decimal(lo: Fraction, hi: Fraction, places: int) -> str:
-    """What `Enclosure(lo, hi, ...).decimal(places)` printed on `Fraction`s."""
-    mid = decimal_string((lo + hi) / 2, places)
-    if hi - lo <= Fraction(1, 10**places):
-        return mid
-    return f"{mid}±{_sci_upper((hi - lo) / 2)}"
+    """What `Enclosure(lo, hi, ...).decimal(places)` prints, on `Fraction`s:
+    the midpoint, or ValueError for an interval wider than 10^-places."""
+    if hi - lo > Fraction(1, 10**places):
+        raise ValueError(f"interval wider than 10^-{places}")
+    return decimal_string((lo + hi) / 2, places)

@@ -25,18 +25,28 @@ from treerank.cli import main
 from treerank.constants import MAX_DIGITS
 from treerank.counting import root_ranks
 from treerank.enumeration import census
+from treerank.limits import bound_interval, limit_joint_prob, limit_subtree_prob
 from treerank.series import InvariantError
 from treerank.variety import TreeVariety
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 TESTS = Path(__file__).resolve().parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+NP = TreeVariety.NONPLANE
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def bound_report(capsys, variety, k, r, digits):
+    """The stdout of `bounds --format json`, which must exit 0."""
+    code, out, _ = run(capsys, "bounds", "--variety", str(variety), "--k", str(k),
+                       "--r", str(r), "--digits", str(digits), "--format", "json")
+    assert code == 0
+    return out
 
 
 def corrupted_root_ranks(variety, k, size):
@@ -190,6 +200,26 @@ class TestCounts:
             main(["counts", "--kind", "size"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("variety", list(TreeVariety), ids=str)
+    @pytest.mark.parametrize("selector", [["rank", "--k", "2"], ["size", "--r", "3"],
+                                          ["joint", "--k", "1", "--i", "4"]],
+                             ids=["rank", "size", "joint"])
+    def test_n_max_prints_the_first_rows_of_the_full_order(self, capsys, variety, selector):
+        argv = ["counts", "--variety", str(variety), "--order", "30", "--kind", *selector]
+        for fmt in ("table", "csv", "json"):
+            code, full, _ = run(capsys, *argv, "--format", fmt)
+            assert code == 0
+            for n_max in (0, 1, 7, 29, 30):
+                code, out, _ = run(capsys, *argv, "--format", fmt, "--n-max", str(n_max))
+                assert code == 0
+                if fmt != "json":  # a header, then a row per size n = 0..n_max
+                    assert out.splitlines() == full.splitlines()[:n_max + 2], (fmt, n_max)
+                    continue
+                payload, whole = json.loads(out), json.loads(full)
+                assert len(payload["rows"]) == n_max + 1
+                assert payload == dict(whole, rows=whole["rows"][:n_max + 1]), n_max
+                assert out == json.dumps(payload, indent=2) + "\n"
+
 
 # JSON brackets at 40 and 60 digits, whose enclosures stop above the
 # precision ladder's lowest rung, and one whose w-rows are all 0 (no rank-6
@@ -238,13 +268,13 @@ class TestBounds:
             def __mul__(self, other):  # the pass scales its bounds by N_i
                 raise RuntimeError("planted")
 
-        tree_counts = limits.tree_counts
+        tree_counts = cli.tree_counts
 
         def planted_tree_counts(variety, size):
             counts = tree_counts(variety, size)
             return [*counts[:-1], Planted(counts[-1])]
 
-        monkeypatch.setattr(limits, "tree_counts", planted_tree_counts)
+        monkeypatch.setattr(cli, "tree_counts", planted_tree_counts)
         with pytest.raises(RuntimeError, match="planted"):
             main(["bounds", "--k", "2", "--r", "12", "--format", "json"])
         assert capsys.readouterr().out == ""
@@ -282,6 +312,72 @@ class TestBounds:
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
+
+
+class TestReportSerialization:
+    """`bounds --format json` against the values it reports."""
+
+    def test_schema_keys(self, capsys):
+        report = bound_interval(NP, 2, 4)
+        payload = json.loads(bound_report(capsys, NP, 2, 4, 8))
+        assert list(payload) == ["variety", "k", "r", "lower", "upper",
+                                 "v_partial_sum", "per_i_terms"]
+        assert payload["variety"] == "nonplane"
+        # Decimals carry the digits asked for.
+        assert payload["lower"]["decimal"] == report.lower.enclosure(8).decimal()
+        assert payload["upper"]["decimal"] == report.upper.enclosure(8).decimal()
+        assert len(payload["v_partial_sum"]["decimal"].split(".")[1]) == 8
+        assert list(payload["lower"]) == ["exact", "decimal"]
+        term = payload["per_i_terms"][0]
+        assert list(term) == ["i", "t_ki", "w_exact", "w_decimal", "v_exact", "v_decimal"]
+        assert term["i"] == 1 and term["t_ki"] == 0  # no rank-2 root at size 1
+        assert payload["per_i_terms"][2]["t_ki"] == 1  # the size-3 balanced tree
+        # The per-size rows are the joint and subtree limits themselves.
+        for i, term in enumerate(payload["per_i_terms"], start=1):
+            assert term["w_exact"] == limit_joint_prob(NP, 2, i).render()
+            assert term["v_exact"] == limit_subtree_prob(NP, i).render()
+
+    @pytest.mark.parametrize("variety", list(TreeVariety), ids=str)
+    def test_an_all_zero_w_column(self, capsys, variety):
+        # No tree of size <= 6 has a root of rank 6.
+        terms = json.loads(bound_report(capsys, variety, 6, 6, 5))["per_i_terms"]
+        assert [term["w_exact"] for term in terms] == ["0"] * 6
+        assert [term["w_decimal"] for term in terms] == ["0.00000"] * 6
+
+    def test_json_round_trip_is_byte_identical(self, capsys):
+        # The report is written with f-strings; json.dumps of what it parses
+        # to must print the same bytes.
+        for variety in TreeVariety:
+            for k in (0, 2, 4):
+                for r in (1, 12, 100):
+                    for digits in (1, 12, 40):
+                        out = bound_report(capsys, variety, k, r, digits)
+                        round_trip = json.dumps(json.loads(out), indent=2) + "\n"
+                        assert round_trip == out, (variety, k, r, digits)
+
+    @pytest.mark.parametrize("variety", list(TreeVariety), ids=str)
+    def test_one_pass_decimals_and_quoted_texts_match_the_slow_paths(self, capsys, variety):
+        # The report encloses every value on one ladder pass and quotes its
+        # texts without json.dumps.  Against the Horner path of
+        # `ExactConst.enclosure` (the head, and the rows up to r = 12) and
+        # against json.dumps of the parsed report.
+        for k in (0, 1, 2, 5):
+            for r in (1, 3, 12, 60):
+                report = bound_interval(variety, k, r)
+                for digits in (1, 6, 12, 30):
+                    out = bound_report(capsys, variety, k, r, digits)
+                    payload = json.loads(out)
+                    assert json.dumps(payload, indent=2) + "\n" == out, (k, r, digits)
+                    for name, value in (("lower", report.lower), ("upper", report.upper),
+                                        ("v_partial_sum", report.partial_v_sum)):
+                        expected = value.enclosure(digits).decimal()
+                        assert payload[name]["decimal"] == expected, (name, k, r, digits)
+                    if r > 12:
+                        continue
+                    for i, term in enumerate(payload["per_i_terms"], start=1):
+                        w, v = limit_joint_prob(variety, k, i), limit_subtree_prob(variety, i)
+                        assert term["w_decimal"] == w.enclosure(digits).decimal(), (k, i)
+                        assert term["v_decimal"] == v.enclosure(digits).decimal(), (k, i)
 
 
 class TestLimits:
@@ -685,6 +781,44 @@ class TestExitCodeContract:
         finally:
             proc.kill()
             proc.stderr.close()
+
+
+class TestParserReuse:
+    def test_one_process_prints_what_fresh_processes_print(self):
+        # `main` builds its parser on the first call and keeps it.  Usage
+        # errors and valid commands run one after another in one process
+        # print the same bytes, and exit with the same codes, as each run
+        # in a process of its own.
+        argvs = [["counts", "--kind", "rank", "--k", "-1"],
+                 ["counts", "--kind", "joint", "--k", "1", "--i", "3", "--order", "8",
+                  "--format", "json"],
+                 ["bounds", "--variety", "plane", "--k", "2", "--r", "6", "--format", "json"],
+                 ["limits", "--kind", "w", "--k", "1", "--i", "3"],
+                 ["limits", "--k", "2"]]
+        script = ("import contextlib, io, json, sys\n"
+                  "from treerank import cli\n"
+                  "results = []\n"
+                  "for argv in json.loads(sys.argv[1]):\n"
+                  "    out, err = io.StringIO(), io.StringIO()\n"
+                  "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+                  "        try:\n"
+                  "            code = cli.main(argv)\n"
+                  "        except SystemExit as exc:\n"
+                  "            code = exc.code\n"
+                  "    results.append([code, out.getvalue(), err.getvalue()])\n"
+                  "print(json.dumps(results))\n")
+
+        def results(batch):
+            proc = subprocess.run([sys.executable, "-c", script, json.dumps(batch)],
+                                  capture_output=True, text=True,
+                                  env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            return json.loads(proc.stdout)
+
+        together = results(argvs)
+        assert together == [result for argv in argvs for result in results([argv])]
+        assert [code for code, _, _ in together] == [2, 0, 0, 0, 2]
+        assert together[0][2].startswith("usage: treerank counts")
 
 
 class TestBenchmarkTracer:

@@ -34,7 +34,6 @@ from treerank.constants import (
     _horner,
     _rounds_alike,
     _scale,
-    _sci_upper,
     decimal_string,
     iv_enclosure,
     iv_enclosures,
@@ -456,7 +455,9 @@ def mpmath_iv_enclosure(builder: Callable, digits: int, start_prec: int = _START
             ctx.prec = old_prec
         lo, hi = _iv_endpoints(value)
         enc = Enclosure(lo, hi, digits)
-        best = enc if best is None else best.intersect(enc)
+        if best is not None:
+            enc = Enclosure(max(best.lo, enc.lo), min(best.hi, enc.hi), digits)
+        best = enc
         if best.width <= target and fraction_rounds_alike(best.lo, best.hi, digits):
             return Enclosure(best.lo, best.hi, digits)
         prec *= 2
@@ -737,12 +738,22 @@ class TestEnclosures:
                            summed.digits)
         assert padded.contains(combined)
 
-    def test_wide_enclosure_annotates(self):
+    def test_wide_enclosure_is_refused(self):
+        # [0.1, 0.2] is 10^-1 wide: its midpoint 0.15 prints at one place
+        # only, and a request for more places is refused, not annotated.
         enc = Enclosure(Fraction(1, 10), Fraction(2, 10), digits=6)
-        text = enc.decimal()
-        assert "±" in text
+        for places in (None, 2, 6):
+            with pytest.raises(ValueError, match="wider than 10"):
+                enc.decimal(places)
+        assert enc.decimal(1) == "0.2"
+        with pytest.raises(ValueError, match="wider than 10\\^-6"):
+            decimal_string(1, 2, 10, 6)
+        assert decimal_string(1, 2, 10, 1) == "0.2"
+        assert decimal_string(0, 1, 10**6, 6) == "0.000001"  # exactly 10^-6 wide
+        # The repr shows the fields, not a decimal, so it never raises.
+        assert repr(enc) == "Enclosure(lo=Fraction(1, 10), hi=Fraction(1, 5), digits=6)"
         narrow = Enclosure(Fraction(15, 100), Fraction(15, 100), digits=6)
-        assert "±" not in narrow.decimal()
+        assert narrow.decimal() == "0.150000"
 
     def test_digits_validation(self):
         with pytest.raises(ValueError):
@@ -752,12 +763,8 @@ class TestEnclosures:
         with pytest.raises(ValueError, match="out of order"):
             Enclosure(Fraction(2), Fraction(1), 6)
         low = Enclosure(Fraction(0), Fraction(1), 6)
-        high = Enclosure(Fraction(2), Fraction(3), 6)
-        with pytest.raises(ValueError, match="out of order"):
-            low.intersect(high)
         with pytest.raises(ValueError, match="out of order"):
             low._replace(lo=Fraction(2))
-        assert low.intersect(Enclosure(Fraction(1), Fraction(3), 8)) == (1, 1, 8)
 
     def test_package_imports_without_mpmath(self):
         # Enclosures run on integers alone, so neither the package nor its
@@ -856,9 +863,6 @@ class TestEnclosures:
         # 1/7 = 0.(142857); the digit after 5000 places is 2, so it rounds down.
         assert decimal_string(1, 1, 7, 5000) == "0." + "142857" * 833 + "14"
         assert decimal_string(1 - 10**6000, 1 - 10**6000, 3, 0) == "-" + "3" * 6000
-        assert _sci_upper(Fraction(10**5000 + 1, 3)) == "34e4998"
-        assert _sci_upper(Fraction(1, 3 * 10**5000)) == "34e-5002"
-        assert _sci_upper(Fraction(10**5000)) == "10e4999"
 
 
 # Denominators of both kinds: the 2^prec of the interval ladder, and any other.
@@ -888,12 +892,21 @@ class TestIntegerDecimals:
     @settings(max_examples=400, deadline=None)
     @given(st.integers(-10**60, 10**60), st.one_of(st.integers(0, 10), st.integers(0, 10**60)),
            DENOMINATORS, st.integers(0, 40))
-    @example(1, 1, 10, 6)  # 0.15 +- 0.05, as in test_wide_enclosure_annotates
+    @example(1, 1, 10, 6)  # [0.1, 0.2], as in test_wide_enclosure_is_refused
+    @example(0, 1, 10**6, 6)  # exactly 10^-6 wide
     def test_intervals_narrow_and_wide(self, lo, width, den, places):
+        # The same text, or ValueError for an interval wider than 10^-places.
+        def outcome(decimal):
+            try:
+                return decimal()
+            except ValueError:
+                return ValueError
+
         hi = lo + width
-        expected = enclosure_decimal(Fraction(lo, den), Fraction(hi, den), places)
-        assert decimal_string(lo, hi, den, places) == expected
-        assert Enclosure(Fraction(lo, den), Fraction(hi, den), places).decimal() == expected
+        expected = outcome(lambda: enclosure_decimal(Fraction(lo, den), Fraction(hi, den), places))
+        assert outcome(lambda: decimal_string(lo, hi, den, places)) == expected
+        enclosure = Enclosure(Fraction(lo, den), Fraction(hi, den), places)
+        assert outcome(enclosure.decimal) == expected
 
     @settings(max_examples=400, deadline=None)
     @given(st.integers(-10**50, 10**50), st.integers(0, 10**3), DENOMINATORS,

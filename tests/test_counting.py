@@ -521,9 +521,11 @@ class TestCountSequences:
 
 
 class TestCsvExport:
-    def test_schema_and_zero_row(self):
-        seq = rank_vertex_counts(NP, 0, 4)
-        rows = seq.csv_rows(digits=6)
+    def test_schema_and_zero_row(self, capsys):
+        argv = ["counts", "--kind", "rank", "--k", "0", "--order", "4", "--digits", "6",
+                "--format", "csv"]
+        assert cli.main(argv) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
         assert rows[0] == ["n", "count", "prob_numerator", "prob_denominator", "prob_decimal"]
         assert rows[1] == ["0", "0", "", "", ""]
         assert rows[4] == ["3", "3", "1", "2", "0.500000"]

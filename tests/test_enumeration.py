@@ -451,9 +451,8 @@ class TestEnumeration:
 class TestCensus:
     def test_subtree_size_probabilities_n3(self):
         cen = census(NP, 3)
-        assert cen.size_prob(1) == Fraction(1, 2)
-        assert cen.size_prob(2) == Fraction(1, 6)
-        assert cen.size_prob(3) == Fraction(1, 3)
+        probs = [Fraction(total, cen.vertex_pairs) for total in cen.size_totals[1:]]
+        assert probs == [Fraction(1, 2), Fraction(1, 6), Fraction(1, 3)]
 
     def test_rank_totals_n6(self):
         cen = census(NP, 6)
@@ -563,16 +562,10 @@ class TestCensus:
                 assert all(s <= n - 3 for s in asked), (variety, n, sorted(set(asked)))
                 assert all(s <= n - 3 for s in generated), (variety, n, sorted(set(generated)))
 
-    def test_size_prob_is_zero_below_size_one(self):
-        cen = census(NP, 4)
-        assert cen.size_prob(4) == Fraction(1, 4)
-        for r in (0, -1, -4, -5, 5):
-            assert cen.size_prob(r) == 0
-
     def test_size_tail_prob_below_zero_is_one(self):
         cen = census(NP, 4)
         assert cen.size_tail_prob(0) == 1
-        assert cen.size_tail_prob(1) == 1 - cen.size_prob(1)
+        assert cen.size_tail_prob(1) == 1 - Fraction(cen.size_totals[1], cen.vertex_pairs)
         for threshold in (-1, -3, -100):
             assert cen.size_tail_prob(threshold) == 1
         assert cen.size_tail_prob(4) == 0

@@ -1,7 +1,6 @@
 """Exact limiting probabilities and certified brackets, checked against the
 earlier pole-data chain kept here as the reference."""
 
-import json
 import os
 import subprocess
 import sys
@@ -28,7 +27,6 @@ from treerank.limits import (
     KAPPA,
     ClosedFormUnavailableError,
     bound_interval,
-    bound_report_json,
     limit_joint_prob,
     limit_rank_fraction,
     limit_subtree_prob,
@@ -340,8 +338,7 @@ def assert_same_row(row: tuple[int, int, int], reference: constants.Enclosure) -
     """Same printed decimal, and intervals that overlap."""
     lo, hi, prec = row
     assert constants.decimal_string(lo, hi, 1 << prec, reference.digits) == reference.decimal()
-    enclosure = constants.Enclosure(Fraction(lo, 1 << prec), Fraction(hi, 1 << prec), 1)
-    enclosure.intersect(reference)  # raises ValueError when the two are disjoint
+    assert max(Fraction(lo, 1 << prec), reference.lo) <= min(Fraction(hi, 1 << prec), reference.hi)
 
 
 class TestRowEnclosures:
@@ -350,30 +347,40 @@ class TestRowEnclosures:
     @pytest.mark.parametrize("variety", list(TreeVariety), ids=str)
     def test_bracket_rows_match_the_horner_path(self, variety):
         size = 150
-        weights = {"v": tree_counts(variety, size)[1:]}
-        values = {"v": [limit_subtree_prob(variety, i) for i in range(1, size + 1)]}
+        counts = tree_counts(variety, size)[1:]
+        v = [limit_subtree_prob(variety, i) for i in range(1, size + 1)]
         for k in (0, 1, 2, 5):
-            weights[k] = root_ranks(variety, k, size)
-            values[k] = [limit_joint_prob(variety, k, i) for i in range(1, size + 1)]
-        for digits in (1, 6, 12, 30, 60):
-            for key, row_weights in weights.items():
-                rows = row_enclosures(variety, row_weights, digits)
-                assert len(rows) == size
-                for row, value in zip(rows, values[key]):
+            t_k = root_ranks(variety, k, size)
+            w = [limit_joint_prob(variety, k, i) for i in range(1, size + 1)]
+            report = bound_interval(variety, k, size)
+            values = [value for pair in zip(w, v) for value in pair]
+            values += [report.lower, report.upper, report.partial_v_sum]
+            for digits in (1, 6, 12, 30, 60):
+                rows = row_enclosures(variety, t_k, counts, digits)
+                assert len(rows) == len(values)
+                for row, value in zip(rows, values):
                     assert_same_row(row, value.enclosure(digits))
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(list(TreeVariety)),
-           st.lists(st.one_of(st.just(0), st.integers(0, 2**3000)), min_size=1, max_size=60),
+           st.lists(st.tuples(*[st.one_of(st.just(0), st.integers(0, 2**3000))] * 2),
+                    min_size=1, max_size=60),
            st.integers(1, 60))
     # Small weights start on a low rung, which 60 digits outgrow.
-    @example(NP, [1, 0, 3], 60)
-    @example(PL, [0], 1)
-    def test_drawn_weights_match_the_horner_path(self, variety, weights, digits):
-        rows = row_enclosures(variety, weights, digits)
-        assert len(rows) == len(weights)
-        for i, (n, row) in enumerate(zip(weights, rows), start=1):
-            value = KAPPA[variety] * moment_sum(variety, [0] * (i - 1) + [n])
+    @example(NP, [(1, 1), (0, 0), (3, 0)], 60)
+    @example(PL, [(0, 0)], 1)
+    def test_drawn_weights_match_the_horner_path(self, variety, pairs, digits):
+        # Each row against its own moment sum, and the three values against
+        # the sums of the columns: lower = kappa_v moment_sum(t_k), and so on.
+        t_k, counts = map(list, zip(*pairs))
+        rows = row_enclosures(variety, t_k, counts, digits)
+        kappa = KAPPA[variety]
+        values = [kappa * moment_sum(variety, [0] * i + [n])
+                  for i, pair in enumerate(pairs) for n in pair]
+        lower, v_sum = kappa * moment_sum(variety, t_k), kappa * moment_sum(variety, counts)
+        values += [lower, lower + 1 - v_sum, v_sum]
+        assert len(rows) == len(values) == 2 * len(pairs) + 3
+        for row, value in zip(rows, values):
             assert_same_row(row, value.enclosure(digits))
 
     def test_ladder_that_runs_out_raises(self, monkeypatch):
@@ -381,7 +388,7 @@ class TestRowEnclosures:
         # holds under python -O.
         monkeypatch.setattr(constants, "_MAX_PREC", 128)
         with pytest.raises(RuntimeError):
-            row_enclosures(PL, tree_counts(PL, 10)[1:], 60)
+            row_enclosures(PL, root_ranks(PL, 2, 10), tree_counts(PL, 10)[1:], 60)
 
 
 class TestRowTexts:
@@ -406,9 +413,6 @@ class TestRowTexts:
         zeros = root_ranks(variety, 6, 6)
         assert zeros == [0] * 6
         assert list(row_texts(variety, zeros)) == [("0",)] * 6
-        terms = json.loads(bound_report_json(bound_interval(variety, 6, 6), 5))["per_i_terms"]
-        assert [term["w_exact"] for term in terms] == ["0"] * 6
-        assert [term["w_decimal"] for term in terms] == ["0.00000"] * 6
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(list(TreeVariety)),
@@ -665,61 +669,3 @@ class TestBoundIntervals:
             bound_interval(NP, -1, 5)
         with pytest.raises(ValueError):
             bound_interval(NP, 2, 0)
-
-
-class TestReportSerialization:
-    def test_schema_keys(self):
-        report = bound_interval(NP, 2, 4)
-        payload = json.loads(bound_report_json(report, 8))
-        assert list(payload) == ["variety", "k", "r", "lower", "upper",
-                                 "v_partial_sum", "per_i_terms"]
-        assert payload["variety"] == "nonplane"
-        # Decimals carry the digits asked for.
-        assert payload["lower"]["decimal"] == report.lower.enclosure(8).decimal()
-        assert payload["upper"]["decimal"] == report.upper.enclosure(8).decimal()
-        assert len(payload["v_partial_sum"]["decimal"].split(".")[1]) == 8
-        assert list(payload["lower"]) == ["exact", "decimal"]
-        term = payload["per_i_terms"][0]
-        assert list(term) == ["i", "t_ki", "w_exact", "w_decimal", "v_exact", "v_decimal"]
-        assert term["i"] == 1 and term["t_ki"] == 0  # no rank-2 root at size 1
-        assert payload["per_i_terms"][2]["t_ki"] == 1  # the size-3 balanced tree
-        # The per-size rows are the joint and subtree limits themselves.
-        for i, term in enumerate(payload["per_i_terms"], start=1):
-            assert term["w_exact"] == limit_joint_prob(NP, 2, i).render()
-            assert term["v_exact"] == limit_subtree_prob(NP, i).render()
-
-    def test_json_round_trip_is_byte_identical(self):
-        # The report is written with f-strings; json.dumps of what it parses
-        # to must print the same bytes.
-        for variety in TreeVariety:
-            for k in (0, 2, 4):
-                for r in (1, 12, 100):
-                    report = bound_interval(variety, k, r)
-                    for digits in (1, 12, 40):
-                        text = bound_report_json(report, digits)
-                        round_trip = json.dumps(json.loads(text), indent=2)
-                        assert round_trip == text, (variety, k, r, digits)
-
-    @pytest.mark.parametrize("variety", list(TreeVariety), ids=str)
-    def test_one_pass_decimals_and_quoted_texts_match_the_slow_paths(self, variety):
-        # The report encloses every value on one ladder pass and quotes its
-        # texts without json.dumps.  Against the Horner path of
-        # `ExactConst.enclosure` (the head, and the rows up to r = 12) and
-        # against json.dumps of the parsed report.
-        for k in (0, 1, 2, 5):
-            for r in (1, 3, 12, 60):
-                report = bound_interval(variety, k, r)
-                for digits in (1, 6, 12, 30):
-                    text = bound_report_json(report, digits)
-                    payload = json.loads(text)
-                    assert json.dumps(payload, indent=2) == text, (k, r, digits)
-                    for name, value in (("lower", report.lower), ("upper", report.upper),
-                                        ("v_partial_sum", report.partial_v_sum)):
-                        expected = value.enclosure(digits).decimal()
-                        assert payload[name]["decimal"] == expected, (name, k, r, digits)
-                    if r > 12:
-                        continue
-                    for i, term in enumerate(payload["per_i_terms"], start=1):
-                        w, v = limit_joint_prob(variety, k, i), limit_subtree_prob(variety, i)
-                        assert term["w_decimal"] == w.enclosure(digits).decimal(), (k, i)
-                        assert term["v_decimal"] == v.enclosure(digits).decimal(), (k, i)
