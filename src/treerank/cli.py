@@ -32,6 +32,7 @@ from .enumeration import (
     enumerate_texts,
 )
 from .limits import (
+    DEFAULT_BOUND_TERMS,
     BoundReport,
     bound_interval,
     limit_joint_prob,
@@ -64,16 +65,29 @@ def _at_least(low: int, most: int | None = None) -> Callable[[str], int]:
 MAX_ENUM_LIMIT = 13
 DEFAULT_DIGITS = 12
 
+# Each selector flag: its least value and the words that name it in a label.
+_SELECTORS = {"k": (0, "rank"), "r": (1, "subtree size"), "i": (1, "size")}
+
+# The selector flags each `counts` and `limits` --kind reads, in label
+# order, and --digits where the kind prints decimals: the root table prints
+# none.  Any other of these flags is a usage error, as any flag its
+# subcommand does not read is.
+_KIND_FLAGS = {
+    "counts": {"rank": ("k", "digits"), "size": ("r", "digits"),
+               "joint": ("k", "i", "digits"), "root": ()},
+    "limits": {"rank": ("k", "digits"), "v": ("r", "digits"), "w": ("k", "i", "digits")},
+}
+
 _SHARED_FLAGS = {
     "--variety": dict(default="nonplane", choices=["nonplane", "plane"]),
     "--order": dict(type=_at_least(0), default=DEFAULT_ORDER,
-                    help="series truncation order (default 80)"),
+                    help="series truncation order (default %(default)s)"),
     "--digits": dict(type=_at_least(1, MAX_DIGITS), default=DEFAULT_DIGITS,
                      help=f"decimal digits for printed enclosures (at most {MAX_DIGITS}, "
                           "the most an enclosure can certify)"),
     "--enum-limit": dict(type=_at_least(1, MAX_ENUM_LIMIT), default=DEFAULT_ENUM_LIMIT,
-                         help="largest size enumerated exhaustively (default 10, at most "
-                              f"{MAX_ENUM_LIMIT})"),
+                         help="largest size enumerated exhaustively (default %(default)s, "
+                              f"at most {MAX_ENUM_LIMIT})"),
 }
 
 
@@ -91,26 +105,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_counts = sub.add_parser("counts", help="count sequences and root-rank tables")
     _add_shared(p_counts, "--variety", "--order", "--digits")
-    p_counts.add_argument("--kind", required=True, choices=["rank", "size", "joint", "root"])
-    p_counts.set_defaults(digits=None)  # so that --kind root can refuse it; see cmd_counts
-    p_counts.add_argument("--k", type=_at_least(0), default=None, help="vertex rank")
-    p_counts.add_argument("--r", type=_at_least(1), default=None, help="subtree size")
-    p_counts.add_argument("--i", type=_at_least(1), default=None, help="subtree size (joint)")
-    p_counts.add_argument("--n-max", type=_at_least(0), default=None, help="last row to print")
+    p_counts.add_argument("--kind", required=True, choices=list(_KIND_FLAGS["counts"]))
+    p_counts.set_defaults(digits=None)  # so that --kind root can refuse it; see _selectors
+    for flag, help_text in zip(_SELECTORS, ["vertex rank", "subtree size", "subtree size (joint)"]):
+        p_counts.add_argument(f"--{flag}", type=_at_least(_SELECTORS[flag][0]), help=help_text)
     p_counts.add_argument("--format", default="table", choices=["table", "json", "csv"])
 
     p_bounds = sub.add_parser("bounds", help="rigorous bracket for a rank limit")
     _add_shared(p_bounds, "--variety", "--digits")
     p_bounds.add_argument("--k", type=_at_least(0), required=True)
-    p_bounds.add_argument("--r", type=_at_least(1), default=12, help="truncation (default 12)")
+    p_bounds.add_argument("--r", type=_at_least(1), default=DEFAULT_BOUND_TERMS,
+                          help="truncation (default %(default)s)")
     p_bounds.add_argument("--format", default="table", choices=["table", "json"])
 
     p_limits = sub.add_parser("limits", help="exact limiting probabilities")
     _add_shared(p_limits, "--variety", "--digits")
-    p_limits.add_argument("--kind", default="rank", choices=["rank", "v", "w"])
-    p_limits.add_argument("--k", type=_at_least(0), default=None)
-    p_limits.add_argument("--r", type=_at_least(1), default=None)
-    p_limits.add_argument("--i", type=_at_least(1), default=None)
+    p_limits.add_argument("--kind", default="rank", choices=list(_KIND_FLAGS["limits"]))
+    for flag, (least, _) in _SELECTORS.items():
+        p_limits.add_argument(f"--{flag}", type=_at_least(least))
     p_limits.add_argument("--format", default="table", choices=["table", "json"])
 
     p_enum = sub.add_parser("enumerate", help="dump every tree of one size")
@@ -119,7 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the cross-module oracle suite")
     _add_shared(p_verify, "--order", "--enum-limit")
-    p_verify.add_argument("--r", type=_at_least(1), default=12, help="bracket truncation to check")
+    p_verify.add_argument("--r", type=_at_least(1), default=DEFAULT_BOUND_TERMS,
+                          help="bracket truncation to check")
 
     return parser
 
@@ -132,29 +145,30 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-# The selector flags each --kind reads; a selector flag it does not read
-# is a usage error, as any flag its subcommand does not read is.  The root
-# table prints no decimals, so `counts --kind root` refuses --digits too.
-_COUNTS_SELECTORS = {"rank": ("k", "digits"), "size": ("r", "digits"),
-                     "joint": ("k", "i", "digits"), "root": ()}
-_LIMITS_SELECTORS = {"rank": ("k", "digits"), "v": ("r", "digits"), "w": ("k", "i", "digits")}
-
-
-def _reject_unread_selectors(args: argparse.Namespace, parser: argparse.ArgumentParser,
-                             reads: dict[str, tuple[str, ...]]) -> None:
-    unread = [f"--{name}" for name in ("k", "r", "i", "digits")
-              if name not in reads[args.kind] and getattr(args, name) is not None]
+def _selectors(args: argparse.Namespace, parser: argparse.ArgumentParser) -> tuple[list[int], str]:
+    """The values of the selector flags that `args.kind` reads, and their
+    label, as in `rank k=2, size i=5`.  A flag it reads that is missing, or
+    one it does not read that is given, is a usage error."""
+    reads = _KIND_FLAGS[args.command][args.kind]
+    unread = [f"--{flag}" for flag in (*_SELECTORS, "digits")
+              if flag not in reads and getattr(args, flag) is not None]
     if unread:
         parser.error(f"--kind {args.kind} does not read {' '.join(unread)}")
+    flags = [flag for flag in reads if flag in _SELECTORS]
+    values = [getattr(args, flag) for flag in flags]
+    if None in values:
+        needs = " and ".join(f"--{flag} >= {_SELECTORS[flag][0]}" for flag in flags)
+        parser.error(f"--kind {args.kind} needs {needs}")
+    return values, ", ".join(f"{_SELECTORS[f][1]} {f}={v}" for f, v in zip(flags, values))
 
 
-def _print_root_rows(variety: TreeVariety, n_max: int, fmt: str) -> None:
-    """Print every nonzero t[k][i] with i <= n_max, one f-string per row.
+def _print_root_rows(variety: TreeVariety, order: int, fmt: str) -> None:
+    """Print every nonzero t[k][i] with i <= order, one f-string per row.
 
     JSON comes out byte for byte as `json.dumps(payload, indent=2)` would
     print it, without building the payload.
     """
-    columns = zip(*[root_ranks(variety, k, n_max) for k in range(n_max)])
+    columns = zip(*[root_ranks(variety, k, order) for k in range(order)])
     cells = [(i, k, c) for i, column in enumerate(columns, 1) for k, c in enumerate(column) if c]
     if fmt == "json":
         rows = ",\n".join(f'    {{\n      "i": {i},\n      "k": {k},\n      "count": {c}\n    }}'
@@ -170,45 +184,30 @@ def _print_root_rows(variety: TreeVariety, n_max: int, fmt: str) -> None:
 _COUNT_COLUMNS = ("n", "count", "prob_numerator", "prob_denominator", "prob_decimal")
 
 
-def _count_rows(seq: CountSequences, n_max: int, digits: int) -> Iterator[tuple]:
-    """The `_COUNT_COLUMNS` of each size n <= n_max: n and the count as
+def _count_rows(seq: CountSequences, order: int, digits: int) -> Iterator[tuple]:
+    """The `_COUNT_COLUMNS` of each size n <= order: n and the count as
     integers, the probability's numerator, denominator and decimal as text,
     empty at n = 0, which has no vertices."""
     yield 0, seq.counts[0], "", "", ""
-    for n in range(1, n_max + 1):
+    for n in range(1, order + 1):
         p = seq.prob(n)
         yield (n, seq.counts[n], str(p.numerator), str(p.denominator),
                decimal_string(p.numerator, p.numerator, p.denominator, digits))
 
 
 def cmd_counts(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    _reject_unread_selectors(args, parser, _COUNTS_SELECTORS)
+    selectors, label = _selectors(args, parser)
     variety = parse_variety(args.variety)
-    order = args.order
-    n_max = args.n_max if args.n_max is not None else order
-    if n_max > order:
-        parser.error(f"--n-max must be in 0..{order}")
-
     if args.kind == "root":
-        _print_root_rows(variety, n_max, args.format)
+        _print_root_rows(variety, args.order, args.format)
         return 0
 
-    if args.kind == "rank":
-        if args.k is None:
-            parser.error("--kind rank needs --k >= 0")
-        seq = rank_vertex_counts(variety, args.k, order)
-    elif args.kind == "size":
-        if args.r is None:
-            parser.error("--kind size needs --r >= 1")
-        seq = size_vertex_counts(variety, args.r, order)
-    else:
-        if args.k is None or args.i is None:
-            parser.error("--kind joint needs --k >= 0 and --i >= 1")
-        seq = joint_vertex_counts(variety, args.k, args.i, order)
-
-    rows = _count_rows(seq, n_max, DEFAULT_DIGITS if args.digits is None else args.digits)
+    # Looked up per call, so that a wrapper put on a module name is called.
+    counts = {"rank": rank_vertex_counts, "size": size_vertex_counts, "joint": joint_vertex_counts}
+    seq = counts[args.kind](variety, *selectors, args.order)
+    rows = _count_rows(seq, args.order, DEFAULT_DIGITS if args.digits is None else args.digits)
     if args.format == "json":
-        payload = {"variety": str(variety), "selector": seq.selector,
+        payload = {"variety": str(variety), "selector": label,
                    "rows": [dict(zip(_COUNT_COLUMNS, row)) for row in rows]}
         print(json.dumps(payload, indent=2))
     else:
@@ -267,25 +266,12 @@ def cmd_bounds(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def cmd_limits(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    _reject_unread_selectors(args, parser, _LIMITS_SELECTORS)
+    selectors, label = _selectors(args, parser)
     variety = parse_variety(args.variety)
-    if args.kind == "rank":
-        if args.k is None:
-            parser.error("--kind rank needs --k")
-        if args.k not in (0, 1):
-            parser.error("closed forms exist for k = 0 and 1 only; use `bounds`")
-        value = limit_rank_fraction(variety, args.k)
-        label = f"rank k={args.k}"
-    elif args.kind == "v":
-        if args.r is None:
-            parser.error("--kind v needs --r >= 1")
-        value = limit_subtree_prob(variety, args.r)
-        label = f"subtree size r={args.r}"
-    else:
-        if args.k is None or args.i is None:
-            parser.error("--kind w needs --k >= 0 and --i >= 1")
-        value = limit_joint_prob(variety, args.k, args.i)
-        label = f"rank k={args.k}, size i={args.i}"
+    if args.kind == "rank" and args.k not in (0, 1):
+        parser.error("closed forms exist for k = 0 and 1 only; use `bounds`")
+    limits = {"rank": limit_rank_fraction, "v": limit_subtree_prob, "w": limit_joint_prob}
+    value = limits[args.kind](variety, *selectors)
     enc = value.enclosure(args.digits)
     if args.format == "json":
         payload = {
@@ -379,13 +365,8 @@ def _verify_checks(args: argparse.Namespace):
 
     for variety in TreeVariety:
         for n in range(1, limit + 1):
-            report = check_inequalities(variety, n, limit)
-            fails = report.failures()
-            yield (
-                f"inequalities {variety} n={n}",
-                report.all_hold,
-                "all hold" if report.all_hold else "; ".join(c.name for c in fails),
-            )
+            fails = [c.name for c in check_inequalities(variety, n, limit).failures()]
+            yield f"inequalities {variety} n={n}", not fails, "; ".join(fails) or "all hold"
 
     # Leaf-count identity: total(n) = (n+1) count(n) - count(n+1), non-plane.
     e = tree_counts(TreeVariety.NONPLANE, order + 1)

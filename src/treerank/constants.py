@@ -172,10 +172,6 @@ class ExactConst:
     def pi_power(cls, exponent: int, coeff: Rational = 1, sqrt3_coeff: Rational = 0) -> "ExactConst":
         return cls({exponent: (coeff, sqrt3_coeff)})
 
-    @classmethod
-    def sqrt3(cls, coeff: Rational = 1) -> "ExactConst":
-        return cls({0: (0, coeff)})
-
     @property
     def terms(self) -> dict[int, tuple[Fraction, Fraction]]:
         den = self._den

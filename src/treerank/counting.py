@@ -74,11 +74,11 @@ class CountSequences(NamedTuple):
     probs normalize by n * tree_count(n) (one vertex among n per tree);
     prob_next normalizes by (n+1) * tree_count(n), which has the same
     limit and converges geometrically instead of like 1/n.  n = 0 has no
-    vertices, so probabilities start at n = 1.  `cli` prints them as rows.
+    vertices, so probabilities start at n = 1.  `cli` prints them as rows,
+    under the label it writes for the selector flags.
     """
 
     variety: TreeVariety
-    selector: str
     counts: tuple[int, ...]
     tree_totals: tuple[int, ...]
 
@@ -101,14 +101,8 @@ def _multiplier(variety: TreeVariety, order: int) -> list[int]:
     return [1] + [2 * c for c in counts[1:]]
 
 
-def _count_sequence(variety: TreeVariety, counts: list[int], order: int,
-                    selector: str) -> CountSequences:
-    return CountSequences(
-        variety=variety,
-        selector=selector,
-        counts=tuple(counts),
-        tree_totals=tree_counts(variety, order),
-    )
+def _count_sequence(variety: TreeVariety, counts: list[int], order: int) -> CountSequences:
+    return CountSequences(variety, tuple(counts), tree_counts(variety, order))
 
 
 @lru_cache(maxsize=None)
@@ -126,7 +120,7 @@ def _unit_counts(variety: TreeVariety, degree: int, order: int) -> tuple[int, ..
 def rank_vertex_counts(variety: TreeVariety, k: int, order: int = DEFAULT_ORDER) -> CountSequences:
     """Totals of rank-k vertices over all trees of each size up to order."""
     counts = solve_linear_counts(_multiplier(variety, order), root_ranks(variety, k, order), order)
-    return _count_sequence(variety, counts, order, f"rank k={k}")
+    return _count_sequence(variety, counts, order)
 
 
 def size_vertex_counts(variety: TreeVariety, r: int, order: int = DEFAULT_ORDER) -> CountSequences:
@@ -136,7 +130,7 @@ def size_vertex_counts(variety: TreeVariety, r: int, order: int = DEFAULT_ORDER)
     # A correction at degree r-1 >= order lies past the truncation.
     count_r = tree_counts(variety, r)[r] if r <= order else 0
     return _count_sequence(variety, [count_r * y for y in _unit_counts(variety, r - 1, order)],
-                           order, f"subtree size r={r}")
+                           order)
 
 
 def joint_vertex_counts(
@@ -150,4 +144,4 @@ def joint_vertex_counts(
     # A correction at degree i-1 >= order lies past the truncation.
     t_ki = root_ranks(variety, k, i)[-1] if i <= order else 0
     return _count_sequence(variety, [t_ki * y for y in _unit_counts(variety, i - 1, order)],
-                           order, f"rank k={k}, size i={i}")
+                           order)

@@ -440,9 +440,7 @@ def plane_multiplicity_total(n: int, limit: int = DEFAULT_ENUM_LIMIT) -> int:
 
 class InequalityCheck(NamedTuple):
     name: str
-    n: int
     holds: bool
-    detail: str
 
 
 class InequalityReport(NamedTuple):
@@ -477,16 +475,6 @@ def _sqrt_margin(cen: Census, ctx: FixedPoint) -> tuple[int, int]:
     return lo, hi
 
 
-def _sqrt_bound_holds(cen: Census) -> tuple[bool, str]:
-    """E(sqrt(Z_n)) <= 100 - 90/sqrt(n), as the sign of its scaled margin."""
-    sign = iv_sign(partial(_sqrt_margin, cen))
-    if sign > 0:
-        return True, "E(sqrt Z) < 100 - 90/sqrt(n)"
-    if sign < 0:
-        return False, "E(sqrt Z) > 100 - 90/sqrt(n)"
-    return False, "the precision ladder did not decide the sign of the margin"
-
-
 MARKOV_CONSTANT_CAP = 10
 MARKOV_SCALE = 10000
 
@@ -505,54 +493,27 @@ def check_inequalities(
     (<= 1/2 and decreasing from n >= 3) plus the cross-variety one-child
     mean comparison m_n <= M_n.  Every check is a rational comparison
     except the sqrt bound, which is the sign of one integer interval
-    builder; none takes a number of digits.
+    builder; none takes a number of digits.  Each check is a name and a
+    verdict, in the order above, which `verify` lists the failures in.
     """
     cen = census(variety, n, limit)
-    checks: list[InequalityCheck] = []
-
-    leaves = cen.mean_leaves
-    checks.append(
-        InequalityCheck(
-            "expected-leaves>=n/4", n, leaves >= Fraction(n, 4),
-            f"E(leaves)={leaves} vs n/4={Fraction(n, 4)}",
-        )
-    )
     onechild = cen.mean_one_child
-    checks.append(
-        InequalityCheck(
-            "expected-one-child<=n/2", n, onechild <= Fraction(n, 2),
-            f"E(one-child)={onechild} vs n/2={Fraction(n, 2)}",
-        )
-    )
-    ok, detail = _sqrt_bound_holds(cen)
-    checks.append(InequalityCheck("sqrt-subtree-mean<=100-90/sqrt(n)", n, ok, detail))
-
+    verdicts = {
+        "expected-leaves>=n/4": cen.mean_leaves >= Fraction(n, 4),
+        "expected-one-child<=n/2": onechild <= Fraction(n, 2),
+        # An undecided sign (0) fails the check as a negative one does.
+        "sqrt-subtree-mean<=100-90/sqrt(n)": iv_sign(partial(_sqrt_margin, cen)) > 0,
+    }
     for c in range(1, MARKOV_CONSTANT_CAP + 1):
         tail = cen.size_tail_prob(MARKOV_SCALE * c * c)
-        checks.append(
-            InequalityCheck(
-                f"tail-Pr(Z>{MARKOV_SCALE}*{c}^2)<=1/{c}", n, tail <= Fraction(1, c),
-                f"tail={tail}",
-            )
-        )
+        verdicts[f"tail-Pr(Z>{MARKOV_SCALE}*{c}^2)<=1/{c}"] = tail <= Fraction(1, c)
 
     if variety is TreeVariety.NONPLANE:
         counts = tree_counts(TreeVariety.NONPLANE, max(n, 3))
         if n >= 3:
             p_n = Fraction(counts[n - 1], counts[n])
-            ok = p_n <= Fraction(1, 2)
-            detail = f"p_n={p_n}"
-            if n >= 4:
-                p_prev = Fraction(counts[n - 2], counts[n - 1])
-                ok = ok and p_n < p_prev
-                detail += f", p_(n-1)={p_prev}"
-            checks.append(InequalityCheck("root-one-child-ratio", n, ok, detail))
-        m_n = weighted_onechild_mean(n, limit)
-        checks.append(
-            InequalityCheck(
-                "plane-mean-one-child<=nonplane", n, m_n <= onechild,
-                f"m_n={m_n} vs M_n={onechild}",
-            )
-        )
+            verdicts["root-one-child-ratio"] = p_n <= Fraction(1, 2) and (
+                n < 4 or p_n < Fraction(counts[n - 2], counts[n - 1]))
+        verdicts["plane-mean-one-child<=nonplane"] = weighted_onechild_mean(n, limit) <= onechild
 
-    return InequalityReport(variety=variety, n=n, checks=tuple(checks))
+    return InequalityReport(variety, n, tuple(map(InequalityCheck._make, verdicts.items())))

@@ -62,11 +62,11 @@ def root_table_failures(out):
             if line.startswith("FAIL") and "root-rank-table" in line]
 
 
-def reference_root_output(variety, n_max, fmt):
+def reference_root_output(variety, order, fmt):
     """`counts --kind root` as printed before the direct writer: a payload
     through `json.dumps(indent=2)`, or joined string rows."""
     rows = [["i", "k", "count"]]
-    for i in range(1, n_max + 1):
+    for i in range(1, order + 1):
         for k in range(i):
             c = root_ranks(variety, k, i)[-1]
             if c:
@@ -86,21 +86,21 @@ def reference_root_output(variety, n_max, fmt):
 class TestCounts:
     def test_rank_table_contains_known_value(self, capsys):
         code, out, _ = run(capsys, "counts", "--variety", "nonplane", "--kind", "rank",
-                           "--k", "0", "--n-max", "10", "--order", "12")
+                           "--k", "0", "--order", "10")
         assert code == 0
         row6 = [line for line in out.splitlines() if line.startswith("6\t")][0]
         assert row6.split("\t")[1] == "155"
 
     def test_plane_rank_one_value(self, capsys):
         code, out, _ = run(capsys, "counts", "--variety", "plane", "--kind", "rank",
-                           "--k", "1", "--n-max", "10", "--order", "10")
+                           "--k", "1", "--order", "10")
         assert code == 0
         row10 = [line for line in out.splitlines() if line.startswith("10\t")][0]
         assert row10.split("\t")[1] == "1613835"
 
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "counts", "--kind", "size", "--r", "1",
-                           "--n-max", "3", "--order", "6", "--format", "csv")
+                           "--order", "3", "--format", "csv")
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == "n,count,prob_numerator,prob_denominator,prob_decimal"
@@ -108,27 +108,26 @@ class TestCounts:
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "counts", "--kind", "joint", "--k", "1", "--i", "3",
-                           "--n-max", "6", "--order", "8", "--format", "json")
+                           "--order", "6", "--format", "json")
         assert code == 0
         payload = json.loads(out)
         assert payload["variety"] == "nonplane"
         assert payload["rows"][3]["n"] == 3
 
     def test_root_table(self, capsys):
-        code, out, _ = run(capsys, "counts", "--kind", "root", "--n-max", "4",
-                           "--order", "6")
+        code, out, _ = run(capsys, "counts", "--kind", "root", "--order", "4")
         assert code == 0
         assert "4\t1\t3" in out  # three size-4 trees with a rank-1 root
 
     @pytest.mark.parametrize("variety", list(TreeVariety), ids=str)
-    @pytest.mark.parametrize("n_max", [0, 1, 2, 9, 60])
-    def test_root_writer_matches_reference_rendering(self, capsys, variety, n_max):
+    @pytest.mark.parametrize("order", [0, 1, 2, 9, 60])
+    def test_root_writer_matches_reference_rendering(self, capsys, variety, order):
         for fmt in ("json", "csv", "table"):
             code, out, _ = run(capsys, "counts", "--variety", str(variety), "--kind", "root",
-                               "--order", "60", "--n-max", str(n_max), "--format", fmt)
+                               "--order", str(order), "--format", fmt)
             assert code == 0
-            assert out == reference_root_output(variety, n_max, fmt), fmt
-            if n_max == 0 and fmt == "json":
+            assert out == reference_root_output(variety, order, fmt), fmt
+            if order == 0 and fmt == "json":
                 assert '"rows": []' in out
 
     def test_joint_size_past_order_reads_no_table(self, capsys):
@@ -184,8 +183,6 @@ class TestCounts:
 
     @pytest.mark.parametrize("extra, flag", [
         (["--order", "-1"], "--order"),
-        (["--n-max", "-1"], "--n-max"),
-        (["--order", "5", "--n-max", "6"], "--n-max"),
     ])
     def test_bad_range_names_the_flag(self, capsys, extra, flag):
         with pytest.raises(SystemExit) as exc:
@@ -205,19 +202,22 @@ class TestCounts:
                                           ["joint", "--k", "1", "--i", "4"]],
                              ids=["rank", "size", "joint"])
     def test_n_max_prints_the_first_rows_of_the_full_order(self, capsys, variety, selector):
-        argv = ["counts", "--variety", str(variety), "--order", "30", "--kind", *selector]
+        # The last row printed, n_max, is --order.  The counts are causal:
+        # row n is the same at every order >= n, so a smaller --order
+        # prints the first rows of a larger one.
+        argv = ["counts", "--variety", str(variety), "--kind", *selector]
         for fmt in ("table", "csv", "json"):
-            code, full, _ = run(capsys, *argv, "--format", fmt)
+            code, full, _ = run(capsys, *argv, "--format", fmt, "--order", "30")
             assert code == 0
-            for n_max in (0, 1, 7, 29, 30):
-                code, out, _ = run(capsys, *argv, "--format", fmt, "--n-max", str(n_max))
+            for order in (0, 1, 7, 29, 30):
+                code, out, _ = run(capsys, *argv, "--format", fmt, "--order", str(order))
                 assert code == 0
-                if fmt != "json":  # a header, then a row per size n = 0..n_max
-                    assert out.splitlines() == full.splitlines()[:n_max + 2], (fmt, n_max)
+                if fmt != "json":  # a header, then a row per size n = 0..order
+                    assert out.splitlines() == full.splitlines()[:order + 2], (fmt, order)
                     continue
                 payload, whole = json.loads(out), json.loads(full)
-                assert len(payload["rows"]) == n_max + 1
-                assert payload == dict(whole, rows=whole["rows"][:n_max + 1]), n_max
+                assert len(payload["rows"]) == order + 1
+                assert payload == dict(whole, rows=whole["rows"][:order + 1]), order
                 assert out == json.dumps(payload, indent=2) + "\n"
 
 
@@ -572,6 +572,14 @@ class TestVerify:
         assert "FAIL  root-rank-table row sums nonplane: mismatch at sizes [5, " in out
         assert "ok    root-rank-table row sums plane: all rows equal the tree counts\n" in out
 
+    def test_undecided_sqrt_bound_fails_the_inequality_line(self, capsys, monkeypatch):
+        # A sign the precision ladder cannot decide is a failing check, and
+        # the line names the check.
+        monkeypatch.setattr(enumeration, "iv_sign", lambda builder: 0)
+        code, out, _ = run(capsys, "verify", "--enum-limit", "4", "--order", "6", "--r", "3")
+        assert code == 1
+        assert "FAIL  inequalities nonplane n=4: sqrt-subtree-mean<=100-90/sqrt(n)\n" in out
+
     def test_one_census_pass_per_variety_and_size(self, capsys, monkeypatch):
         def no_second_walk(*args, **kwargs):
             raise AssertionError("verify counts trees through census, not enumerate_texts")
@@ -594,6 +602,8 @@ class TestConfig:
         ["counts", "--kind", "root", "--enum-limit", "3"],
         # Every verify check is a yes/no decision; none prints digits.
         ["verify", "--digits", "12"],
+        # --order is the last row printed.
+        ["counts", "--kind", "rank", "--k", "0", "--n-max", "3"],
     ])
     def test_flag_the_subcommand_does_not_read_is_rejected(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -628,6 +638,28 @@ class TestConfig:
         assert captured.out == ""
         kind = argv[argv.index("--kind") + 1]
         assert f"error: --kind {kind} does not read {flag}\n" in captured.err
+
+    # Each --kind that reads selector flags, with a subset of them left out.
+    @pytest.mark.parametrize("argv, needs", [
+        (["counts", "--kind", "rank"], "--kind rank needs --k >= 0"),
+        (["counts", "--kind", "size", "--digits", "5"], "--kind size needs --r >= 1"),
+        (["counts", "--kind", "joint"], "--kind joint needs --k >= 0 and --i >= 1"),
+        (["counts", "--kind", "joint", "--k", "1"], "--kind joint needs --k >= 0 and --i >= 1"),
+        (["counts", "--kind", "joint", "--i", "3"], "--kind joint needs --k >= 0 and --i >= 1"),
+        (["limits"], "--kind rank needs --k >= 0"),
+        (["limits", "--kind", "rank", "--format", "json"], "--kind rank needs --k >= 0"),
+        (["limits", "--kind", "v"], "--kind v needs --r >= 1"),
+        (["limits", "--kind", "w", "--k", "0"], "--kind w needs --k >= 0 and --i >= 1"),
+        (["limits", "--kind", "w", "--i", "2"], "--kind w needs --k >= 0 and --i >= 1"),
+    ], ids=["counts-rank", "counts-size", "counts-joint", "counts-joint-no-i", "counts-joint-no-k",
+            "limits", "limits-rank", "limits-v", "limits-w-no-i", "limits-w-no-k"])
+    def test_selector_the_kind_reads_is_required(self, capsys, argv, needs):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: {needs}\n")
 
     @pytest.mark.parametrize("argv, flag", [
         (["counts", "--kind", "rank", "--k", "0", "--order", "3", "--digits", "-1"], "--digits"),
@@ -692,7 +724,6 @@ NUMERIC_POOLS = {
     "--k": (["0", "1", "2", "4"], ["-1", "x"]),
     "--r": (["1", "4", "12", "40"], ["-1", "0", "x"]),
     "--i": (["1", "3", "16", "40"], ["-1", "0", "x"]),
-    "--n-max": (["0", "3", "40", "41"], ["-1", "x"]),
     "--n": (["1", "3", "6", "7", "2000"], ["-1", "0", "x"]),
 }
 
@@ -830,6 +861,8 @@ class TestBenchmarkTracer:
         # `base_series` (now a test helper) and `root_rank_counts` (replaced
         # by the uncached `root_ranks`) are gone on purpose, and the tracer
         # reads them as 0 builds; every other name must still be there.
+        # The wrappers replace module names after import, so `counts` and
+        # `limits` must look their library call up when they run.
         script = (
             "import contextlib, io, json, sys, time\n"
             f"sys.path.insert(0, {str(PERFBENCH)!r})\n"
@@ -840,12 +873,13 @@ class TestBenchmarkTracer:
             "start = time.perf_counter()\n"
             "for argv in (['bounds', '--k', '2', '--r', '4'],\n"
             "             ['bounds', '--k', '2', '--r', '12', '--format', 'json'],\n"
-            "             ['counts', '--order', '10', '--kind', 'size', '--r', '2']):\n"
+            "             ['counts', '--order', '10', '--kind', 'size', '--r', '2'],\n"
+            "             ['limits', '--kind', 'v', '--r', '3']):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert treerank.cli.main(argv) == 0, argv\n"
             "metrics = tracer.metrics(time.perf_counter() - start)\n"
             "print(json.dumps({'metrics': metrics, 'cached': sorted(tracer._cached),\n"
-            "                  'expected': sorted(spans.CACHED)}))\n"
+            "                  'expected': sorted(spans.CACHED), 'calls': tracer.fn_calls}))\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
@@ -856,6 +890,8 @@ class TestBenchmarkTracer:
             ["base_series", "root_rank_counts"]
         assert set(result["cached"]) <= set(result["expected"])
         assert result["metrics"]["counting.root_table_builds"] == 0
+        assert result["calls"].get("counting.size_vertex_counts") == 1
+        assert result["calls"].get("limits.limit_subtree_prob", 0) >= 1
 
 
 class TestBenchmarkStdout:

@@ -502,7 +502,8 @@ def assert_same_const(new: ExactConst, old: ExactConst) -> None:
 
 class TestArithmetic:
     def test_sqrt3_squared(self):
-        assert ExactConst.sqrt3() * ExactConst.sqrt3() == ExactConst.rational(3)
+        sqrt3 = ExactConst.pi_power(0, 0, 1)
+        assert sqrt3 * sqrt3 == ExactConst.rational(3)
 
     def test_distributivity_example(self):
         lhs = (PI - 2) * (ExactConst.pi_power(-2, 4))
@@ -516,12 +517,12 @@ class TestArithmetic:
 
     def test_sqrt3_free_flag(self):
         assert (PI - 2).is_sqrt3_free()
-        assert not (PI - ExactConst.sqrt3()).is_sqrt3_free()
+        assert not (PI - ExactConst.pi_power(0, 0, 1)).is_sqrt3_free()
 
     def test_sqrt3_power(self):
         assert sqrt3_power(2) == ExactConst.rational(3)
-        assert sqrt3_power(-1) == ExactConst.sqrt3(Fraction(1, 3))
-        assert sqrt3_power(3) == ExactConst.sqrt3(3)
+        assert sqrt3_power(-1) == ExactConst.pi_power(0, 0, Fraction(1, 3))
+        assert sqrt3_power(3) == ExactConst.pi_power(0, 0, 3)
 
     def test_sign(self):
         # Classic tight rational neighbors of pi keep this honest.
@@ -591,7 +592,8 @@ class TestArithmeticMatchesReference:
         x = ExactConst({0: (1, 1), 1: (1, -1)})
         y = ExactConst({0: (-3, 1), -1: (3, 1)})
         assert_same_const(x * y, reference_mul(x, y))
-        assert (ExactConst.sqrt3() + 1) * (ExactConst.sqrt3() - 3) == ExactConst.sqrt3(-2)
+        sqrt3 = ExactConst.pi_power(0, 0, 1)
+        assert (sqrt3 + 1) * (sqrt3 - 3) == ExactConst.pi_power(0, 0, -2)
 
     def test_public_constructor_still_accepts_and_cleans(self):
         x = ExactConst({"2": ("1/3", 0.5), 0: (0, 0), 1: (Fraction(0), 0), -1: (True, 2)})
@@ -708,7 +710,7 @@ class TestEnclosures:
         assert abs(enc.midpoint - Fraction("0.3155269391")) < Fraction(1, 10**9)
 
     def test_nesting_in_digits(self):
-        value = PI * PI - ExactConst.sqrt3(Fraction(22, 7))
+        value = PI * PI - ExactConst.pi_power(0, 0, Fraction(22, 7))
         coarse = value.enclosure(8)
         for digits in (12, 20, 33):
             fine = value.enclosure(digits)
@@ -787,7 +789,7 @@ class TestEnclosures:
         assert proc.stdout.strip() == "[]"
 
     def test_threads_at_different_digits_match_sequential(self):
-        value = PI * PI - ExactConst.sqrt3(Fraction(22, 7))
+        value = PI * PI - ExactConst.pi_power(0, 0, Fraction(22, 7))
         digits = (15, 60, 150)
         expected = {d: value.enclosure(d) for d in digits}
         results = {d: set() for d in digits}
@@ -1088,7 +1090,7 @@ def sqrt3_power(exponent: int) -> ExactConst:
     q, r = divmod(exponent, 2)
     scale = Fraction(3) ** q
     if r:
-        return ExactConst.sqrt3(scale)
+        return ExactConst.pi_power(0, 0, scale)
     return ExactConst.rational(scale)
 
 
@@ -1173,7 +1175,7 @@ def prefix_list_weight_moment(variety: TreeVariety, m: int) -> ExactConst:
 # from before its own recurrence; kept verbatim as the reference.
 # Upper endpoint u = 2 pi / 3 of the substituted plane integrals:
 # sin u = sqrt3/2, cos u = -1/2.
-_PLANE_SIN_U = ExactConst.sqrt3(Fraction(1, 2))
+_PLANE_SIN_U = ExactConst.pi_power(0, 0, Fraction(1, 2))
 _PLANE_COS_U = ExactConst.rational(Fraction(-1, 2))
 
 
@@ -1219,7 +1221,7 @@ def reference_plane_weight_moment(m: int) -> ExactConst:
     return (
         plane_moment(m, "const") * Fraction(1, 2)
         + plane_moment(m, "cos") * Fraction(1, 4)
-        - ExactConst.sqrt3(Fraction(1, 4)) * plane_moment(m, "sin")
+        - ExactConst.pi_power(0, 0, Fraction(1, 4)) * plane_moment(m, "sin")
     )
 
 
@@ -1277,7 +1279,7 @@ class TestPlaneMoments:
         assert plane_moment(1, "const") == ExactConst.pi_power(2, Fraction(2, 27))
 
     def test_sin_base(self):
-        assert plane_moment(0, "sin") == ExactConst.sqrt3(Fraction(1, 2))
+        assert plane_moment(0, "sin") == ExactConst.pi_power(0, 0, Fraction(1, 2))
 
     def test_cos_base(self):
         assert plane_moment(0, "cos") == ExactConst.rational(Fraction(1, 2))

@@ -142,9 +142,9 @@ def base_pole(variety: TreeVariety) -> PoleData:
         residue = simple_pole_residue(ExactConst.rational(2), ExactConst.rational(-1))
     else:
         inner = simple_pole_residue(
-            ExactConst.rational(1), ExactConst.sqrt3(Fraction(-1, 2))
+            ExactConst.rational(1), ExactConst.pi_power(0, 0, Fraction(-1, 2))
         )
-        residue = ExactConst.sqrt3(Fraction(1, 2)) * inner
+        residue = ExactConst.pi_power(0, 0, Fraction(1, 2)) * inner
     return PoleData(location=singularity(variety), order=1, coefficient=residue)
 
 

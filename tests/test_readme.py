@@ -1,5 +1,6 @@
 """The README's examples run and print what the README says."""
 
+import argparse
 import contextlib
 import io
 import re
@@ -74,3 +75,17 @@ def test_command_line_examples_exit_0_and_print_documented_output(capsys):
         assert out, argv
         if documented:
             assert out.splitlines() == documented, argv
+
+
+def test_flag_table_lists_the_flags_each_subcommand_defines():
+    # A flag removed from the parser must leave the table too.
+    text = README.read_text(encoding="utf-8")
+    (table,) = re.findall(r"\n\| subcommand +\| flags \|\n\|-+\|-+\|\n(.*?)\n\n", text, re.S)
+    documented = {command: flags.split()
+                  for command, flags in re.findall(r"^\| `(\w+)` +\| `([^`]*)`", table, re.M)}
+    (subparsers,) = [action for action in cli.build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    defined = {command: [action.option_strings[-1] for action in sub._actions
+                         if action.option_strings and action.option_strings[-1] != "--help"]
+               for command, sub in subparsers.choices.items()}
+    assert documented == defined
