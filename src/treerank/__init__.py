@@ -24,7 +24,6 @@ from .enumeration import (
 )
 from .limits import (
     BoundReport,
-    ClosedFormUnavailableError,
     bound_interval,
     limit_joint_prob,
     limit_rank_fraction,
@@ -38,7 +37,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundReport",
     "Census",
-    "ClosedFormUnavailableError",
     "CountSequences",
     "Enclosure",
     "ExactConst",

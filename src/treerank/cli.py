@@ -33,6 +33,7 @@ from .enumeration import (
 )
 from .limits import (
     DEFAULT_BOUND_TERMS,
+    RANK_CORRECTIONS,
     BoundReport,
     bound_interval,
     limit_joint_prob,
@@ -156,6 +157,9 @@ def _selectors(args: argparse.Namespace, parser: argparse.ArgumentParser) -> tup
         parser.error(f"--kind {args.kind} does not read {' '.join(unread)}")
     flags = [flag for flag in reads if flag in _SELECTORS]
     values = [getattr(args, flag) for flag in flags]
+    if (args.command, args.kind) == ("limits", "rank") and args.k not in RANK_CORRECTIONS:
+        ranks = " or ".join(map(str, RANK_CORRECTIONS))
+        parser.error(f"--kind rank needs --k {ranks}; bracket higher ranks with `bounds`")
     if None in values:
         needs = " and ".join(f"--{flag} >= {_SELECTORS[flag][0]}" for flag in flags)
         parser.error(f"--kind {args.kind} needs {needs}")
@@ -268,8 +272,6 @@ def cmd_bounds(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 def cmd_limits(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     selectors, label = _selectors(args, parser)
     variety = parse_variety(args.variety)
-    if args.kind == "rank" and args.k not in (0, 1):
-        parser.error("closed forms exist for k = 0 and 1 only; use `bounds`")
     limits = {"rank": limit_rank_fraction, "v": limit_subtree_prob, "w": limit_joint_prob}
     value = limits[args.kind](variety, *selectors)
     enc = value.enclosure(args.digits)

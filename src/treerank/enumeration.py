@@ -448,10 +448,6 @@ class InequalityReport(NamedTuple):
     n: int
     checks: tuple[InequalityCheck, ...] = ()
 
-    @property
-    def all_hold(self) -> bool:
-        return all(c.holds for c in self.checks)
-
     def failures(self) -> list[InequalityCheck]:
         return [c for c in self.checks if not c.holds]
 

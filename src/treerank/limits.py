@@ -60,11 +60,21 @@ give
 * the rank-k mass over subtree sizes <= r, whose correction is the
   rank-k correction P_n = t[k][n+1] cut at n < r.
 
-Higher ranks admit no closed form; they get two-sided brackets instead:
-that truncated rank-k mass is a certified lower bound, and adding the
-limiting probability of a subtree larger than r, one minus kappa_v times
-the moment sum of [T_1, ..., T_r], gives the upper bound.  Both bounds
-are exact; only printed values are enclosed.
+a_0 and a_1 are sums of the same kernel, of the derivative of
+S_k - S_(k+1), with `series`' c (1/2 or 1, not the weight's c):
+
+* a rank-0 root is a lone leaf, so S_0 - S_1 = z, t[0] = [1, 0, 0, ...],
+  and the rank-0 correction cut at r = 1, P_0 = [1], is exact for a_0;
+* rank 1 takes S_0 + c S_0^2 - S_1 - c S_1^2 = z + c z^2 + 2c z S_1, as
+  (S_0 - S_1)^2 = z^2.  The multiplier m = 1 + 2c (z + S_1) has g' = -m g,
+  so (1 - m z) g = (z g)' integrates to zero, and adding 1 - m z leaves
+  1 - c z^2: P_1 = [1, 0, -2c], 2c being the orders of two children.
+
+Ranks k >= 2 get two-sided brackets instead: the rank-k mass over subtree
+sizes <= r is a certified lower bound, and adding the limiting
+probability of a subtree larger than r, one minus kappa_v times the
+moment sum of [T_1, ..., T_r], gives the upper bound.  Both bounds are
+exact; only printed values are enclosed.
 
 A bracket's JSON report, which `cli` writes, also prints every per-size
 row, v_i and w_{k,i}, each kappa_v N_i w_(i-1) for an integer N_i (T_i or
@@ -119,9 +129,11 @@ _WEIGHT = {
                         Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)),
 }
 
-
-class ClosedFormUnavailableError(ValueError):
-    """Ranks beyond 1 have no elementary closed form; use bound_interval."""
+# The corrections P_k of the exact limits a_k, by k (module docstring).
+RANK_CORRECTIONS = {
+    0: {TreeVariety.NONPLANE: (1,), TreeVariety.PLANE: (1,)},
+    1: {TreeVariety.NONPLANE: (1, 0, -1), TreeVariety.PLANE: (1, 0, -2)},
+}
 
 
 def moment_sum(variety: TreeVariety, p: Sequence[int]) -> ExactConst:
@@ -293,41 +305,11 @@ def _scaled_terms(row: list[tuple[int, int, int, bool]], n: int,
         yield (j, 0, 1, x, d) if sqrt3 else (j, x, d, 0, 1)
 
 
-# Closed-form numerators of the four solvable count series, evaluated at
-# the singularity where sin(pi/2) = 1, cos(pi/2) = 0, and respectively
-# sin(sqrt3 z0) = sqrt3/2, cos(sqrt3 z0) = -1/2.  Each solved form is
-# f/(c g) for the variety's weight g, and its numerator on g is f(z0)/c.
-def _closed_form_numerator(variety: TreeVariety, k: int) -> ExactConst:
-    if variety is TreeVariety.NONPLANE:
-        if k == 0:
-            # (z - 1 + cos z)/(1 - sin z)
-            return ExactConst.pi_power(1, Fraction(1, 2)) - 1
-        # (12 z sin z + 12 cos z - 12 - 3 z^2 cos z - z^3) / (6 (1 - sin z))
-        f = ExactConst.pi_power(1, 6) - ExactConst.pi_power(3, Fraction(1, 8)) - 12
-        return f * Fraction(1, 6)
-    if k == 0:
-        # (6z + sqrt3 sin(sqrt3 z) + 3 cos(sqrt3 z) - 3)
-        #   / (-3 sqrt3 sin(sqrt3 z) + 3 cos(sqrt3 z) + 6), a denominator of 12 g
-        f = ExactConst.pi_power(1, 0, Fraction(4, 3)) - 3
-        return f * Fraction(1, 12)
-    # (6z^3 + sqrt3 (3z^2 - 15z - 5) sin(sqrt3 z) + 3 (3z^2 + 5z - 5) cos(sqrt3 z) + 15)
-    #   / (9 (sqrt3 sin(sqrt3 z) - cos(sqrt3 z) - 2)), a denominator of 9 (-4 g);
-    # f is the numerator over 9.
-    f = (
-        ExactConst.pi_power(3, 0, Fraction(16, 729))
-        - ExactConst.pi_power(1, 0, Fraction(20, 27))
-        + Fraction(5, 3)
-    )
-    return f * Fraction(-1, 4)
-
-
 def limit_rank_fraction(variety: TreeVariety, k: int) -> ExactConst:
-    """Exact limiting fraction of rank-k vertices, for k = 0 or 1 only."""
-    if k not in (0, 1):
-        raise ClosedFormUnavailableError(
-            f"rank {k} has no closed form; use bound_interval"
-        )
-    return KAPPA[variety] * _closed_form_numerator(variety, k)
+    """Exact limiting fraction a_k of rank-k vertices, k = 0 or 1, from P_k."""
+    if k not in RANK_CORRECTIONS:
+        raise ValueError(f"rank {k} is bracketed, not exact; use bound_interval")
+    return KAPPA[variety] * moment_sum(variety, RANK_CORRECTIONS[k][variety])
 
 
 class BoundReport(NamedTuple):

@@ -257,7 +257,7 @@ def test_criterion_6_inequality_suite():
     for variety in (NP, PL):
         for n in range(1, limit + 1):
             report = check_inequalities(variety, n, limit)
-            assert report.all_hold, (variety, n, [c.name for c in report.failures()])
+            assert not report.failures(), (variety, n, [c.name for c in report.failures()])
     # Plane multiplicity weights: the denominator of the weighted one-child
     # mean is the plane tree count, and the means compare across varieties.
     plane_counts = tree_counts(PL, 8)

@@ -380,6 +380,45 @@ class TestReportSerialization:
                         assert term["v_decimal"] == v.enclosure(digits).decimal(), (k, i)
 
 
+# sha256 of the stdout of `limits --kind rank` for (variety, k, format,
+# digits), digits None for the default; recorded while a_0 and a_1 came from
+# hand-derived closed forms instead of moment sums.
+PINNED_RANK_LIMITS = {
+    ("nonplane", 0, "table", None):
+        "3f29717b75531ee9fba37e0d799eba72672ee29e7dda8756bd1dcef403bdb7b9",
+    ("nonplane", 0, "table", 40):
+        "ca89aa5bc3b3d0e1056990648c870aef9308d87b7933bf677dc084fc2d53277a",
+    ("nonplane", 0, "json", None):
+        "68a2a159a60ff4354b59bb289be5d7351d597093b84ace4ef3f62561146ccc74",
+    ("nonplane", 0, "json", 40):
+        "994066abc65e8f03a97a1ad5165ccb641bad52340c04272d300db73d086ff1f0",
+    ("nonplane", 1, "table", None):
+        "3f3a7966a5804fb52234d152b9a78b053838c6bdf4628d224ed1161679f3966c",
+    ("nonplane", 1, "table", 40):
+        "ce31933088df4de8a2bbd22dd8aa45c4197b2069eb5af30fe0dfc0300d5e881f",
+    ("nonplane", 1, "json", None):
+        "fc22859e47368f3d0126e1f2f95fb78458420489564c933cfc510f64e6d85a72",
+    ("nonplane", 1, "json", 40):
+        "3ccc1cc74c353ced03957f93efba9566dfc8f6533b4ce5bcb3931e626485fa15",
+    ("plane", 0, "table", None):
+        "12d7acca0e6953e36dbdc37ba0698db0d30cff2f0719ee269f49f49553b7f3af",
+    ("plane", 0, "table", 40):
+        "80333102edd46ffe01ad9b1b8212f80c58fdf9b6f58c36755c57f412f79b8263",
+    ("plane", 0, "json", None):
+        "a60382cbfc244ef4dd284af71ae3d8414d8c0929665140ac32d28669dedf4df0",
+    ("plane", 0, "json", 40):
+        "c91859804e6ed130213575a16a00fac4c10c5d04c876a9d322477b838a434794",
+    ("plane", 1, "table", None):
+        "f12468abc4feabff2be8c5ad913a94f4a3f0e12dda11b4b5121a7ed51f455e0d",
+    ("plane", 1, "table", 40):
+        "6adcae5bf17c3752a2ab5e0833c159d258128b2907ecf38acf703ef77f9280d9",
+    ("plane", 1, "json", None):
+        "a595e6af83d2c8b32052e142211056084b48cebca17dc40b5c3e70df1fd2adc7",
+    ("plane", 1, "json", 40):
+        "1ebbcf9cb5840327c6fd95e3206b1dcd6117893b1be45411835564efb36fbc10",
+}
+
+
 class TestLimits:
     def test_rank_one_exact_string(self, capsys):
         code, out, _ = run(capsys, "limits", "--variety", "nonplane", "--k", "1")
@@ -410,10 +449,29 @@ class TestLimits:
         payload = json.loads(out)
         assert payload["exact"] == "1 - 2*pi^-1"
 
-    def test_higher_rank_redirected(self):
+    def test_higher_rank_redirected(self, capsys):
+        for argv in (["limits", "--k", "2"], ["limits", "--k", "5", "--format", "json"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            captured = capsys.readouterr()
+            assert exc.value.code == 2
+            assert captured.out == ""
+            assert captured.err.endswith(
+                "error: --kind rank needs --k 0 or 1; bracket higher ranks with `bounds`\n")
+
+    def test_unread_flag_refused_before_the_missing_rank(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["limits", "--k", "2"])
+            main(["limits", "--kind", "rank", "--r", "3"])
         assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("error: --kind rank does not read --r\n")
+
+    @pytest.mark.parametrize("key", list(PINNED_RANK_LIMITS))
+    def test_rank_limit_stdout_matches_the_pinned_digest(self, capsys, key):
+        variety, k, fmt, digits = key
+        argv = ["limits", "--variety", variety, "--kind", "rank", "--k", str(k), "--format", fmt]
+        code, out, _ = run(capsys, *argv, *(["--digits", str(digits)] if digits else []))
+        assert code == 0
+        assert sha256(out) == PINNED_RANK_LIMITS[key]
 
 
 class TestEnumerate:
@@ -580,6 +638,36 @@ class TestVerify:
         assert code == 1
         assert "FAIL  inequalities nonplane n=4: sqrt-subtree-mean<=100-90/sqrt(n)\n" in out
 
+    # Planted faults in the corrections of a_0 and a_1, which the limit
+    # anchor and the bracket lines read through `limit_rank_fraction`.
+    def test_rank_zero_correction_fault_fails_the_anchor(self, capsys, monkeypatch):
+        monkeypatch.setitem(limits.RANK_CORRECTIONS, 0, dict.fromkeys(TreeVariety, [2]))
+        code, out, _ = run(capsys, "verify")
+        assert code == 1
+        assert "FAIL  limit anchor nonplane: rank-0 limit equals size-1 limit: mismatch\n" in out
+
+    def test_nonplane_rank_one_correction_fault_escapes_the_bracket(self, capsys, monkeypatch):
+        monkeypatch.setitem(limits.RANK_CORRECTIONS, 1,
+                            {**limits.RANK_CORRECTIONS[1], NP: [1, 0, -2]})
+        code, out, _ = run(capsys, "verify")
+        assert code == 1
+        assert ("FAIL  bracket nesting/anchoring nonplane: closed form escapes bracket at r=8\n"
+                in out)
+
+    def test_plane_rank_one_correction_fault_needs_a_finer_bracket(self, capsys, monkeypatch):
+        # Halving the plane 2c moves a_1 up by about 0.032, well inside the
+        # default r = 12 bracket, which is about 0.14 wide: the default
+        # verify passes.  Of the --r 100 ladder 33, 66, 100, the r = 66
+        # bracket, about 0.029 wide, is the first to exclude the wrong value.
+        monkeypatch.setitem(limits.RANK_CORRECTIONS, 1,
+                            {**limits.RANK_CORRECTIONS[1], TreeVariety.PLANE: [1, 0, -1]})
+        code, out, _ = run(capsys, "verify")
+        assert code == 0, out
+        code, out, _ = run(capsys, "verify", "--enum-limit", "6", "--order", "12", "--r", "100")
+        assert code == 1
+        assert ("FAIL  bracket nesting/anchoring plane: closed form escapes bracket at r=66\n"
+                in out)
+
     def test_one_census_pass_per_variety_and_size(self, capsys, monkeypatch):
         def no_second_walk(*args, **kwargs):
             raise AssertionError("verify counts trees through census, not enumerate_texts")
@@ -646,8 +734,9 @@ class TestConfig:
         (["counts", "--kind", "joint"], "--kind joint needs --k >= 0 and --i >= 1"),
         (["counts", "--kind", "joint", "--k", "1"], "--kind joint needs --k >= 0 and --i >= 1"),
         (["counts", "--kind", "joint", "--i", "3"], "--kind joint needs --k >= 0 and --i >= 1"),
-        (["limits"], "--kind rank needs --k >= 0"),
-        (["limits", "--kind", "rank", "--format", "json"], "--kind rank needs --k >= 0"),
+        (["limits"], "--kind rank needs --k 0 or 1; bracket higher ranks with `bounds`"),
+        (["limits", "--kind", "rank", "--format", "json"],
+         "--kind rank needs --k 0 or 1; bracket higher ranks with `bounds`"),
         (["limits", "--kind", "v"], "--kind v needs --r >= 1"),
         (["limits", "--kind", "w", "--k", "0"], "--kind w needs --k >= 0 and --i >= 1"),
         (["limits", "--kind", "w", "--i", "2"], "--kind w needs --k >= 0 and --i >= 1"),

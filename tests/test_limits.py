@@ -25,7 +25,6 @@ from treerank.constants import ExactConst
 from treerank.counting import rank_vertex_counts, root_ranks, size_vertex_counts
 from treerank.limits import (
     KAPPA,
-    ClosedFormUnavailableError,
     bound_interval,
     limit_joint_prob,
     limit_rank_fraction,
@@ -476,12 +475,20 @@ class TestClosedFormLimits:
         assert enc.contains(closed_form_oracle(variety, k))
 
     def test_higher_rank_refused(self):
-        with pytest.raises(ClosedFormUnavailableError):
+        with pytest.raises(ValueError):
             limit_rank_fraction(NP, 2)
 
     def test_rank_zero_equals_size_one(self):
         for variety in (NP, PL):
             assert limit_rank_fraction(variety, 0) == limit_subtree_prob(variety, 1)
+
+    @pytest.mark.parametrize("variety", [NP, PL])
+    def test_rank_zero_is_every_bracket_lower_bound(self, variety):
+        # t[0] = [1, 0, 0, ...]: a rank-0 root is a lone leaf, so cutting
+        # the rank-0 correction at any r >= 1 loses nothing.
+        a0 = limit_rank_fraction(variety, 0)
+        for r in range(1, 13):
+            assert bound_interval(variety, 0, r).lower == a0, r
 
 
 class TestSubtreeAndJointLimits:
