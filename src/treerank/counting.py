@@ -20,9 +20,8 @@ adjustment is ever needed.
 
 Everything runs on integers.  With counts Y_n = n! [z^n] y, the equation
 y' = m*y + p is the recurrence Y_{n+1} = sum_i C(n,i) M_i Y_{n-i} + P_n
-(`series.solve_linear_counts`), where M_n is the tree count T_n for
-non-plane trees and 2 T_n - [n = 0] for plane trees, and the correction
-P is read straight off the t table:
+(`series.solve_linear_counts`), where M_0 = 1 and M_n = 2c T_n with 2c the
+variety's `child_orders`, and the correction P is read off the t table:
 
     rank k            P_n = t[k][n+1]
     subtree size r    P_{r-1} = T_r, all else 0
@@ -94,11 +93,12 @@ class CountSequences(NamedTuple):
 
 
 def _multiplier(variety: TreeVariety, order: int) -> list[int]:
-    """n!-scaled m of y' = m*y + p through index order-1: T, or 2T - 1 for plane."""
-    counts = tree_counts(variety, max(order - 1, 0))
-    if variety is TreeVariety.NONPLANE:
-        return list(counts)
-    return [1] + [2 * c for c in counts[1:]]
+    """n!-scaled m = 1 + 2c (T - 1) of y' = m*y + p through index order-1.
+
+    2c is the variety's `child_orders`: m is T non-plane, 2T - 1 plane.
+    """
+    orders = variety.child_orders
+    return [1] + [orders * c for c in tree_counts(variety, max(order - 1, 0))[1:]]
 
 
 def _count_sequence(variety: TreeVariety, counts: list[int], order: int) -> CountSequences:

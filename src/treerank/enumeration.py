@@ -31,11 +31,12 @@ So the trees of sizes n-2, n-1 and n, by far the most numerous, are
 tallied instead of generated: per (rank, one-child count) class of a
 one-child root's child, and per pair of child classes of a two-child
 root, weighted by the number of splits, each tallied layer feeding the
-next.  How often a tree occurs as a root child of the tallied trees
-depends only on sizes, so the occurrences flow down the tallied layers
-from the one tree of size n, and then from the largest kept subtrees
-to the smallest, each subtree adding its count to its (rank, size) and
-degree slots and passing it on to its children.
+next.  Every tree of size s occurs equally often as a subtree of the
+trees of size n, as swapping it at a vertex for another tree of size s on
+the same labels is a bijection (the fringe-subtree view of Devroye and
+Janson, Protected nodes and fringe subtrees in some random trees, 2014).
+So the occurrences flow down by size alone, from n to 1, and each kept
+tree is walked once.
 """
 
 from __future__ import annotations
@@ -282,12 +283,13 @@ def census(variety: TreeVariety, n: int, limit: int = DEFAULT_ENUM_LIMIT) -> Cen
     """Exact per-vertex rank and subtree-size statistics over every tree of size n.
 
     Only the trees of sizes up to n-3 are generated and cached as
-    canonical subtrees, each visited once to read its root rank and
+    canonical subtrees, each walked once to read its root rank and
     one-child count off its children's.  The trees of sizes n-2, n-1 and
     n are tallied per child class and per pair of child classes, weighted
-    by the number of label splits, and the occurrences of every subtree
-    flow down through the tallied layers and the kept subtrees at the
-    end, so no vertex is walked.
+    by the number of label splits.  Every tree of a size occurs equally
+    often as a subtree, since swapping it for another of that size on the
+    same labels is a bijection, so the occurrences flow down one list
+    indexed by size, from n to 1, and no vertex is walked.
     `limit` only guards the size: the result is cached per (variety, n),
     which `cache_info` and `cache_clear` report and reset.
     """
@@ -311,74 +313,51 @@ def _census(variety: TreeVariety, n: int) -> Census:
         ranks.append(rank_row)
         ones.append(one_row)
 
-    trees_of = [len(row) for row in ranks]  # trees_of[s]: the trees of size s
+    # classes[s]: the trees of size s per (root rank, one-child count).
     classes = [Counter(zip(r, o)) for r, o in zip(ranks, ones)]
-
-    def tally(s: int) -> list[int]:
-        """Append the (root rank, one-child count) classes of size s.
-
-        They are tallied from the classes of the smaller sizes: a root over
-        two children of sizes j and s-1-j stands for one tree per label
-        split, so each pair of child classes is weighted by the number of
-        splits.  Entry j of the result counts the trees of size s that have
-        a given tree of size j as a root child.
-        """
+    for s in range(kept + 1, n + 1):
+        # A root over two children of sizes j and s-1-j stands for one tree
+        # per label split: each pair of child classes is weighted by splits.
         if s == 1:  # the lone leaf
             classes.append(Counter({(0, 0): 1}))
-            trees_of.append(1)
-            return []
+            continue
         k = s - 1
         layer = Counter({(r + 1, o + 1): c for (r, o), c in classes[k].items()})
-        parents = [0] * k + [1]
         for j in range(1, k):
-            i = k - j
             w = _split_weight(variety, k, j)
             for (ra, oa), ca in classes[j].items():
-                for (rb, ob), cb in classes[i].items():
+                for (rb, ob), cb in classes[k - j].items():
                     layer[1 + (ra if ra < rb else rb), oa + ob] += w * ca * cb
-            parents[j] += w * trees_of[i]
-            parents[i] += w * trees_of[j]
         classes.append(layer)
-        trees_of.append(sum(layer.values()))
-        return parents
+    trees_of = [sum(c.values()) for c in classes]  # trees_of[s]: the trees of size s
 
-    tallied = range(kept + 1, n + 1)
-    parents_in = {s: tally(s) for s in tallied}
-
-    # Occurrences flow down from the one tree of size n, through the
-    # tallied layers: every tree of a size occurs equally often, and each
-    # size's count reaches its (rank, size) and degree slots.
+    # Each tree of size s occurs occurrences[s] times as a subtree (module
+    # docstring): the count reaches the (rank, size) and degree slots of
+    # size s, and each root of size s passes it on to its children's sizes.
     stride = n + 1
     joint = [0] * (n * stride)  # joint[rank * stride + size]
     by_degree = [0, 0, 0]  # vertices with zero, one and two children
     occurrences = [0] * n + [1]
-    for s in reversed(tallied):
+    for s in range(n, 0, -1):
         c = occurrences[s]
-        for j, parents in enumerate(parents_in[s]):
-            occurrences[j] += parents * c
         for (rank, _), t in classes[s].items():
             joint[rank * stride + s] += c * t
         if s == 1:
             by_degree[0] += c
-        else:
-            by_degree[1] += c * trees_of[s - 1]
-            by_degree[2] += c * (trees_of[s] - trees_of[s - 1])
+            continue
+        k = s - 1
+        occurrences[k] += c
+        for j in range(1, k):
+            w = c * _split_weight(variety, k, j)
+            occurrences[j] += w * trees_of[k - j]
+            occurrences[k - j] += w * trees_of[j]
+        by_degree[1] += c * trees_of[k]
+        by_degree[2] += c * (trees_of[s] - trees_of[k])
     root_ranks = [0] * n
     one_child_trees = [0] * n
     for (rank, one), c in classes[n].items():
         root_ranks[rank] += c
         one_child_trees[one] += c
-
-    # Push the occurrences down, largest kept subtrees first: a subtree's
-    # count reaches its (rank, size) and degree slots and its children.
-    pushed = [[c] * t for c, t in zip(occurrences, trees_of[:kept + 1])]
-    for s in range(kept, 0, -1):
-        rank_row, counts = ranks[s], pushed[s]
-        for (_, children), rank, c in zip(_canonical_trees(variety, s), rank_row, counts):
-            joint[rank * stride + s] += c
-            by_degree[len(children)] += c
-            for sub, labels in children:
-                pushed[len(labels)][sub[0]] += c
 
     for key, c in enumerate(joint):
         rank, size = divmod(key, stride)

@@ -61,14 +61,14 @@ give
   rank-k correction P_n = t[k][n+1] cut at n < r.
 
 a_0 and a_1 are sums of the same kernel, of the derivative of
-S_k - S_(k+1), with `series`' c (1/2 or 1, not the weight's c):
+S_k - S_(k+1), with 2c the variety's `child_orders` (not the weight's c):
 
 * a rank-0 root is a lone leaf, so S_0 - S_1 = z, t[0] = [1, 0, 0, ...],
   and the rank-0 correction cut at r = 1, P_0 = [1], is exact for a_0;
 * rank 1 takes S_0 + c S_0^2 - S_1 - c S_1^2 = z + c z^2 + 2c z S_1, as
   (S_0 - S_1)^2 = z^2.  The multiplier m = 1 + 2c (z + S_1) has g' = -m g,
   so (1 - m z) g = (z g)' integrates to zero, and adding 1 - m z leaves
-  1 - c z^2: P_1 = [1, 0, -2c], 2c being the orders of two children.
+  1 - c z^2: P_1 = [1, 0, -2c], read off `child_orders` for each variety.
 
 Ranks k >= 2 get two-sided brackets instead: the rank-k mass over subtree
 sizes <= r is a certified lower bound, and adding the limiting
@@ -131,8 +131,8 @@ _WEIGHT = {
 
 # The corrections P_k of the exact limits a_k, by k (module docstring).
 RANK_CORRECTIONS = {
-    0: {TreeVariety.NONPLANE: (1,), TreeVariety.PLANE: (1,)},
-    1: {TreeVariety.NONPLANE: (1, 0, -1), TreeVariety.PLANE: (1, 0, -2)},
+    0: {v: (1,) for v in TreeVariety},
+    1: {v: (1, 0, -v.child_orders) for v in TreeVariety},
 }
 
 

@@ -206,9 +206,10 @@ def _suffix_rows(variety: TreeVariety, rank: int, size: int) -> list[list[int]]:
         S_k[i] = S_{k-1}[i-1] + c sum_j C(i-1, j) S_{k-1}[j] S_{k-1}[i-1-j],
     where only k <= j <= i-1-k contributes (a root of rank >= k-1 heads at
     least k vertices).  The square's terms pair up as j <-> i-1-j, so half
-    of them are summed and doubled.  Non-plane trees take half of the
-    square, which must be even.  Each entry of row 1 is also row 0's next
-    entry, appended to row 0 first so that no row outgrows the one before.
+    of them are summed and taken 2c times, 2c being `child_orders`; c times
+    the middle term j = (i-1)/2, if any, must be an integer.  Each entry of
+    row 1 is also row 0's next entry, appended to row 0 first so that no
+    row outgrows the one before.
     """
     rows = _SUFFIX_ROWS[variety]
     if len(rows) > rank and len(rows[rank]) > size:
@@ -216,7 +217,7 @@ def _suffix_rows(variety: TreeVariety, rank: int, size: int) -> list[list[int]]:
     with _ROWS_LOCK:
         while len(rows) <= rank:
             rows.append([0])
-        plane = variety is TreeVariety.PLANE
+        orders = variety.child_orders
         for k in range(1, rank + 1):
             prev, row = rows[k - 1], rows[k]
             for i in range(len(row), size + 1):
@@ -225,14 +226,14 @@ def _suffix_rows(variety: TreeVariety, rank: int, size: int) -> list[list[int]]:
                 if 2 * k <= n:
                     # j in k..h-1 pairs with n-j in n-k..n-h+1
                     binom, h = _binomials(n), (n + 1) // 2
-                    square = 2 * sum(map(mul, map(mul, binom[k:h], prev[k:h]),
-                                         prev[n - k:n - h:-1]))
+                    square = orders * sum(map(mul, map(mul, binom[k:h], prev[k:h]),
+                                              prev[n - k:n - h:-1]))
                     if n % 2 == 0:
-                        square += binom[h] * prev[h] ** 2
-                if not plane:
-                    square, rem = divmod(square, 2)
-                    if rem:
-                        raise InvariantError(f"ordered two-child count for S_{k}[{i}] is odd")
+                        middle, odd = divmod(orders * binom[h] * prev[h] ** 2, 2)
+                        if odd:
+                            raise InvariantError(
+                                f"ordered two-child count for S_{k}[{i}] is odd")
+                        square += middle
                 value = prev[n] + square
                 if k == 1:
                     prev.append(value)

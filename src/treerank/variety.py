@@ -19,6 +19,11 @@ class TreeVariety(enum.Enum):
     def __str__(self) -> str:
         return self.value
 
+    @property
+    def child_orders(self) -> int:
+        """2c: the orders in which a root's two children are counted, 1 or 2."""
+        return 2 if self is TreeVariety.PLANE else 1
+
 
 def parse_variety(text: str) -> TreeVariety:
     try:

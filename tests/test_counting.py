@@ -166,6 +166,16 @@ class TestRootRankTable:
             for k in range(n):
                 assert rows[k][n - 1] == cen.root_rank_counts[k]
 
+    @pytest.mark.parametrize("variety", [NP, PL])
+    def test_a_root_has_rank_one_exactly_when_it_has_a_leaf_child(self, variety):
+        # From n = 4 on, a rank-1 root has two children and just one of them
+        # is a leaf: n - 1 labels for the leaf, T_(n-2) trees for the other
+        # child, in either of the variety's child orders.
+        counts = tree_counts(variety, 200)
+        rank_one = root_ranks(variety, 1, 200)
+        for n in range(4, 201):
+            assert rank_one[n - 1] == variety.child_orders * (n - 1) * counts[n - 2], n
+
     def test_rank_one_correction_closed_form(self):
         # d/dz sum_i t[1][i] z^i/i!  must equal  z E(z) - z^2/2.
         order = 20

@@ -16,6 +16,12 @@ from typing import Iterator
 import pytest
 
 from treerank import cli, enumeration
+from treerank.counting import (
+    joint_vertex_counts,
+    rank_vertex_counts,
+    root_ranks,
+    size_vertex_counts,
+)
 from treerank.enumeration import (
     DEFAULT_ENUM_LIMIT,
     Census,
@@ -668,6 +674,59 @@ class TestCensus:
 
     def test_mean_one_child_n3(self):
         assert census(NP, 3).mean_one_child == Fraction(1)
+
+
+def fringe_subtrees(tree: Node) -> Iterator[Node]:
+    """Every vertex's subtree, relabelled to 1..s in label order."""
+
+    def labels(node: Node) -> Iterator[int]:
+        yield node[0]
+        for child in node[1]:
+            yield from labels(child)
+
+    def relabel(node: Node, local: dict[int, int]) -> Node:
+        return (local[node[0]], tuple(relabel(c, local) for c in node[1]))
+
+    def walk(node: Node) -> Iterator[Node]:
+        order = sorted(labels(node))
+        yield relabel(node, {label: i for i, label in enumerate(order, 1)})
+        for child in node[1]:
+            yield from walk(child)
+
+    return walk(tree)
+
+
+class TestOccurrencesBySize:
+    """The census moves subtree occurrences by size alone; these pin why."""
+
+    @pytest.mark.parametrize("variety", [NP, PL])
+    def test_every_tree_of_a_size_occurs_equally_often(self, variety):
+        for n in range(1, 8):
+            seen = Counter(sub for tree in _generate(variety, tuple(range(1, n + 1)))
+                           for sub in fringe_subtrees(tree))
+            totals = census(variety, n).size_totals
+            counts = tree_counts(variety, n)
+            for s in range(1, n + 1):
+                each, rest = divmod(totals[s], counts[s])
+                assert rest == 0, (n, s)
+                assert [seen[sub] for sub in _canonical_trees(variety, s)] == \
+                    [each] * counts[s], (n, s)
+            assert sum(seen.values()) == n * counts[n]
+
+    @pytest.mark.parametrize("variety", [NP, PL])
+    def test_census_at_12_equals_the_count_recurrences(self, variety):
+        # Past the per-tree census (n <= 10) and the pinned verify digest
+        # (n <= 11): at 12 the kept sizes run to 9, the deepest flow in tier-1.
+        n = 12
+        cen = census(variety, n, n)
+        assert cen.rank_totals == tuple(rank_vertex_counts(variety, k, n).counts[n]
+                                        for k in range(n))
+        assert cen.size_totals[1:] == tuple(size_vertex_counts(variety, r, n).counts[n]
+                                            for r in range(1, n + 1))
+        joint = {(k, r): joint_vertex_counts(variety, k, r, n).counts[n]
+                 for r in range(1, n + 1) for k in range(r)}
+        assert dict(cen.joint_totals) == {key: c for key, c in joint.items() if c}
+        assert cen.root_rank_counts == tuple(root_ranks(variety, k, n)[-1] for k in range(n))
 
 
 class TestPlaneWeights:
