@@ -43,7 +43,7 @@ from .limits import (
     row_texts,
 )
 from .series import DEFAULT_ORDER, InvariantError, solve_linear_counts, tree_counts
-from .variety import TreeVariety, parse_variety
+from .variety import TreeVariety
 
 
 def _at_least(low: int, most: int | None = None) -> Callable[[str], int]:
@@ -201,7 +201,7 @@ def _count_rows(seq: CountSequences, order: int, digits: int) -> Iterator[tuple]
 
 def cmd_counts(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     selectors, label = _selectors(args, parser)
-    variety = parse_variety(args.variety)
+    variety = TreeVariety(args.variety)
     if args.kind == "root":
         _print_root_rows(variety, args.order, args.format)
         return 0
@@ -253,7 +253,7 @@ def _bound_report_pieces(report: BoundReport, digits: int) -> Iterator[str]:
 
 
 def cmd_bounds(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    variety = parse_variety(args.variety)
+    variety = TreeVariety(args.variety)
     report = bound_interval(variety, args.k, args.r)
     if args.format == "json":  # a row at a time: the report can run to tens of MB
         sys.stdout.writelines(_bound_report_pieces(report, args.digits))
@@ -271,7 +271,7 @@ def cmd_bounds(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 def cmd_limits(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     selectors, label = _selectors(args, parser)
-    variety = parse_variety(args.variety)
+    variety = TreeVariety(args.variety)
     limits = {"rank": limit_rank_fraction, "v": limit_subtree_prob, "w": limit_joint_prob}
     value = limits[args.kind](variety, *selectors)
     enc = value.enclosure(args.digits)
@@ -289,7 +289,7 @@ def cmd_limits(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def cmd_enumerate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    variety = parse_variety(args.variety)
+    variety = TreeVariety(args.variety)
     try:
         for text in enumerate_texts(variety, args.n, args.enum_limit):
             print(text)
@@ -341,29 +341,17 @@ def _verify_checks(args: argparse.Namespace):
                  for r in range(1, limit + 1) for k in range(limit)}
         for n in range(1, limit + 1):
             cen = census(variety, n, limit)
-            ok = True
-            notes = []
-            for k in range(n):
-                if rank[k][n] != cen.rank_totals[k]:
-                    ok = False
-                    notes.append(f"rank k={k}")
+            # (label, its numbers, from the recurrences, from the census)
+            entries = [("rank k={}", (k,), rank[k][n], cen.rank_totals[k]) for k in range(n)]
             for r in range(1, n + 1):
-                if size[r][n] != cen.size_totals[r]:
-                    ok = False
-                    notes.append(f"size r={r}")
-                for k in range(n):
-                    if joint[k, r][n] != cen.joint_totals.get((k, r), 0):
-                        ok = False
-                        notes.append(f"joint k={k} i={r}")
-            for k in range(n):
-                if roots[k][n - 1] != cen.root_rank_counts[k]:
-                    ok = False
-                    notes.append(f"root-rank k={k} (root-rank-table)")
-            yield (
-                f"census-vs-recurrences {variety} n={n}",
-                ok,
-                "all selectors agree" if ok else "; ".join(notes[:6]),
-            )
+                entries.append(("size r={}", (r,), size[r][n], cen.size_totals[r]))
+                entries += [("joint k={} i={}", (k, r), joint[k, r][n],
+                             cen.joint_totals.get((k, r), 0)) for k in range(n)]
+            entries += [("root-rank k={} (root-rank-table)", (k,), roots[k][n - 1],
+                         cen.root_rank_counts[k]) for k in range(n)]
+            notes = [label.format(*nums) for label, nums, want, got in entries if want != got]
+            yield (f"census-vs-recurrences {variety} n={n}", not notes,
+                   "; ".join(notes[:6]) or "all selectors agree")
 
     for variety in TreeVariety:
         for n in range(1, limit + 1):
@@ -383,8 +371,8 @@ def _verify_checks(args: argparse.Namespace):
     # Rank-1 root correction: d/dz of the rank-1 root series is z*E - z^2/2,
     # which n!-scaled reads t[1][n+1] = n E_(n-1) - [n = 2].
     t1 = root_ranks(TreeVariety.NONPLANE, 1, order)
-    ok = all(t1[n] == n * e[max(n - 1, 0)] - (n == 2) for n in range(order))
-    yield ("rank-1 root correction z*E - z^2/2", ok, "series match" if ok else "mismatch")
+    bad = [n for n in range(order) if t1[n] != n * e[max(n - 1, 0)] - (n == 2)]
+    yield ("rank-1 root correction z*E - z^2/2", not bad, "mismatch" if bad else "series match")
 
     for variety in TreeVariety:
         anchor = limit_rank_fraction(variety, 0) == limit_subtree_prob(variety, 1)
@@ -394,28 +382,26 @@ def _verify_checks(args: argparse.Namespace):
             "exact equality" if anchor else "mismatch",
         )
 
+    ladder = sorted({max(1, args.r // 3), max(1, (2 * args.r) // 3), args.r})
     for variety in TreeVariety:
-        prev = None
-        ok = True
-        detail = "brackets nested and anchored"
-        ladder = sorted({max(1, args.r // 3), max(1, (2 * args.r) // 3), args.r})
-        for r in ladder:
-            rep = bound_interval(variety, 1, r)
-            a1 = limit_rank_fraction(variety, 1)
-            inside = (rep.lower - a1).sign() <= 0 and (rep.upper - a1).sign() >= 0
-            if not inside:
-                ok = False
-                detail = f"closed form escapes bracket at r={r}"
-                break
-            if prev is not None:
-                nested = (rep.lower - prev.lower).sign() >= 0 and \
-                    (prev.upper - rep.upper).sign() >= 0
-                if not nested:
-                    ok = False
-                    detail = f"bracket at r={r} not nested"
-                    break
-            prev = rep
-        yield (f"bracket nesting/anchoring {variety}", ok, detail)
+        fault = next(_bracket_faults(variety, ladder), None)
+        yield (f"bracket nesting/anchoring {variety}", fault is None,
+               fault or "brackets nested and anchored")
+
+
+def _bracket_faults(variety: TreeVariety, ladder: list[int]) -> Iterator[str]:
+    """What is wrong with each rank-1 bracket on the ladder, rung by rung:
+    a_1 outside it, or a bracket no narrower than the one before."""
+    a1 = limit_rank_fraction(variety, 1)
+    prev = None
+    for r in ladder:
+        rep = bound_interval(variety, 1, r)
+        if (rep.lower - a1).sign() > 0 or (rep.upper - a1).sign() < 0:
+            yield f"closed form escapes bracket at r={r}"
+        elif prev is not None and ((rep.lower - prev.lower).sign() < 0
+                                   or (prev.upper - rep.upper).sign() < 0):
+            yield f"bracket at r={r} not nested"
+        prev = rep
 
 
 def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:

@@ -15,28 +15,28 @@ for labels[l-1].  Labels increase toward the root, so the root of a tree
 on labels L is max(L) = L[-1].  Nothing is ever relabelled: ranks,
 sizes and child counts do not depend on labels, and `enumerate_texts`
 writes each tree from one text template per canonical subtree, filled
-with the labels.  Non-plane trees are kept canonical by ordering a
-sibling pair so that the subtree containing the smaller minimum label
-comes first; the generator produces exactly one representative per
-unordered pair this way.
+with the labels.  A non-plane tree keeps the child holding label 1
+first, one representative per unordered pair of children.
 
 The census of size n generates only the trees of sizes up to n-3, and
 visits each of them once to read its root rank and one-child count off
 its children's.  A tree of size m is a root over one child of size
-m-1, or over two children of sizes j and m-1-j whose label sets split
-the m-1 labels below the root in one of C(m-1, j) ways (plane) or
-C(m-2, j-1) ways (non-plane, where the child holding label 1 comes
-first).  Trees with the same child subtrees differ only in that split.
-So the trees of sizes n-2, n-1 and n, by far the most numerous, are
-tallied instead of generated: per (rank, one-child count) class of a
-one-child root's child, and per pair of child classes of a two-child
-root, weighted by the number of splits, each tallied layer feeding the
-next.  Every tree of size s occurs equally often as a subtree of the
-trees of size n, as swapping it at a vertex for another tree of size s on
-the same labels is a bijection (the fringe-subtree view of Devroye and
-Janson, Protected nodes and fringe subtrees in some random trees, 2014).
-So the occurrences flow down by size alone, from n to 1, and each kept
-tree is walked once.
+m-1, or over two children of sizes j <= m-1-j whose label sets split the
+m-1 labels below the root in C(m-1, j) ways, each counted in 2c orders
+(`TreeVariety.child_orders`: 2 plane, 1 non-plane) and halved when
+j = m-1-j, where the children trade places: the increasing-tree
+specification of Bergeron, Flajolet and Salvy (1992).  Trees with the
+same child subtrees differ only in that split.  So the trees of sizes
+n-2, n-1 and n, by far the most numerous, are tallied instead of
+generated: per (rank, one-child count) class of a one-child root's
+child, and per pair of child classes of a two-child root, weighted by
+the number of splits, each tallied layer feeding the next.  Every tree
+of size s occurs equally often as a subtree of the trees of size n, as
+swapping it at a vertex for another tree of size s on the same labels
+is a bijection (the fringe-subtree view of Devroye and Janson,
+Protected nodes and fringe subtrees in some random trees, 2014).  So
+the occurrences flow down by size alone, from n to 1, and each kept tree
+is walked once.
 """
 
 from __future__ import annotations
@@ -111,18 +111,16 @@ def _top_layer(variety: TreeVariety, n: int, below: Iterable[Node]) -> Iterator[
 
 
 def _child_pairs(variety: TreeVariety, n: int) -> Iterator[tuple]:
-    """The children of every two-child tree on labels 1..n, in slot order."""
+    """The children of every two-child tree on labels 1..n, in slot order.
+
+    The first child takes each nonempty proper subset of the labels below the
+    root, or with 2c = 1 each one holding label 1, and the second the rest.
+    """
     m = n - 1
     rest = tuple(range(1, n))
-    if variety is TreeVariety.PLANE:
-        # Ordered sibling pairs: the first child takes any nonempty proper
-        # label subset, the second takes the complement.
-        subsets = ((j, a_set) for j in range(1, m) for a_set in combinations(rest, j))
-    else:
-        # Unordered pairs, one representative each: the subtree holding
-        # label 1 is generated as the first child.
-        subsets = ((j, (1,) + a_tail)
-                   for j in range(1, m) for a_tail in combinations(rest[1:], j - 1))
+    both_orders = variety.child_orders == 2
+    subsets = ((j, a_set) for j in range(1, m) for a_set in combinations(rest, j)
+               if both_orders or a_set[0] == 1)
     for j, a_set in subsets:
         chosen = set(a_set)
         b_set = tuple(x for x in rest if x not in chosen)
@@ -270,13 +268,11 @@ def _root_stats(children: tuple, ranks: list[bytearray],
 
 
 def _split_weight(variety: TreeVariety, m: int, j: int) -> int:
-    """Ways to give j of the m non-root labels to a root's first child.
-
-    These are the label subsets `_child_pairs` picks: any j labels for plane
-    trees, and for non-plane trees any j that include label 1, since the
-    child holding label 1 comes first.
+    """Two-child trees per pair of child subtrees of sizes j <= m - j: C(m, j)
+    label splits, each counted in 2c orders, and half as many when j = m - j,
+    where the children trade places.  `_child_pairs` generates these trees.
     """
-    return comb(m, j) if variety is TreeVariety.PLANE else comb(m - 1, j - 1)
+    return variety.child_orders * comb(m, j) >> (2 * j == m)
 
 
 def census(variety: TreeVariety, n: int, limit: int = DEFAULT_ENUM_LIMIT) -> Census:
@@ -316,14 +312,14 @@ def _census(variety: TreeVariety, n: int) -> Census:
     # classes[s]: the trees of size s per (root rank, one-child count).
     classes = [Counter(zip(r, o)) for r, o in zip(ranks, ones)]
     for s in range(kept + 1, n + 1):
-        # A root over two children of sizes j and s-1-j stands for one tree
+        # A root over two children of sizes j <= s-1-j stands for one tree
         # per label split: each pair of child classes is weighted by splits.
         if s == 1:  # the lone leaf
             classes.append(Counter({(0, 0): 1}))
             continue
         k = s - 1
         layer = Counter({(r + 1, o + 1): c for (r, o), c in classes[k].items()})
-        for j in range(1, k):
+        for j in range(1, k // 2 + 1):
             w = _split_weight(variety, k, j)
             for (ra, oa), ca in classes[j].items():
                 for (rb, ob), cb in classes[k - j].items():
@@ -347,7 +343,7 @@ def _census(variety: TreeVariety, n: int) -> Census:
             continue
         k = s - 1
         occurrences[k] += c
-        for j in range(1, k):
+        for j in range(1, k // 2 + 1):  # at j = k - j both terms land on size j
             w = c * _split_weight(variety, k, j)
             occurrences[j] += w * trees_of[k - j]
             occurrences[k - j] += w * trees_of[j]

@@ -23,10 +23,3 @@ class TreeVariety(enum.Enum):
     def child_orders(self) -> int:
         """2c: the orders in which a root's two children are counted, 1 or 2."""
         return 2 if self is TreeVariety.PLANE else 1
-
-
-def parse_variety(text: str) -> TreeVariety:
-    try:
-        return TreeVariety(text.lower())
-    except ValueError:
-        raise ValueError(f"unknown variety {text!r}; expected 'nonplane' or 'plane'") from None

@@ -4,8 +4,9 @@ No count or limit path uses them: `series.solve_linear_counts` and the
 suffix rows are compared against the `EgfSeries` solvers, and
 `limits.moment_sum` against the unrolled weight moment and the per-term
 bracket sum.  The tree-count series `base_series` lives here too, since
-only these solvers and the tests read it.  The `Fraction` decimals that
-the integer ones in `constants` replaced close the file.
+only these solvers and the tests read it, and so does an extrapolation
+of a_k from the exact finite-n ratios.  The `Fraction` decimals that the
+integer ones in `constants` replaced close the file.
 """
 
 from decimal import Decimal
@@ -13,8 +14,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
+import mpmath
+
 from treerank.constants import ExactConst
-from treerank.counting import root_ranks
+from treerank.counting import rank_vertex_counts, root_ranks
 from treerank.limits import _WEIGHT, KAPPA, limit_joint_prob, limit_subtree_prob, moment_sum
 from treerank.series import EgfSeries, Rational, SeriesOrderError, tree_counts
 from treerank.variety import TreeVariety
@@ -124,6 +127,26 @@ def reference_moment_sum(variety: TreeVariety, p: list[int]) -> ExactConst:
         if value:
             total = total + unrolled_weight_moment(variety, n) * Fraction(value, factorial(n))
     return total
+
+
+def extrapolated_rank_limit(variety: TreeVariety, k: int, order: int, terms: int,
+                            log_powers: int = 1) -> mpmath.mpf:
+    """a_k extrapolated from the exact `rank_vertex_counts(variety, k, order)`.
+
+    Fits prob_next(n) = a + sum over 1 <= j <= terms and 0 <= e <= log_powers
+    of c_je (log n)^e / n^j exactly through as many sizes as unknowns,
+    order // 24 apart and ending at order - 1, at 80 digits, and returns a.
+    A reference for tests, not a certified value.
+    """
+    seq = rank_vertex_counts(variety, k, order)
+    step = order // 24
+    with mpmath.workdps(80):
+        sizes = [order - 1 - i * step for i in range(1 + terms * (log_powers + 1))]
+        rows = [[mpmath.mpf(1)] + [mpmath.log(n) ** e / mpmath.mpf(n) ** j
+                                   for j in range(1, terms + 1) for e in range(log_powers + 1)]
+                for n in sizes]
+        values = [mpmath.mpf(p.numerator) / p.denominator for p in map(seq.prob_next, sizes)]
+        return +mpmath.lu_solve(mpmath.matrix(rows), mpmath.matrix(values))[0]
 
 
 # The decimal rounding on `Fraction`s that enclosures printed through before

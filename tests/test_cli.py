@@ -22,7 +22,7 @@ import treerank.limits as limits
 import treerank.series as series
 from treerank import cli
 from treerank.cli import main
-from treerank.constants import MAX_DIGITS
+from treerank.constants import MAX_DIGITS, ExactConst
 from treerank.counting import root_ranks
 from treerank.enumeration import census
 from treerank.limits import bound_interval, limit_joint_prob, limit_subtree_prob
@@ -667,6 +667,23 @@ class TestVerify:
         assert code == 1
         assert ("FAIL  bracket nesting/anchoring plane: closed form escapes bracket at r=66\n"
                 in out)
+
+    def test_a_bracket_wider_than_the_one_before_fails_nesting(self, capsys, monkeypatch):
+        # The plane r = 8 lower bound, one lower, is below the r = 4 one:
+        # that rung is no longer nested, though it still holds a_1.
+        original = cli.bound_interval
+
+        def planted(variety, k, r):
+            report = original(variety, k, r)
+            if (variety, r) == (TreeVariety.PLANE, 8):
+                report = report._replace(lower=report.lower - ExactConst.rational(1))
+            return report
+
+        monkeypatch.setattr(cli, "bound_interval", planted)
+        code, out, _ = run(capsys, "verify")
+        assert code == 1
+        assert "FAIL  bracket nesting/anchoring plane: bracket at r=8 not nested\n" in out
+        assert "ok    bracket nesting/anchoring nonplane: brackets nested and anchored\n" in out
 
     def test_one_census_pass_per_variety_and_size(self, capsys, monkeypatch):
         def no_second_walk(*args, **kwargs):

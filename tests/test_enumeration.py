@@ -521,14 +521,15 @@ class TestCensus:
 
     @pytest.mark.parametrize("variety", [NP, PL])
     def test_split_weights_count_the_generated_label_splits(self, variety):
+        # The generated two-child trees of size m + 1, by their smaller child.
         for m in range(1, 9):
-            first_sizes = Counter(len(children[0][1])
-                                  for _, children in enumeration._generate(variety, m + 1)
-                                  if len(children) == 2)
+            smaller_sizes = Counter(min(len(children[0][1]), len(children[1][1]))
+                                    for _, children in enumeration._generate(variety, m + 1)
+                                    if len(children) == 2)
             counts = tree_counts(variety, m)
-            assert first_sizes == Counter({
+            assert smaller_sizes == Counter({
                 j: enumeration._split_weight(variety, m, j) * counts[j] * counts[m - j]
-                for j in range(1, m)
+                for j in range(1, m // 2 + 1)
             })
 
     def test_all_censuses_to_10_within_budget_from_cold_caches(self):

@@ -37,6 +37,7 @@ from treerank.series import InvariantError, tree_counts
 from treerank.variety import TreeVariety
 
 from reference_solvers import (
+    extrapolated_rank_limit,
     kernel_weight_moment,
     reference_bracket,
     reference_moment_sum,
@@ -567,6 +568,25 @@ REFERENCE_LIMITS = {
     PL: [Fraction(x) for x in ("0.190238558746", "0.072508503559", "0.016767708813",
                                "0.002429004090")],
 }
+
+
+class TestExtrapolatedLimits:
+    """a_2 and a_3 extrapolated from the exact counts to size 300 agree with
+    `REFERENCE_LIMITS`, and a fit with one more term moves them little."""
+
+    @pytest.mark.parametrize("variety", list(TreeVariety), ids=str)
+    @pytest.mark.parametrize("k, log_powers, apart, off", [(2, 1, 1e-13, 1e-12),
+                                                          (3, 2, 2e-9, 2e-9)])
+    def test_the_fit_agrees_with_the_reference(self, variety, k, log_powers, apart, off):
+        # Measured at k = 2: fits 3.4e-14 (non-plane) and 6.3e-14 (plane)
+        # apart, within 2.1e-13 of the reference; at k = 3, with (log n)^2
+        # terms, 4.8e-10 and 8.7e-10 apart, within 1.4e-9.
+        fits = [extrapolated_rank_limit(variety, k, 300, terms, log_powers) for terms in (6, 7)]
+        ref = REFERENCE_LIMITS[variety][k - 2]
+        reference = mpmath.mpf(ref.numerator) / ref.denominator
+        assert abs(fits[0] - fits[1]) < apart
+        for fit in fits:
+            assert abs(fit - reference) < off
 
 
 class TestBoundIntervals:
