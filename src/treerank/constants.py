@@ -165,10 +165,6 @@ class ExactConst:
         return cls({0: (value, 0)})
 
     @classmethod
-    def zero(cls) -> "ExactConst":
-        return cls()
-
-    @classmethod
     def pi_power(cls, exponent: int, coeff: Rational = 1, sqrt3_coeff: Rational = 0) -> "ExactConst":
         return cls({exponent: (coeff, sqrt3_coeff)})
 

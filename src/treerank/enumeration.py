@@ -1,10 +1,10 @@
 """Exhaustive generation of labeled 1-2 trees and exact census statistics.
 
-This module is the ground-truth oracle for everything else: it builds
-every tree of a given size explicitly, and its census tallies exact
-integer statistics over all of their vertices.  Sizes are capped (default 10)
-because the counts grow factorially; the refusal message quotes the
-exact count, or a lower bound when the count itself would be costly.
+This module is the ground-truth oracle for everything else: it writes out
+every tree of a given size, and its census tallies exact integer statistics
+over every vertex of every tree of size n from the trees of sizes up to n-3.
+Sizes are capped (default 10) because the counts grow factorially; the
+refusal message quotes the exact count, or a lower bound when it is costly.
 
 Internal representation: labels are data, not rebuilt structure.  A
 tree on 1..n is (slot, children): slot is the tree's position among the
@@ -61,19 +61,17 @@ Node = tuple  # lazy: (slot in its size, tuple of (Node on 1..j, labels of lengt
 class SizeLimitError(ValueError):
     """Requested size exceeds the configured exhaustive-enumeration cap.
 
-    `count` is the exact number of trees of size n when n is at most
-    DEFAULT_ORDER, and None beyond: there the exact count would cost a
-    long recurrence and may have too many digits to print, so the message
+    The message quotes the exact number of trees of size n when n is at
+    most DEFAULT_ORDER.  Beyond it the exact count would cost a long
+    recurrence and may have too many digits to print, so the message
     quotes the smaller count at size min(limit + 1, DEFAULT_ORDER) as a
     lower bound instead.
     """
 
     def __init__(self, variety: TreeVariety, n: int, limit: int):
         if n <= DEFAULT_ORDER:
-            self.count = tree_counts(variety, n)[n]
-            quoted = f"exactly {self.count} of them"
+            quoted = f"exactly {tree_counts(variety, n)[n]} of them"
         else:
-            self.count = None
             below = min(limit + 1, DEFAULT_ORDER)
             quoted = (f"more than {tree_counts(variety, below)[below]} of them, "
                       f"the count at size {below}")
@@ -81,7 +79,6 @@ class SizeLimitError(ValueError):
             f"refusing to enumerate {variety} trees of size {n} (limit {limit}): "
             f"there are {quoted}"
         )
-        self.limit = limit
 
 
 @lru_cache(maxsize=None)
@@ -330,14 +327,13 @@ def _census(variety: TreeVariety, n: int) -> Census:
     # Each tree of size s occurs occurrences[s] times as a subtree (module
     # docstring): the count reaches the (rank, size) and degree slots of
     # size s, and each root of size s passes it on to its children's sizes.
-    stride = n + 1
-    joint = [0] * (n * stride)  # joint[rank * stride + size]
+    joint = [[0] * (n + 1) for _ in range(n)]  # joint[rank][size]
     by_degree = [0, 0, 0]  # vertices with zero, one and two children
     occurrences = [0] * n + [1]
     for s in range(n, 0, -1):
         c = occurrences[s]
         for (rank, _), t in classes[s].items():
-            joint[rank * stride + s] += c * t
+            joint[rank][s] += c * t
         if s == 1:
             by_degree[0] += c
             continue
@@ -355,20 +351,18 @@ def _census(variety: TreeVariety, n: int) -> Census:
         root_ranks[rank] += c
         one_child_trees[one] += c
 
-    for key, c in enumerate(joint):
-        rank, size = divmod(key, stride)
-        if c and (rank == 0) != (size == 1):
+    cells = {(rank, size): c for rank, row in enumerate(joint) for size, c in enumerate(row) if c}
+    for rank, size in cells:
+        if (rank == 0) != (size == 1):
             raise InvariantError(f"rank {rank} for a subtree of size {size}")
     leaf, one, two = by_degree
     result = Census(
         variety=variety,
         n=n,
         tree_count=sum(root_ranks),
-        rank_totals=tuple(sum(joint[k * stride:(k + 1) * stride]) for k in range(n)),
-        size_totals=tuple(sum(joint[r::stride]) for r in range(stride)),
-        joint_totals=MappingProxyType({
-            divmod(key, stride): c for key, c in enumerate(joint) if c
-        }),
+        rank_totals=tuple(map(sum, joint)),
+        size_totals=tuple(map(sum, zip(*joint))),
+        joint_totals=MappingProxyType(cells),
         root_rank_counts=tuple(root_ranks),
         leaf_total=leaf,
         one_child_total=one,

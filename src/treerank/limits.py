@@ -183,12 +183,8 @@ def limit_subtree_prob(variety: TreeVariety, r: int) -> ExactConst:
 
 def limit_joint_prob(variety: TreeVariety, k: int, i: int) -> ExactConst:
     """Limiting probability of rank k with subtree size i: w_{k,i} = v_i t[k][i]/T_i."""
-    if k < 0:
-        raise ValueError("rank must be nonnegative")
-    if i < 1:
-        raise ValueError("subtree size must be at least 1")
-    return limit_subtree_prob(variety, i) * Fraction(root_ranks(variety, k, i)[-1],
-                                                     tree_counts(variety, i)[i])
+    v_i = limit_subtree_prob(variety, i)  # refuses i < 1 before root_ranks refuses k < 0
+    return v_i * Fraction(root_ranks(variety, k, i)[-1], tree_counts(variety, i)[i])
 
 
 def row_enclosures(variety: TreeVariety, t_k: Sequence[int], counts: Sequence[int],
@@ -334,9 +330,7 @@ def bound_interval(variety: TreeVariety, k: int, r: int = DEFAULT_BOUND_TERMS) -
     sum of the rank-k correction cut at r; the upper bound adds the
     limiting mass of subtrees larger than r, 1 - (v_1 + ... + v_r).
     """
-    if k < 0:
-        raise ValueError("rank must be nonnegative")
-    if r < 1:
+    if r < 1:  # root_ranks refuses k < 0, but returns [] for r = 0
         raise ValueError("truncation must be at least 1")
     kappa = KAPPA[variety]
     lower = kappa * moment_sum(variety, root_ranks(variety, k, r))

@@ -134,9 +134,6 @@ class EgfSeries:
         self._check_order(other)
         return EgfSeries(a - b for a, b in zip(self._coeffs, other._coeffs))
 
-    def __neg__(self) -> "EgfSeries":
-        return EgfSeries(-a for a in self._coeffs)
-
     def __mul__(self, other: Union["EgfSeries", Rational]) -> "EgfSeries":
         if isinstance(other, (int, Fraction)):
             return EgfSeries(a * other for a in self._coeffs)
@@ -172,9 +169,6 @@ class EgfSeries:
         if not isinstance(other, EgfSeries):
             return NotImplemented
         return self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
 
     def __repr__(self) -> str:
         head = ", ".join(str(c) for c in self._coeffs[:6])

@@ -113,7 +113,7 @@ def reference_bracket(variety: TreeVariety, k: int, r: int
     lower = w_{k,1} + ... + w_{k,r} and upper = lower + 1 - (v_1 + ... + v_r),
     one exact addition per subtree size.
     """
-    w_sum = v_sum = ExactConst.zero()
+    w_sum = v_sum = ExactConst()
     for i in range(1, r + 1):
         w_sum = w_sum + limit_joint_prob(variety, k, i)
         v_sum = v_sum + limit_subtree_prob(variety, i)
@@ -122,7 +122,7 @@ def reference_bracket(variety: TreeVariety, k: int, r: int
 
 def reference_moment_sum(variety: TreeVariety, p: list[int]) -> ExactConst:
     """sum_n P_n W_n/n! term by term, from the unrolled weight moments."""
-    total = ExactConst.zero()
+    total = ExactConst()
     for n, value in enumerate(p):
         if value:
             total = total + unrolled_weight_moment(variety, n) * Fraction(value, factorial(n))

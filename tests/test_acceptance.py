@@ -242,7 +242,7 @@ def test_criterion_5_identity_suite():
 
     for variety in (NP, PL):
         for i in range(1, 13):
-            total = ExactConst.zero()
+            total = ExactConst()
             for k in range(i):
                 total = total + limit_joint_prob(variety, k, i)
             assert total == limit_subtree_prob(variety, i), (variety, i)
@@ -275,7 +275,7 @@ def test_criterion_7_convergence_properties():
 
     # Tail probabilities decrease strictly and halve within twenty terms.
     u = []
-    partial = ExactConst.zero()
+    partial = ExactConst()
     for r in range(1, 21):
         partial = partial + limit_subtree_prob(NP, r)
         u.append(ExactConst.rational(1) - partial)

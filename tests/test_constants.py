@@ -515,6 +515,11 @@ class TestArithmetic:
         b = ExactConst.pi_power(-1, 2)
         assert a + b == ExactConst.rational(1)
 
+    def test_foreign_operands(self):
+        assert (ExactConst.pi_power(1) == "pi") is False
+        with pytest.raises(TypeError, match="cannot use str with ExactConst"):
+            ExactConst.pi_power(1) + "pi"
+
     def test_sqrt3_free_flag(self):
         assert (PI - 2).is_sqrt3_free()
         assert not (PI - ExactConst.pi_power(0, 0, 1)).is_sqrt3_free()
@@ -529,7 +534,7 @@ class TestArithmetic:
         assert (PI - Fraction(22, 7)).sign() == -1
         assert (PI - Fraction(355, 113)).sign() == -1
         assert (PI - Fraction(333, 106)).sign() == 1
-        assert ExactConst.zero().sign() == 0
+        assert ExactConst().sign() == 0
 
     @staticmethod
     def mpmath_sign(x: ExactConst) -> int:
@@ -538,7 +543,7 @@ class TestArithmetic:
         return (lo > 0) - (hi < 0)
 
     @pytest.mark.parametrize("x", [PI - Fraction(22, 7), PI - Fraction(355, 113),
-                                   PI - Fraction(333, 106), ExactConst.zero(),
+                                   PI - Fraction(333, 106), ExactConst(),
                                    ExactConst({1: (Fraction(1, 6), Fraction(-5, 18))}),
                                    ExactConst.rational(Fraction(1, 10**40))],
                              ids=["pi-22/7", "pi-355/113", "pi-333/106", "zero", "mixed-pair",
@@ -575,7 +580,7 @@ class TestArithmeticMatchesReference:
     @settings(max_examples=60, deadline=None)
     @given(small_consts, small_consts)
     def test_cancellation(self, x, y):
-        zero = ExactConst.zero()
+        zero = ExactConst()
         assert_same_const(x + (-x), zero)
         assert_same_const(x - x, zero)
         for factor in (0, Fraction(0), zero):
@@ -673,7 +678,7 @@ class TestRendering:
             - ExactConst.pi_power(-1, 4)
         assert a1.render() == "2 - (1/24)*pi^2 - 4*pi^-1"
         assert ExactConst.pi_power(-1, 0, Fraction(5, 6)).render() == "(5/6)*sqrt3*pi^-1"
-        assert ExactConst.zero().render() == "0"
+        assert ExactConst().render() == "0"
         assert PI.render() == "pi"
         assert (-PI).render() == "-pi"
 
@@ -1255,7 +1260,7 @@ class TestHalfPiMoments:
         # The antiderivative of t^m sin t evaluates at the endpoints to an
         # alternating factorial sum; it must agree with the recurrence exactly.
         for m in range(21):
-            total = ExactConst.zero()
+            total = ExactConst()
             i = 0
             while m - 2 * i - 1 >= 0:  # sine part at the upper endpoint
                 power = m - 2 * i - 1

@@ -458,6 +458,8 @@ class TestCountSequences:
         assert seq.prob_next(6) == Fraction(155, 7 * 61)
         with pytest.raises(ValueError):
             seq.prob(0)
+        with pytest.raises(ValueError):
+            seq.prob_next(0)
 
     @pytest.mark.parametrize("variety", [NP, PL])
     def test_probabilities_partition_unity(self, variety):
@@ -528,6 +530,9 @@ class TestCountSequences:
             size_vertex_counts(NP, 0, 5)
         with pytest.raises(ValueError):
             joint_vertex_counts(NP, 0, 0, 5)
+        for i in (3, 9):  # i = 9 > order: no root_ranks call checks the rank
+            with pytest.raises(ValueError, match="rank must be nonnegative"):
+                joint_vertex_counts(NP, -1, i, 5)
 
 
 class TestCsvExport:

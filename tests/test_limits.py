@@ -165,7 +165,7 @@ def probability_limit(variety: TreeVariety, f_at_z0: ExactConst) -> ExactConst:
 
 def reference_correction_limit(variety: TreeVariety, count: int, degree: int) -> ExactConst:
     if count == 0:
-        return ExactConst.zero()
+        return ExactConst()
     f_at_z0 = unrolled_weight_moment(variety, degree) * Fraction(count, factorial(degree))
     return probability_limit(variety, f_at_z0)
 
@@ -214,8 +214,8 @@ class TestPoles:
         res = simple_pole_residue(ExactConst.rational(2), ExactConst.rational(-1))
         assert res == ExactConst.rational(-2)
         # Vanishing numerator gives residue zero.
-        assert simple_pole_residue(ExactConst.zero(), ExactConst.rational(1)) == \
-            ExactConst.zero()
+        assert simple_pole_residue(ExactConst(), ExactConst.rational(1)) == \
+            ExactConst()
         c = ExactConst.pi_power(1, Fraction(3, 7))
         assert simple_pole_residue(c, ExactConst.rational(1)) == c
 
@@ -232,7 +232,7 @@ class TestPoles:
         d = double_pole_coefficient(f, 6)
         expected = ExactConst.pi_power(1, 2) - ExactConst.pi_power(3, Fraction(1, 24)) - 4
         assert d == expected
-        assert double_pole_coefficient(ExactConst.zero(), 5) == ExactConst.zero()
+        assert double_pole_coefficient(ExactConst(), 5) == ExactConst()
         with pytest.raises(UnsupportedDivisorError):
             double_pole_coefficient(ExactConst.rational(1), 0)
 
@@ -240,7 +240,7 @@ class TestPoles:
         with pytest.raises(ValueError):
             PoleData(ExactConst.pi_power(1), 3, ExactConst.rational(1))
         with pytest.raises(ValueError):
-            PoleData(ExactConst.pi_power(1), 1, ExactConst.zero())
+            PoleData(ExactConst.pi_power(1), 1, ExactConst())
 
     def test_base_poles(self):
         np_pole = base_pole(NP)
@@ -309,8 +309,8 @@ class TestAgainstReferenceChain:
             assert limit_rank_fraction(variety, k) == reference_rank_fraction(variety, k)
 
     def test_bracket(self, variety):
-        lower = ExactConst.zero()
-        v_sum = ExactConst.zero()
+        lower = ExactConst()
+        v_sum = ExactConst()
         for i, t_ki in enumerate(root_ranks(variety, 2, 12), 1):
             lower = lower + reference_correction_limit(variety, t_ki, i - 1)
             v_sum = v_sum + reference_subtree_prob(variety, i)
@@ -330,8 +330,8 @@ class TestMomentSum:
 
     def test_zero_corrections(self):
         for variety in TreeVariety:
-            assert moment_sum(variety, []) == ExactConst.zero()
-            assert moment_sum(variety, [0] * 7) == ExactConst.zero()
+            assert moment_sum(variety, []) == ExactConst()
+            assert moment_sum(variety, [0] * 7) == ExactConst()
 
 
 def assert_same_row(row: tuple[int, int, int], reference: constants.Enclosure) -> None:
@@ -496,12 +496,12 @@ class TestSubtreeAndJointLimits:
     def test_joint_degenerate(self):
         for variety in (NP, PL):
             assert limit_joint_prob(variety, 0, 1) == limit_subtree_prob(variety, 1)
-            assert limit_joint_prob(variety, 0, 2) == ExactConst.zero()
+            assert limit_joint_prob(variety, 0, 2) == ExactConst()
 
     @pytest.mark.parametrize("variety", [NP, PL])
     def test_joint_sums_to_subtree_limit(self, variety):
         for i in range(1, 13):
-            total = ExactConst.zero()
+            total = ExactConst()
             for k in range(i):
                 total = total + limit_joint_prob(variety, k, i)
             assert total == limit_subtree_prob(variety, i)
@@ -517,7 +517,7 @@ class TestSubtreeAndJointLimits:
 
     @pytest.mark.parametrize("variety", [NP, PL])
     def test_subtree_limits_positive_and_summable(self, variety):
-        partial = ExactConst.zero()
+        partial = ExactConst()
         for r in range(1, 21):
             v = limit_subtree_prob(variety, r)
             assert v.sign() == 1
@@ -531,11 +531,11 @@ class TestSubtreeAndJointLimits:
         assert limit_rank_fraction(NP, 1).is_sqrt3_free()
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="subtree size must be at least 1"):
             limit_subtree_prob(NP, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="rank must be nonnegative"):
             limit_joint_prob(NP, -1, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="subtree size must be at least 1"):
             limit_joint_prob(NP, 0, 0)
 
 
@@ -692,7 +692,7 @@ class TestBoundIntervals:
                 assert (report.upper - reference).sign() > 0, (k, r)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="rank must be nonnegative"):
             bound_interval(NP, -1, 5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="truncation must be at least 1"):
             bound_interval(NP, 2, 0)
